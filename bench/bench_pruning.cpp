@@ -12,7 +12,7 @@
 //     8+ events.
 //
 // --smoke runs the parity guard alone on the small sizes and exits non-zero
-// on any divergence (CI runs it as the pruning-smoke job).
+// on any divergence (ctest runs it as bench_pruning_smoke).
 //
 // Usage: bench_pruning [--out BENCH_pruning.json] [--smoke]
 #include <chrono>

@@ -9,7 +9,7 @@
 //      frame — no dropped connections, no malformed frames.
 //   3. a crashy tenant trips its circuit breaker while a healthy tenant's
 //      report stays byte-identical to a solo-daemon run.
-// Any drill failure exits non-zero (CI runs this as service-smoke).
+// Any drill failure exits non-zero (ctest runs this as bench_service_smoke).
 //
 // Without --smoke, sweeps concurrent small jobs across job parallelism and
 // emits throughput rows to BENCH_service.json (CI uploads the artifact).

@@ -1,6 +1,7 @@
 #include "core/interleaving.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <stdexcept>
 
@@ -37,16 +38,26 @@ void Interleaving::append_key(std::string& out) const {
   }
 }
 
-Interleaving Interleaving::from_key(const std::string& key) {
+std::optional<Interleaving> Interleaving::parse_key(std::string_view key) {
   Interleaving il;
-  size_t start = 0;
-  while (start < key.size()) {
-    size_t end = key.find(',', start);
-    if (end == std::string::npos) end = key.size();
-    il.order.push_back(std::stoi(key.substr(start, end - start)));
-    start = end + 1;
+  if (key.empty()) return il;
+  const char* pos = key.data();
+  const char* const end = pos + key.size();
+  for (;;) {
+    int id = 0;
+    const auto [next, ec] = std::from_chars(pos, end, id);
+    if (ec != std::errc{}) return std::nullopt;
+    il.order.push_back(id);
+    if (next == end) return il;
+    if (*next != ',') return std::nullopt;
+    pos = next + 1;
   }
-  return il;
+}
+
+Interleaving Interleaving::from_key(const std::string& key) {
+  auto il = parse_key(key);
+  if (!il) throw std::invalid_argument("malformed interleaving key: " + key);
+  return std::move(*il);
 }
 
 size_t common_prefix_len(const Interleaving& a, const Interleaving& b) noexcept {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "proxy/event.hpp"
@@ -45,7 +46,10 @@ struct Interleaving {
 
   /// Inverse of key(): parse "3,0,1,2" back into an interleaving. Used when
   /// orders round-trip through the run journal and the outcome corpus (e.g.
-  /// rehydrating violation priors for guided search). Malformed input throws.
+  /// rehydrating violation priors for guided search). nullopt unless the key
+  /// is a comma-separated list of integers; decoders check keys with it.
+  static std::optional<Interleaving> parse_key(std::string_view key);
+  /// parse_key() for keys already checked; malformed input throws.
   static Interleaving from_key(const std::string& key);
 };
 

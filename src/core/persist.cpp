@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -149,29 +150,31 @@ std::string journal_header_line(uint64_t fingerprint) {
   return header.dump();
 }
 
+/// The journal's record codec — the only code that knows its field layout.
+/// Optional fields are written only when set, so pass records stay short and
+/// journals from before crash isolation and storage plans stay loadable.
 std::string journal_record_line(const RunJournal::Record& record) {
+  const InterleavingOutcome& outcome = record.outcome;
   util::Json j = util::Json::object();
   j["plan"] = record.plan;
   j["il"] = static_cast<int64_t>(record.interleaving);
   j["key"] = record.key;
-  j["timed_out"] = record.timed_out;
-  // Crash-isolation fields are only written when set, keeping crash-free
-  // journals byte-compatible with the pre-sandbox format.
-  if (record.crash_signal != 0) j["crash_signal"] = static_cast<int64_t>(record.crash_signal);
-  if (record.oom) j["oom"] = record.oom;
-  // Recovery fields are only written for storage-fault pairs, keeping
-  // network/crash-only journals byte-compatible with the pre-storage format.
-  if (!record.recovery.empty()) {
-    j["recovery"] = record.recovery;
-    if (record.recovery_first != 0) {
-      j["recovery_first"] = static_cast<int64_t>(record.recovery_first);
+  j["timed_out"] = outcome.timed_out;
+  // Presence means crashed: a child that exited cleanly mid-replay is a crash
+  // with signal 0.
+  if (outcome.crashed) j["crash_signal"] = static_cast<int64_t>(outcome.term_signal);
+  if (outcome.oom) j["oom"] = true;
+  if (outcome.recovery) {
+    j["recovery"] = std::string(recovery_status_name(outcome.recovery->status));
+    if (outcome.recovery->first_missing != 0) {
+      j["recovery_first"] = static_cast<int64_t>(outcome.recovery->first_missing);
     }
-    if (record.recovery_count != 0) {
-      j["recovery_count"] = static_cast<int64_t>(record.recovery_count);
+    if (outcome.recovery->missing_count != 0) {
+      j["recovery_count"] = static_cast<int64_t>(outcome.recovery->missing_count);
     }
   }
   util::Json violations = util::Json::array();
-  for (const auto& violation : record.violations) {
+  for (const auto& violation : outcome.violations) {
     util::Json v = util::Json::object();
     v["assertion"] = violation.assertion;
     v["message"] = violation.message;
@@ -179,6 +182,15 @@ std::string journal_record_line(const RunJournal::Record& record) {
   }
   j["violations"] = std::move(violations);
   return j.dump();
+}
+
+/// Reads an optional non-negative count field into `out`; false when present
+/// but malformed.
+bool read_count(const util::Json& j, const char* field, uint64_t& out) {
+  if (!j.contains(field)) return true;
+  if (!j[field].is_int() || j[field].as_int() < 0) return false;
+  out = static_cast<uint64_t>(j[field].as_int());
+  return true;
 }
 
 std::optional<RunJournal::Record> parse_record_line(const std::string& line) {
@@ -197,119 +209,89 @@ std::optional<RunJournal::Record> parse_record_line(const std::string& line) {
   if (ordinal < 1) return std::nullopt;
   record.interleaving = static_cast<uint64_t>(ordinal);
   record.key = j["key"].as_string();
-  record.timed_out = j["timed_out"].as_bool();
+  // The resumed run rebuilds the interleaving from its key.
+  if (!Interleaving::parse_key(record.key)) return std::nullopt;
+  InterleavingOutcome& outcome = record.outcome;
+  outcome.timed_out = j["timed_out"].as_bool();
   if (j.contains("crash_signal")) {
     if (!j["crash_signal"].is_int()) return std::nullopt;
-    record.crash_signal = static_cast<int>(j["crash_signal"].as_int());
+    outcome.crashed = true;
+    outcome.term_signal = static_cast<int>(j["crash_signal"].as_int());
   }
   if (j.contains("oom")) {
     if (!j["oom"].is_bool()) return std::nullopt;
-    record.oom = j["oom"].as_bool();
+    outcome.oom = j["oom"].as_bool();
   }
   if (j.contains("recovery")) {
     if (!j["recovery"].is_string()) return std::nullopt;
-    record.recovery = j["recovery"].as_string();
-  }
-  if (j.contains("recovery_first")) {
-    if (!j["recovery_first"].is_int() || j["recovery_first"].as_int() < 0) return std::nullopt;
-    record.recovery_first = static_cast<uint64_t>(j["recovery_first"].as_int());
-  }
-  if (j.contains("recovery_count")) {
-    if (!j["recovery_count"].is_int() || j["recovery_count"].as_int() < 0) return std::nullopt;
-    record.recovery_count = static_cast<uint64_t>(j["recovery_count"].as_int());
+    const auto status = recovery_status_from_name(j["recovery"].as_string());
+    if (!status) return std::nullopt;
+    RecoveryVerdict verdict;
+    verdict.status = *status;
+    if (!read_count(j, "recovery_first", verdict.first_missing) ||
+        !read_count(j, "recovery_count", verdict.missing_count)) {
+      return std::nullopt;
+    }
+    outcome.recovery = verdict;
   }
   for (const auto& v : j["violations"].as_array()) {
     if (!v.is_object() || !v.contains("assertion") || !v["assertion"].is_string() ||
         !v.contains("message") || !v["message"].is_string()) {
       return std::nullopt;
     }
-    record.violations.push_back({v["assertion"].as_string(), v["message"].as_string()});
+    outcome.violations.push_back({v["assertion"].as_string(), v["message"].as_string()});
   }
   return record;
 }
 
+std::unique_ptr<std::ostream> open_stream(const RunJournal::StreamFactory& factory,
+                                          const std::string& path, bool truncate) {
+  if (factory) return factory(path, truncate);
+  return std::make_unique<std::ofstream>(
+      path, truncate ? (std::ios::out | std::ios::trunc) : (std::ios::out | std::ios::app));
+}
+
 }  // namespace
 
-RunJournal::RunJournal(std::string path, uint64_t fingerprint, size_t checkpoint_every,
-                       StreamFactory stream_factory)
-    : path_(std::move(path)),
-      fingerprint_(fingerprint),
-      checkpoint_every_(checkpoint_every < 1 ? 1 : checkpoint_every),
-      stream_factory_(std::move(stream_factory)) {
-  lines_.push_back(journal_header_line(fingerprint_));
-}
-
-RunJournal RunJournal::create(std::string path, uint64_t fingerprint,
-                              size_t checkpoint_every, StreamFactory stream_factory) {
-  RunJournal journal(std::move(path), fingerprint, checkpoint_every,
-                     std::move(stream_factory));
-  journal.checkpoint();  // atomically materialize the header
-  if (journal.degraded()) {
-    throw std::runtime_error("RunJournal: cannot create " + journal.path_);
-  }
-  return journal;
-}
-
-std::unique_ptr<std::ostream> RunJournal::open_stream(const std::string& path,
-                                                      bool truncate) {
-  if (stream_factory_) return stream_factory_(path, truncate);
-  auto f = std::make_unique<std::ofstream>(
-      path, truncate ? (std::ios::out | std::ios::trunc) : (std::ios::out | std::ios::app));
-  return f;
-}
-
-void RunJournal::reopen_append() {
-  out_ = open_stream(path_, /*truncate=*/false);
-  if (!out_ || !*out_) {
-    degraded_ = true;
-    out_.reset();
-  }
-}
-
-void RunJournal::checkpoint() {
-  if (degraded_) return;
-  const std::string tmp = path_ + ".tmp";
+RunJournal RunJournal::create(const std::string& path, uint64_t fingerprint,
+                              std::span<const Record> prefix,
+                              const StreamFactory& stream_factory) {
+  const auto cannot_create = [&] {
+    return std::runtime_error("RunJournal: cannot create " + path);
+  };
+  RunJournal journal;
+  const std::string tmp = path + ".tmp";
   {
-    auto f = open_stream(tmp, /*truncate=*/true);
-    if (!f || !*f) {
-      degraded_ = true;
-      out_.reset();
-      return;
+    const auto staged = open_stream(stream_factory, tmp, /*truncate=*/true);
+    if (!staged || !(*staged << journal_header_line(fingerprint) << '\n' << std::flush)) {
+      throw cannot_create();
     }
-    for (const auto& line : lines_) *f << line << '\n';
-    f->flush();
-    if (!*f) {
-      degraded_ = true;
-      out_.reset();
-      return;
+    for (const auto& record : prefix) *staged << journal_record_line(record) << '\n';
+    if (!staged->flush()) {
+      // The old journal stays in place: it still holds this prefix.
+      journal.degraded_ = true;
+      return journal;
     }
   }
-  // Real-filesystem path only: with an injected factory the "file" may not
-  // exist on disk, in which case the rename failing is the degradation
-  // signal the factory's caller wanted to simulate.
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    degraded_ = true;
-    out_.reset();
-    return;
-  }
-  reopen_append();
-  since_checkpoint_ = 0;
+  // With an injected factory the staged "file" may not exist on disk; the
+  // rename failing is then the failure the factory's caller simulated.
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) throw cannot_create();
+  journal.out_ = open_stream(stream_factory, path, /*truncate=*/false);
+  if (!journal.out_ || !*journal.out_) throw cannot_create();
+  return journal;
 }
 
 void RunJournal::append(const Record& record) {
   // Degraded journals record nothing further: the exploration carries on,
   // the on-disk file keeps its last good prefix, resume is disabled.
   if (degraded_) return;
-  lines_.push_back(journal_record_line(record));
   ++records_;
-  *out_ << lines_.back() << '\n';
+  *out_ << journal_record_line(record) << '\n';
   out_->flush();
   if (!*out_) {
     degraded_ = true;
     out_.reset();
-    return;
   }
-  if (++since_checkpoint_ >= checkpoint_every_) checkpoint();
 }
 
 std::optional<RunJournal::Loaded> RunJournal::load(const std::string& path) {

@@ -16,15 +16,16 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/interleaving.hpp"
+#include "core/replay.hpp"
 #include "datalog/database.hpp"
 #include "datalog/evaluator.hpp"
 
@@ -72,16 +73,17 @@ class InterleavingStore {
 ///   line 1   — header: {"erpi_run_journal":1,"fingerprint":"<16 hex digits>"}
 ///   line 2.. — one record per completed pair, in commit order
 ///
-/// Durability model: every append is written and flushed immediately, and
-/// every kCheckpointEvery appends the whole journal is rewritten to a
-/// temporary file and atomically renamed over the target. A SIGKILL can
-/// therefore at worst leave one torn trailing line, which load() tolerates by
-/// stopping at the first malformed or out-of-order record — everything before
-/// it is a valid prefix of the run. Because the parallel committer commits
-/// pairs in order, the journaled records for each plan always form an
-/// ascending 1..m prefix of that plan's sweep; resuming means skipping the
-/// first m interleavings of each journaled plan and merging the recorded
-/// outcomes back into the report.
+/// Durability model: create() writes the header and the resumed prefix to
+/// `path.tmp` in one pass and atomically renames it over `path`, so a torn
+/// tail a killed run left behind is never appended onto. After that, every
+/// record is appended and flushed exactly once. A SIGKILL can therefore at
+/// worst leave one torn trailing line, which load() tolerates by stopping at
+/// the first malformed or out-of-order record — everything before it is a
+/// valid prefix of the run. Because the parallel committer commits pairs in
+/// order, the journaled records for each plan always form an ascending 1..m
+/// prefix of that plan's sweep; resuming means skipping the first m
+/// interleavings of each journaled plan and merging the recorded outcomes
+/// back into the report.
 ///
 /// The fingerprint (FNV-1a over the run configuration: mode, order, seeds,
 /// caps, events, plan catalog — but not parallelism, so a resume may use a
@@ -90,32 +92,13 @@ class InterleavingStore {
 class RunJournal {
  public:
   struct Record {
-    struct Violation {
-      std::string assertion;
-      std::string message;
-
-      bool operator==(const Violation&) const = default;
-    };
-
-    std::string plan;          // FaultPlan::key()
-    uint64_t interleaving = 0; // 1-based ordinal within the plan's sweep
-    std::string key;           // Interleaving::key()
-    std::vector<Violation> violations;
-    bool timed_out = false;
-    /// Sandbox outcomes (Isolation::Process): the pair deterministically
-    /// killed its child with this signal / tripped the memory cap. Journaling
-    /// these is what lets a resumed run skip known-crashing pairs instead of
-    /// re-executing them. Absent fields read back as 0/false, so journals
-    /// written before crash isolation stay loadable.
-    int crash_signal = 0;
-    bool oom = false;
-    /// Storage-fault outcomes (faults:: storage plans): the recovery verdict
-    /// injected at the plan's damage position. Empty when the pair carried no
-    /// recovery (non-storage plans, pre-storage journals), so those journals
-    /// stay byte-compatible and loadable.
-    std::string recovery;        // recovery_status_name(), "" = none
-    uint64_t recovery_first = 0; // first missing seqno (missing_entries)
-    uint64_t recovery_count = 0; // missing seqno count (missing_entries)
+    std::string plan;           // FaultPlan::key()
+    uint64_t interleaving = 0;  // 1-based ordinal within the plan's sweep
+    std::string key;            // Interleaving::key()
+    /// What the pair's replay observed. Sandbox outcomes (crashed, oom) and
+    /// storage recovery verdicts are journaled too, so a resumed run skips
+    /// known-crashing pairs instead of re-executing them.
+    InterleavingOutcome outcome;
 
     bool operator==(const Record&) const = default;
   };
@@ -125,26 +108,23 @@ class RunJournal {
     std::vector<Record> records;  // the valid prefix, in commit order
   };
 
-  /// Default records-per-checkpoint; override via create()'s
-  /// checkpoint_every (Session::Config::journal_checkpoint_every).
-  static constexpr size_t kCheckpointEvery = 64;
-
   /// Test seam for write-fault injection: builds the output stream the
-  /// journal appends and checkpoints through. The default opens a real
+  /// journal writes through — `truncate` for the `path.tmp` staging file,
+  /// append mode for the live journal. The default opens a real
   /// std::ofstream; tests substitute a stream whose writes start failing
   /// after N bytes to simulate ENOSPC/EIO.
   using StreamFactory =
       std::function<std::unique_ptr<std::ostream>(const std::string& path, bool truncate)>;
 
-  /// Start a fresh journal at `path` (atomically replacing any existing
-  /// file) and leave it open for appending. `checkpoint_every` sets the
-  /// records between atomic-rename checkpoints (clamped to >= 1). Throws
-  /// when even the initial header cannot be materialized — a run that can't
-  /// journal its first byte should fail loudly up front; only *mid-run*
-  /// write failures degrade (see degraded()).
-  static RunJournal create(std::string path, uint64_t fingerprint,
-                           size_t checkpoint_every = kCheckpointEvery,
-                           StreamFactory stream_factory = {});
+  /// Start a journal at `path` holding `prefix` (the records a resumed run
+  /// merges), atomically replacing any existing file, and leave it open for
+  /// appending. Throws when even the header cannot be materialized — a run
+  /// that can't journal its first byte should fail loudly up front. A write
+  /// failure in the prefix degrades instead (see degraded()) and renames
+  /// nothing, so the old journal stays untouched.
+  static RunJournal create(const std::string& path, uint64_t fingerprint,
+                           std::span<const Record> prefix = {},
+                           const StreamFactory& stream_factory = {});
 
   /// Read back the valid prefix of a journal. nullopt when the file is
   /// missing or its header is unreadable; torn/out-of-order tails are
@@ -156,42 +136,25 @@ class RunJournal {
   RunJournal(const RunJournal&) = delete;
   RunJournal& operator=(const RunJournal&) = delete;
 
-  /// Append one completed pair: written and flushed before returning, with a
-  /// periodic atomic-rename checkpoint. A write failure (ENOSPC, EIO, ...)
-  /// does NOT throw: the journal flips to degraded, stops touching the disk,
-  /// and the exploration completes in memory — the on-disk file keeps its
-  /// last good prefix, and resuming from it is what's lost, not the run.
-  /// Appends on a degraded journal are no-ops.
+  /// Append one completed pair: written and flushed before returning. A
+  /// write failure (ENOSPC, EIO, ...) does NOT throw: the journal flips to
+  /// degraded, stops touching the disk, and the exploration completes in
+  /// memory — the on-disk file keeps its last good prefix, and resuming from
+  /// it is what's lost, not the run. Appends on a degraded journal are no-ops.
   void append(const Record& record);
 
-  /// Force the atomic tmp+rename rewrite now (also called by append every
-  /// kCheckpointEvery records, and by create for the header). Failures
-  /// degrade rather than throw, same as append.
-  void checkpoint();
-
-  /// True once any append or checkpoint hit a write failure. The fault
-  /// explorer surfaces this as ReplayReport::journal_degraded.
+  /// True once a prefix write or an append failed. The fault explorer
+  /// surfaces this as ReplayReport::journal_degraded.
   bool degraded() const noexcept { return degraded_; }
 
+  /// Records passed to append() since create(); the prefix is not counted.
   size_t appended() const noexcept { return records_; }
-  const std::string& path() const noexcept { return path_; }
-  uint64_t fingerprint() const noexcept { return fingerprint_; }
-  size_t checkpoint_every() const noexcept { return checkpoint_every_; }
 
  private:
-  RunJournal(std::string path, uint64_t fingerprint, size_t checkpoint_every,
-             StreamFactory stream_factory);
-  void reopen_append();
-  std::unique_ptr<std::ostream> open_stream(const std::string& path, bool truncate);
+  RunJournal() = default;
 
-  std::string path_;
-  uint64_t fingerprint_ = 0;
-  size_t checkpoint_every_ = kCheckpointEvery;
-  StreamFactory stream_factory_;    // empty = real std::ofstream
-  std::vector<std::string> lines_;  // header + every record, for checkpoints
   std::unique_ptr<std::ostream> out_;
   size_t records_ = 0;
-  size_t since_checkpoint_ = 0;
   bool degraded_ = false;
 };
 

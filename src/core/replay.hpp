@@ -512,6 +512,8 @@ struct InterleavingOutcome {
   struct Violation {
     std::string assertion;
     std::string message;  // formatted report line, includes the interleaving key
+
+    bool operator==(const Violation&) const = default;
   };
   std::vector<Violation> violations;
   /// The watchdog cancelled this replay (hung lock protocol / deadlocked
@@ -530,6 +532,8 @@ struct InterleavingOutcome {
   /// absent everywhere else). A Diverged verdict always rides with a
   /// "durable-log-recovery" violation in `violations`.
   std::optional<RecoveryVerdict> recovery;
+
+  bool operator==(const InterleavingOutcome&) const = default;
 
   /// Anything that pulls the item from normal aggregation (no violations are
   /// reported; the run quarantines the key and keeps exploring).

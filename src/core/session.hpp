@@ -112,10 +112,6 @@ class Session {
     /// outcomes merged into the final report — so a SIGKILLed run picks up
     /// where it left off; otherwise a fresh journal is started at this path.
     std::string resume_journal;
-    /// Records between RunJournal atomic-rename checkpoints (and corpus
-    /// segment rolls). Smaller values bound post-crash recovery work at the
-    /// cost of more rewrites; values < 1 are clamped to 1.
-    size_t journal_checkpoint_every = RunJournal::kCheckpointEvery;
     /// Directory of the cross-run persistent outcome corpus
     /// (corpus::Store; DESIGN.md §11). "" disables the corpus. Unlike
     /// resume_journal (one run's crash-safety), the corpus accumulates

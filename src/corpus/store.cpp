@@ -83,6 +83,8 @@ std::optional<Record> parse_record_line(const std::string& line) {
   }
   record.plan = j["plan"].as_string();
   record.il = j["il"].as_string();
+  // Violation priors rebuild the interleaving from its key.
+  if (!core::Interleaving::parse_key(record.il)) return std::nullopt;
   const auto kind = outcome_kind_from_name(j["o"].as_string());
   if (!kind) return std::nullopt;
   record.kind = *kind;

@@ -16,9 +16,7 @@
 //                         further line is one Record, written and flushed
 //                         per append (a SIGKILL can at worst tear the
 //                         trailing line of the newest segment). A segment
-//                         rolls over after `segment_roll_records` appends —
-//                         the same knob as the RunJournal checkpoint
-//                         interval (Session::Config::journal_checkpoint_every).
+//                         rolls over after `segment_roll_records` appends.
 //   index.jsonl           the compacted form: all records, deduplicated
 //                         last-wins and sorted by (fingerprint, plan, il),
 //                         written to a temp file and atomically renamed.
@@ -105,8 +103,7 @@ struct Record {
 };
 
 struct StoreOptions {
-  /// Records per segment before rolling to a fresh file. Shares the
-  /// RunJournal checkpoint knob (Session::Config::journal_checkpoint_every).
+  /// Records per segment before rolling to a fresh file.
   size_t segment_roll_records = 64;
   /// Eviction cap enforced at compaction (0 = unbounded): when the store
   /// holds more records, the least-recently-confirmed are dropped first.

@@ -140,36 +140,26 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   core::BudgetAccount local_budget(replay.resource_budget_bytes);
   core::BudgetAccount* budget = replay.budget != nullptr ? replay.budget : &local_budget;
 
-  // ---- crash-safe journal: load what a killed run already explored --------
-  const size_t checkpoint_every =
-      config.journal_checkpoint_every < 1 ? 1 : config.journal_checkpoint_every;
+  // ---- crash-safe journal: resume what a killed run already explored ------
   const uint64_t fingerprint = run_fingerprint(*session_, plans_, catalog_options_, replay,
                                                FingerprintPurpose::Journal);
   std::map<std::string, std::vector<core::RunJournal::Record>> journaled;
+  std::optional<core::RunJournal> journal;
   if (!config.resume_journal.empty()) {
+    std::vector<core::RunJournal::Record> prefix;
     if (auto loaded = core::RunJournal::load(config.resume_journal)) {
       if (loaded->fingerprint == fingerprint) {
-        for (auto& record : loaded->records) {
-          journaled[record.plan].push_back(std::move(record));
-        }
+        prefix = std::move(loaded->records);
       } else {
         ERPI_INFO("faults") << "resume journal fingerprint mismatch, starting fresh: "
                             << config.resume_journal;
       }
     }
-  }
-  std::optional<core::RunJournal> journal;
-  if (!config.resume_journal.empty()) {
-    journal = core::RunJournal::create(config.resume_journal, fingerprint, checkpoint_every,
+    // The fresh journal starts with the resumed prefix, so a second kill
+    // resumes from at least this far.
+    journal = core::RunJournal::create(config.resume_journal, fingerprint, prefix,
                                        journal_stream_factory_);
-    // Re-seed the fresh journal with the resumed prefix so a second kill
-    // resumes from at least this far, then compact it in one atomic rename.
-    for (const auto& plan : plans_) {
-      const auto it = journaled.find(plan.key());
-      if (it == journaled.end()) continue;
-      for (const auto& record : it->second) journal->append(record);
-    }
-    journal->checkpoint();
+    for (auto& record : prefix) journaled[record.plan].push_back(std::move(record));
   }
 
   // ---- cross-run outcome corpus (DESIGN.md §11) ---------------------------
@@ -178,10 +168,7 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   std::optional<corpus::Store> store;
   uint64_t corpus_fp = 0;
   if (!config.corpus_path.empty()) {
-    corpus::StoreOptions store_options;
-    store_options.segment_roll_records = checkpoint_every;
-    store.emplace(corpus::Store::open(config.corpus_path, store_options,
-                                      corpus_stream_factory_));
+    store.emplace(corpus::Store::open(config.corpus_path, {}, corpus_stream_factory_));
     store->begin_run();
     corpus_fp = run_fingerprint(*session_, plans_, catalog_options_, replay,
                                 FingerprintPurpose::Corpus);
@@ -311,32 +298,13 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     uint64_t skip = 0;
     if (const auto it = journaled.find(plan.key()); it != journaled.end()) {
       for (const auto& record : it->second) {
-        core::InterleavingOutcome outcome;
-        outcome.timed_out = record.timed_out;
-        // Sandbox outcomes resume as-recorded: a known-crashing pair is
-        // quarantined again without re-executing it.
-        if (record.crash_signal != 0) {
-          outcome.crashed = true;
-          outcome.term_signal = record.crash_signal;
-        }
-        outcome.oom = record.oom;
-        for (const auto& violation : record.violations) {
-          outcome.violations.push_back({violation.assertion, violation.message});
-        }
-        if (!record.recovery.empty()) {
-          if (const auto status = core::recovery_status_from_name(record.recovery)) {
-            core::RecoveryVerdict verdict;
-            verdict.status = *status;
-            verdict.first_missing = record.recovery_first;
-            verdict.missing_count = record.recovery_count;
-            outcome.recovery = verdict;
-          }
-        }
         // Journal-merged pairs are proven outcomes of this configuration —
         // the corpus learns them (or diffs against them) like live commits.
-        offer_to_corpus(plan.key(), record.key, outcome);
+        // Sandbox outcomes resume as recorded: a known-crashing pair is
+        // quarantined again without re-executing it.
+        offer_to_corpus(plan.key(), record.key, record.outcome);
         commit(plan, record.interleaving, core::Interleaving::from_key(record.key),
-               outcome, /*from_journal=*/true);
+               record.outcome, /*from_journal=*/true);
         skip = record.interleaving;
         if (stopped) break;
       }
@@ -387,24 +355,7 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
       const uint64_t plan_ordinal = skip + index;
       std::string il_key;
       il.append_key(il_key);
-      if (journal) {
-        core::RunJournal::Record record;
-        record.plan = plan.key();
-        record.interleaving = plan_ordinal;
-        record.key = il_key;
-        record.timed_out = outcome.timed_out;
-        if (outcome.crashed) record.crash_signal = outcome.term_signal;
-        record.oom = outcome.oom;
-        for (const auto& violation : outcome.violations) {
-          record.violations.push_back({violation.assertion, violation.message});
-        }
-        if (outcome.recovery) {
-          record.recovery = core::recovery_status_name(outcome.recovery->status);
-          record.recovery_first = outcome.recovery->first_missing;
-          record.recovery_count = outcome.recovery->missing_count;
-        }
-        journal->append(record);
-      }
+      if (journal) journal->append({plan.key(), plan_ordinal, il_key, outcome});
       offer_to_corpus(plan.key(), il_key, outcome);
       commit(plan, plan_ordinal, il, outcome, /*from_journal=*/false);
     };
@@ -452,7 +403,6 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     }
   }
 
-  if (journal) journal->checkpoint();
   // Fold this run's segments into the sorted index when they have piled up
   // (persisting recency refreshes along the way); cheap runs skip the rewrite.
   if (store) store->maybe_compact();

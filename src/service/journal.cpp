@@ -49,7 +49,11 @@ std::vector<JobSpec> QueueJournal::load_pending(const std::string& dir) {
       if (!spec) break;
       pending.push_back(std::move(spec).take());
     } else if (record.contains("finished")) {
-      const std::string& id = record["finished"]["id"].as_string();
+      const util::Json& finished = record["finished"];
+      if (!finished.is_object() || !finished.contains("id") || !finished["id"].is_string()) {
+        break;
+      }
+      const std::string& id = finished["id"].as_string();
       std::erase_if(pending, [&](const JobSpec& spec) { return spec.id == id; });
     } else {
       break;

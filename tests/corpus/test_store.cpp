@@ -1,8 +1,8 @@
 // corpus::Store tests: outcome taxonomy round-trips, append/lookup/reopen
 // durability, segment rolling, last-wins overwrite, segment naming (stray
 // files left alone, numeric order), compaction (sorted index, segments
-// deleted, torn tails tolerated), recency-based eviction, and fingerprint
-// namespacing.
+// deleted, torn tails and malformed keys tolerated), recency-based eviction,
+// and fingerprint namespacing.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -208,6 +208,32 @@ TEST(CorpusStore, ToleratesTornSegmentTail) {
   ASSERT_NE(store.lookup(1, "none", "1,0"), nullptr);
 }
 
+TEST(CorpusStore, StopsAtAMalformedInterleavingKey) {
+  // Violation priors rebuild interleavings from their keys, so a damaged key
+  // ends the segment's valid prefix like any other malformed line.
+  const std::string dir = tmp_store("bad_il");
+  StoreOptions options;
+  options.auto_compact_segments = 0;
+  {
+    Store store = Store::open(dir, options);
+    Record violation = make_record(1, "none", "0,1", OutcomeKind::Violation);
+    violation.violations.push_back({"replicas_converge", "diverged"});
+    store.append(violation);
+  }
+  {
+    std::ofstream out(dir + "/seg-000001.jsonl", std::ios::app);
+    out << R"({"fp":"0000000000000001","il":"0,x","o":"violation","plan":"none","seq":1,)"
+        << R"("v":[{"a":"replicas_converge","m":"diverged"}]})" << '\n';
+  }
+  Store store = Store::open(dir, options);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.stats().torn_lines, 1u);
+  std::vector<core::Interleaving> priors;
+  ASSERT_NO_THROW(priors = violation_priors(dir));
+  ASSERT_EQ(priors.size(), 1u);
+  EXPECT_EQ(priors[0].key(), "0,1");
+}
+
 std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
@@ -317,7 +343,7 @@ TEST(CorpusStore, AutoCompactsWhenSegmentsPileUp) {
   options.auto_compact_segments = 4;
   for (int run = 0; run < 4; ++run) {
     Store store = Store::open(dir, options);
-    store.append(make_record(1, "none", "run," + std::to_string(run)));
+    store.append(make_record(1, "none", "0," + std::to_string(run)));
   }
   // The 5th open sees >= 4 segments and folds them into the index.
   Store store = Store::open(dir, options);
@@ -331,24 +357,26 @@ TEST(CorpusStore, CompactionEvictsLeastRecentlyConfirmedFirst) {
   StoreOptions options;
   options.max_records = 2;
   options.auto_compact_segments = 0;
+  // The interleavings appended in the first, second and third run.
+  const std::string old_il = "0,1,2", mid_il = "1,0,2", new_il = "2,1,0";
   Store store = Store::open(dir, options);
-  store.append(make_record(1, "none", "old"));
+  store.append(make_record(1, "none", old_il));
   store.begin_run();
-  store.append(make_record(1, "none", "mid"));
+  store.append(make_record(1, "none", mid_il));
   store.begin_run();
   // Re-confirm "old" in the newest epoch: recency refresh must spare it.
-  ASSERT_NE(store.lookup(1, "none", "old"), nullptr);
-  store.append(make_record(1, "none", "new"));
+  ASSERT_NE(store.lookup(1, "none", old_il), nullptr);
+  store.append(make_record(1, "none", new_il));
   store.compact();
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.stats().evicted, 1u);
-  EXPECT_EQ(store.lookup(1, "none", "mid"), nullptr);  // least recently confirmed
-  EXPECT_NE(store.lookup(1, "none", "old"), nullptr);
-  EXPECT_NE(store.lookup(1, "none", "new"), nullptr);
+  EXPECT_EQ(store.lookup(1, "none", mid_il), nullptr);  // least recently confirmed
+  EXPECT_NE(store.lookup(1, "none", old_il), nullptr);
+  EXPECT_NE(store.lookup(1, "none", new_il), nullptr);
   // The refreshed recency was persisted by the compaction.
   Store reopened = Store::open(dir, options);
   EXPECT_EQ(reopened.size(), 2u);
-  EXPECT_NE(reopened.lookup(1, "none", "old"), nullptr);
+  EXPECT_NE(reopened.lookup(1, "none", old_il), nullptr);
 }
 
 TEST(CorpusStore, RunEpochsSurviveReopen) {

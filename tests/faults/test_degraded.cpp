@@ -9,10 +9,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <streambuf>
 #include <string>
+#include <vector>
 
 #include "core/persist.hpp"
 #include "core/session.hpp"
@@ -115,15 +117,16 @@ ReplayReport run_town(const RunConfig& rc) {
 
 TEST(DegradedWrites, JournalAppendDegradesInsteadOfThrowing) {
   const std::string path = tmp_path("journal_unit.journal");
-  // Checkpoints (truncate=true) hit the real filesystem so the header and
-  // rename commit; the append stream fails after ~one record's worth.
+  // The staged create (truncate=true) hits the real filesystem so the
+  // header and rename commit; the append stream fails after ~one record's
+  // worth.
   auto factory = [](const std::string& p, bool truncate) -> std::unique_ptr<std::ostream> {
     if (truncate) {
       return std::make_unique<std::ofstream>(p, std::ios::out | std::ios::trunc);
     }
     return std::make_unique<FailAfterStream>(80);
   };
-  RunJournal journal = RunJournal::create(path, 7, RunJournal::kCheckpointEvery, factory);
+  RunJournal journal = RunJournal::create(path, 7, {}, factory);
   EXPECT_FALSE(journal.degraded());
   RunJournal::Record record;
   record.plan = "none";
@@ -145,9 +148,33 @@ TEST(DegradedWrites, JournalCreateStillThrowsWhenHeaderCannotMaterialize) {
   auto factory = [](const std::string&, bool) -> std::unique_ptr<std::ostream> {
     return std::make_unique<FailAfterStream>(0);
   };
-  EXPECT_THROW(RunJournal::create(tmp_path("journal_nocreate.journal"), 7,
-                                  RunJournal::kCheckpointEvery, factory),
+  EXPECT_THROW(RunJournal::create(tmp_path("journal_nocreate.journal"), 7, {}, factory),
                std::runtime_error);
+}
+
+TEST(DegradedWrites, JournalPrefixFailureLeavesTheOldJournalInPlace) {
+  const std::string path = tmp_path("journal_prefix.journal");
+  std::vector<RunJournal::Record> prefix;
+  {
+    RunJournal journal = RunJournal::create(path, 7);
+    for (uint64_t i = 1; i <= 10; ++i) {
+      prefix.push_back({"none", i, "0,1,2", {}});
+      journal.append(prefix.back());
+    }
+  }
+  const auto contents = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  const std::string before = contents();
+  // The staged file takes the header, then fails partway through the prefix.
+  auto factory = [](const std::string&, bool truncate) -> std::unique_ptr<std::ostream> {
+    return std::make_unique<FailAfterStream>(truncate ? 200 : 0);
+  };
+  RunJournal journal = RunJournal::create(path, 7, prefix, factory);  // must not throw
+  EXPECT_TRUE(journal.degraded());
+  journal.append(prefix.front());  // a no-op once degraded
+  EXPECT_EQ(contents(), before);
 }
 
 // ---------------------------------------------------------------------------

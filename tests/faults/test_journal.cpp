@@ -1,13 +1,19 @@
-// Crash-safe run-journal tests: append/load round-trips, torn-tail and
-// out-of-order truncation, checkpoint compaction — and the headline
-// robustness property: a run resumed from a truncated journal (the on-disk
-// state a SIGKILL leaves behind) reproduces the uninterrupted run's report,
-// skipping at least the journaled pairs.
+// Crash-safe run-journal tests: append/load round-trips of every outcome
+// shape, torn-tail and out-of-order truncation, the staged create, a damage
+// matrix, linear write volume — and the headline robustness property: a run
+// resumed from a damaged journal (the on-disk state a SIGKILL leaves behind)
+// reproduces the uninterrupted run's report, skipping the journaled pairs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
+#include <optional>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -63,9 +69,9 @@ TEST(RunJournal, AppendLoadRoundTrip) {
     RunJournal journal = RunJournal::create(path, 0xabcdef0123456789ull);
     RunJournal::Record first = make_record("none", 1);
     RunJournal::Record second = make_record("none", 2);
-    second.violations.push_back({"replicas_converge", "diverged at replica 1"});
+    second.outcome.violations.push_back({"replicas_converge", "diverged at replica 1"});
     RunJournal::Record third = make_record("drop:1", 1);
-    third.timed_out = true;
+    third.outcome.timed_out = true;
     journal.append(first);
     journal.append(second);
     journal.append(third);
@@ -76,9 +82,56 @@ TEST(RunJournal, AppendLoadRoundTrip) {
   EXPECT_EQ(loaded->fingerprint, 0xabcdef0123456789ull);
   ASSERT_EQ(loaded->records.size(), 3u);
   EXPECT_EQ(loaded->records[0], make_record("none", 1));
-  EXPECT_EQ(loaded->records[1].violations.size(), 1u);
-  EXPECT_EQ(loaded->records[1].violations[0].message, "diverged at replica 1");
-  EXPECT_TRUE(loaded->records[2].timed_out);
+  EXPECT_EQ(loaded->records[1].outcome.violations.size(), 1u);
+  EXPECT_EQ(loaded->records[1].outcome.violations[0].message, "diverged at replica 1");
+  EXPECT_TRUE(loaded->records[2].outcome.timed_out);
+}
+
+TEST(RunJournal, EveryOutcomeShapeRoundTrips) {
+  using core::InterleavingOutcome;
+  using core::RecoveryVerdict;
+  InterleavingOutcome violated;
+  violated.violations = {{"replicas_converge", "diverged at replica 1"},
+                         {"all_ops_succeed", "op 3 failed"}};
+  InterleavingOutcome timed_out;
+  timed_out.timed_out = true;
+  InterleavingOutcome segfault;
+  segfault.crashed = true;
+  segfault.term_signal = SIGSEGV;
+  InterleavingOutcome exited;  // a child that exited cleanly mid-replay
+  exited.crashed = true;
+  InterleavingOutcome oom;
+  oom.oom = true;
+  InterleavingOutcome recovered;
+  recovered.recovery = RecoveryVerdict{};
+  InterleavingOutcome missing;
+  missing.recovery = RecoveryVerdict{RecoveryVerdict::Status::MissingEntries, 2, 3};
+  InterleavingOutcome diverged;
+  diverged.recovery = RecoveryVerdict{RecoveryVerdict::Status::Diverged, 0, 0};
+  diverged.violations = {{"durable-log-recovery", "replica 0 diverged"}};
+  const std::vector<InterleavingOutcome> shapes = {
+      {}, violated, timed_out, segfault, exited, oom, recovered, missing, diverged};
+
+  std::vector<RunJournal::Record> records;
+  for (const auto& outcome : shapes) {
+    records.push_back({"none", records.size() + 1, "2,0,1", outcome});
+  }
+  // Through append, and through create's prefix.
+  const std::string appended_path = tmp_journal("outcomes_appended");
+  {
+    RunJournal journal = RunJournal::create(appended_path, 7);
+    for (const auto& record : records) journal.append(record);
+  }
+  const std::string prefix_path = tmp_journal("outcomes_prefix");
+  (void)RunJournal::create(prefix_path, 7, records);
+  for (const auto& path : {appended_path, prefix_path}) {
+    const auto loaded = RunJournal::load(path);
+    ASSERT_TRUE(loaded.has_value()) << path;
+    ASSERT_EQ(loaded->records.size(), records.size()) << path;
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_TRUE(loaded->records[i] == records[i]) << path << ", shape " << i;
+    }
+  }
 }
 
 TEST(RunJournal, LoadReturnsNulloptForMissingOrHeaderlessFile) {
@@ -130,64 +183,28 @@ TEST(RunJournal, TruncatesAtPerPlanOrdinalGap) {
   EXPECT_EQ(reloaded->records.size(), 2u);
 }
 
-TEST(RunJournal, CheckpointCompactsAtomically) {
-  const std::string path = tmp_journal("checkpoint");
-  RunJournal journal = RunJournal::create(path, 7);
-  for (uint64_t i = 1; i <= 3; ++i) journal.append(make_record("none", i));
-  journal.checkpoint();
-  // The tmp staging file never survives a successful checkpoint.
+TEST(RunJournal, CreateStagesThePrefixAndRenamesAtomically) {
+  const std::string path = tmp_journal("create");
+  // What a killed run left behind: two records and a torn tail.
+  {
+    RunJournal journal = RunJournal::create(path, 7);
+    journal.append(make_record("none", 1));
+    journal.append(make_record("none", 2));
+  }
+  write_lines(path, file_lines(path), R"({"plan":"none","il":3,"ke)");
+  const auto killed = RunJournal::load(path);
+  ASSERT_TRUE(killed.has_value());
+
+  RunJournal journal = RunJournal::create(path, 7, killed->records);
+  // The tmp staging file never survives a successful create, and the torn
+  // tail is gone rather than appended onto.
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());
-  EXPECT_EQ(file_lines(path).size(), 4u);  // header + 3 records
-  // Appends keep working after the rename swapped the file out.
-  journal.append(make_record("none", 4));
+  EXPECT_EQ(file_lines(path).size(), 3u);  // header + 2 records
+  journal.append(make_record("none", 3));
+  EXPECT_EQ(journal.appended(), 1u);
   const auto loaded = RunJournal::load(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->records.size(), 4u);
-}
-
-TEST(RunJournal, AutoCheckpointsEveryBatch) {
-  const std::string path = tmp_journal("autocheckpoint");
-  RunJournal journal = RunJournal::create(path, 7);
-  for (uint64_t i = 1; i <= RunJournal::kCheckpointEvery + 5; ++i) {
-    journal.append(make_record("none", i));
-  }
-  const auto loaded = RunJournal::load(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->records.size(), RunJournal::kCheckpointEvery + 5);
-}
-
-TEST(RunJournal, CheckpointIntervalIsConfigurable) {
-  // The interval is clamped to >= 1 and drives when the atomic rewrite runs:
-  // a checkpoint rebuilds the file from the in-memory lines, expunging
-  // anything a crashed writer left behind, so external garbage is the
-  // observable difference between a tight and a loose interval.
-  EXPECT_EQ(RunJournal::create(tmp_journal("clamp"), 7, 0).checkpoint_every(), 1u);
-
-  const std::string tight_path = tmp_journal("tight");
-  RunJournal tight = RunJournal::create(tight_path, 7, 1);
-  EXPECT_EQ(tight.checkpoint_every(), 1u);
-  tight.append(make_record("none", 1));
-  {
-    std::ofstream out(tight_path, std::ios::app);
-    out << "GARBAGE\n";
-  }
-  tight.append(make_record("none", 2));  // interval 1: checkpoint rewrites now
-  for (const auto& line : file_lines(tight_path)) EXPECT_NE(line, "GARBAGE");
-
-  const std::string loose_path = tmp_journal("loose");
-  RunJournal loose = RunJournal::create(loose_path, 7, 100);
-  loose.append(make_record("none", 1));
-  {
-    std::ofstream out(loose_path, std::ios::app);
-    out << "GARBAGE\n";
-  }
-  loose.append(make_record("none", 2));  // interval 100: no checkpoint yet
-  const auto lines = file_lines(loose_path);
-  EXPECT_NE(std::find(lines.begin(), lines.end(), "GARBAGE"), lines.end());
-  // load() still sees the valid prefix up to the garbage line.
-  const auto loaded = RunJournal::load(loose_path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->records.size(), 1u);
+  EXPECT_EQ(loaded->records.size(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,7 +230,8 @@ void fault_workload(proxy::RdlProxy& proxy) {
 }
 
 ReplayReport run_journaled(const std::string& journal_path, int parallelism,
-                           uint64_t seed = 0, const CatalogOptions& catalog = {}) {
+                           uint64_t seed = 0, const CatalogOptions& catalog = {},
+                           const RunJournal::StreamFactory& streams = {}) {
   Session::Config config;
   config.generation_order = core::GroupedEnumerator::Order::Lexicographic;
   config.spec_groups = {{0, 1, 2}, {3, 4, 5}, {6, 7, 8}};
@@ -228,10 +246,10 @@ ReplayReport run_journaled(const std::string& journal_path, int parallelism,
   Session session(proxy, std::move(config));
   session.start();
   fault_workload(proxy);
-  return explore_with_faults(
-      session,
-      [](proxy::Rdl&) -> core::AssertionList { return {core::replicas_converge({0, 1})}; },
-      catalog);
+  FaultExplorer explorer(session, catalog);
+  explorer.set_journal_stream_factory(streams);
+  return explorer.run(
+      [](proxy::Rdl&) -> core::AssertionList { return {core::replicas_converge({0, 1})}; });
 }
 
 void expect_same_outcome(const ReplayReport& resumed, const ReplayReport& full,
@@ -315,6 +333,171 @@ TEST(RunJournal, ChangedCatalogOptionsInvalidateTheJournal) {
   const ReplayReport second = run_journaled(path, 4, 0, wide);
   EXPECT_EQ(second.pairs_skipped_from_journal, 0u);  // not resumed
   EXPECT_EQ(second.explored, first.explored);        // same composed catalog
+}
+
+// ---------------------------------------------------------------------------
+// Damage matrix: each way a journal can be damaged on disk × what load()
+// keeps and what a resumed run skips. Every resume reproduces the
+// uninterrupted report and leaves the uninterrupted run's journal behind.
+// ---------------------------------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+struct Damage {
+  std::string name;
+  std::string bytes;             // the damaged journal file
+  std::optional<size_t> loaded;  // load()'s record count; nullopt = no header
+  size_t skipped = 0;            // pairs_skipped_from_journal on resume
+  bool resume = true;            // also run a full resume
+};
+
+TEST(RunJournal, DamageMatrix) {
+  const std::string path = tmp_journal("damage");
+  const ReplayReport full = run_journaled(path, 2);
+  const std::string complete = read_file(path);
+  // starts[i] is where line i begins (0 = header, i = record i); the last
+  // entry is the file size.
+  std::vector<size_t> starts{0};
+  for (size_t i = 0; i < complete.size(); ++i) {
+    if (complete[i] == '\n') starts.push_back(i + 1);
+  }
+  const size_t records = starts.size() - 2;
+  ASSERT_EQ(records, full.explored);
+  ASSERT_GE(records, 4u);
+  const auto upto = [&](size_t n) { return complete.substr(0, starts[n + 1]); };
+  const auto after = [&](size_t n) { return complete.substr(starts[n + 1]); };
+  const auto line = [&](size_t i) {
+    return complete.substr(starts[i], starts[i + 1] - starts[i]);
+  };
+  const size_t mid = records / 2;
+
+  std::string bad_key = line(mid);
+  bad_key[bad_key.find("\"key\":\"") + 7] = 'x';
+  std::string bad_recovery = line(mid);
+  bad_recovery.insert(bad_recovery.find("\"timed_out\""), R"("recovery":"bogus",)");
+  std::string other_fingerprint = complete;
+  char& digit = other_fingerprint[other_fingerprint.find("\"fingerprint\":\"") + 15];
+  digit = digit == '0' ? '1' : '0';
+
+  std::vector<Damage> table = {
+      {"header only", upto(0), 0, 0},
+      {"torn header", complete.substr(0, starts[1] / 2), std::nullopt, 0},
+      {"garbage middle line", upto(mid) + "GARBAGE\n" + after(mid), mid, mid},
+      {"duplicated record", upto(mid) + line(mid) + after(mid), mid, mid},
+      {"corrupted key", upto(mid - 1) + bad_key + after(mid), mid - 1, mid - 1},
+      {"unknown recovery name", upto(mid - 1) + bad_recovery + after(mid), mid - 1, mid - 1},
+      {"fingerprint mismatch", other_fingerprint, records, 0},
+  };
+  // A torn tail at every byte offset of the last two records. A record whose
+  // JSON is whole but lacks its newline still loads. Resume where the cut
+  // keeps only the record's first byte and where it drops only its last.
+  for (size_t i = records - 1; i <= records; ++i) {
+    for (size_t cut = starts[i]; cut < starts[i + 1]; ++cut) {
+      const size_t kept = cut == starts[i + 1] - 1 ? i : i - 1;
+      const bool resume = cut == starts[i] + 1 || cut == starts[i + 1] - 1;
+      table.push_back({"torn at byte " + std::to_string(cut), complete.substr(0, cut), kept,
+                       kept, resume});
+    }
+  }
+
+  for (const auto& damage : table) {
+    SCOPED_TRACE(damage.name);
+    write_file(path, damage.bytes);
+    const auto loaded = RunJournal::load(path);
+    ASSERT_EQ(loaded.has_value(), damage.loaded.has_value());
+    if (loaded) {
+      EXPECT_EQ(loaded->records.size(), *damage.loaded);
+    }
+    if (!damage.resume) continue;
+    const ReplayReport resumed = run_journaled(path, 2);
+    expect_same_outcome(resumed, full, damage.name);
+    EXPECT_EQ(resumed.pairs_skipped_from_journal, damage.skipped);
+    EXPECT_EQ(read_file(path), complete);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Write volume: every journal byte is written once
+// ---------------------------------------------------------------------------
+
+struct StreamIo {
+  size_t bytes = 0;
+  size_t opens = 0;
+};
+
+/// Unbuffered pass-through to a file that counts what is written to it.
+class CountingBuf : public std::streambuf {
+ public:
+  CountingBuf(const std::string& path, bool truncate, StreamIo& io) : io_(&io) {
+    file_.open(path, std::ios::out | (truncate ? std::ios::trunc : std::ios::app));
+    ++io_->opens;
+  }
+  bool is_open() const { return file_.is_open(); }
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    const std::streamsize written = file_.sputn(s, n);
+    if (written > 0) io_->bytes += static_cast<size_t>(written);
+    return written;
+  }
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) return traits_type::not_eof(ch);
+    const char c = traits_type::to_char_type(ch);
+    return xsputn(&c, 1) == 1 ? ch : traits_type::eof();
+  }
+  int sync() override { return file_.pubsync(); }
+
+ private:
+  std::filebuf file_;
+  StreamIo* io_;
+};
+
+class CountingStream : public std::ostream {
+ public:
+  CountingStream(const std::string& path, bool truncate, StreamIo& io)
+      : std::ostream(nullptr), buf_(path, truncate, io) {
+    rdbuf(&buf_);
+    if (!buf_.is_open()) setstate(std::ios::badbit);
+  }
+
+ private:
+  CountingBuf buf_;
+};
+
+RunJournal::StreamFactory counting(StreamIo& io) {
+  return [&io](const std::string& path, bool truncate) -> std::unique_ptr<std::ostream> {
+    return std::make_unique<CountingStream>(path, truncate, io);
+  };
+}
+
+TEST(RunJournal, WritesEveryRecordOnce) {
+  const std::string path = tmp_journal("write_once");
+  StreamIo cold;
+  const ReplayReport full = run_journaled(path, 2, 0, {}, counting(cold));
+  ASSERT_GT(full.explored, 64u);
+  // Two opens: the staged path.tmp, then the append stream.
+  EXPECT_EQ(cold.opens, 2u);
+  EXPECT_LE(cold.bytes * 10, std::filesystem::file_size(path) * 11);
+
+  // A resume stages the loaded prefix once and appends the rest.
+  const auto lines = file_lines(path);
+  const size_t keep = lines.size() / 2;
+  write_lines(path, std::vector<std::string>(lines.begin(), lines.begin() + 1 + keep),
+              lines[1 + keep].substr(0, 9));
+  StreamIo resumed_io;
+  const ReplayReport resumed = run_journaled(path, 2, 0, {}, counting(resumed_io));
+  expect_same_outcome(resumed, full, "resumed");
+  EXPECT_EQ(resumed.pairs_skipped_from_journal, keep);
+  EXPECT_EQ(resumed_io.opens, 2u);
+  EXPECT_LE(resumed_io.bytes * 10, std::filesystem::file_size(path) * 11);
+  EXPECT_EQ(file_lines(path), lines);
 }
 
 }  // namespace

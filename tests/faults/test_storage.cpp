@@ -358,27 +358,31 @@ TEST(StorageFaults, JournalRecoveryFieldsRoundTrip) {
     RunJournal::Record missing = plain;
     missing.plan = "torn:r0@6-1";
     missing.interleaving = 1;
-    missing.recovery = "missing_entries";
-    missing.recovery_first = 1;
-    missing.recovery_count = 1;
+    missing.outcome.recovery =
+        core::RecoveryVerdict{core::RecoveryVerdict::Status::MissingEntries, 1, 1};
     journal.append(missing);
 
     RunJournal::Record diverged = plain;
     diverged.plan = "dupseg:r0@6x1";
     diverged.interleaving = 1;
-    diverged.recovery = "diverged";
-    diverged.violations.push_back({"durable-log-recovery", "replica 0 diverged"});
+    diverged.outcome.recovery =
+        core::RecoveryVerdict{core::RecoveryVerdict::Status::Diverged, 0, 0};
+    diverged.outcome.violations.push_back({"durable-log-recovery", "replica 0 diverged"});
     journal.append(diverged);
   }
   const auto loaded = RunJournal::load(path);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->records.size(), 3u);
-  EXPECT_TRUE(loaded->records[0].recovery.empty());
-  EXPECT_EQ(loaded->records[1].recovery, "missing_entries");
-  EXPECT_EQ(loaded->records[1].recovery_first, 1u);
-  EXPECT_EQ(loaded->records[1].recovery_count, 1u);
-  EXPECT_EQ(loaded->records[2].recovery, "diverged");
-  EXPECT_EQ(loaded->records[2].violations.size(), 1u);
+  EXPECT_FALSE(loaded->records[0].outcome.recovery.has_value());
+  ASSERT_TRUE(loaded->records[1].outcome.recovery.has_value());
+  EXPECT_EQ(loaded->records[1].outcome.recovery->status,
+            core::RecoveryVerdict::Status::MissingEntries);
+  EXPECT_EQ(loaded->records[1].outcome.recovery->first_missing, 1u);
+  EXPECT_EQ(loaded->records[1].outcome.recovery->missing_count, 1u);
+  ASSERT_TRUE(loaded->records[2].outcome.recovery.has_value());
+  EXPECT_EQ(loaded->records[2].outcome.recovery->status,
+            core::RecoveryVerdict::Status::Diverged);
+  EXPECT_EQ(loaded->records[2].outcome.violations.size(), 1u);
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
 }

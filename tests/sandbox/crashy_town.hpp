@@ -1,9 +1,11 @@
 // Misbehaving TownApp variants for the crash-isolation tests: subjects that
-// segfault, exhaust memory, hang, or crash only transiently. All of them are
-// only ever replayed under Isolation::Process — in-process replay of any of
-// these would take the test binary down, which is exactly the failure mode
-// the sandbox exists to contain.
+// segfault, exit mid-replay, exhaust memory, hang, or crash only
+// transiently. All of them are only ever replayed under Isolation::Process —
+// in-process replay of any of these would take the test binary down, which
+// is exactly the failure mode the sandbox exists to contain.
 #pragma once
+
+#include <unistd.h>
 
 #include <csignal>
 #include <string>
@@ -31,6 +33,27 @@ class CrashyTown : public subjects::TownApp {
       const bool has_crashkey = state.find("crashkey") != std::string::npos;
       const bool has_guard = state.find("guard") != std::string::npos;
       if (has_crashkey && !has_guard) std::raise(SIGSEGV);
+      return util::Json(true);
+    }
+    return TownApp::do_invoke(replica, op, args);
+  }
+};
+
+/// CrashyTown, except that "boom" exits the process cleanly instead of
+/// raising a signal. The supervisor classifies a runner that exits
+/// mid-replay as crashed with signal 0.
+class ExitingTown : public subjects::TownApp {
+ public:
+  explicit ExitingTown(int replica_count) : TownApp(replica_count) {}
+
+ protected:
+  util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
+                                     const util::Json& args) override {
+    if (op == "boom") {
+      const std::string state = replica_state(replica).dump();
+      const bool has_crashkey = state.find("crashkey") != std::string::npos;
+      const bool has_guard = state.find("guard") != std::string::npos;
+      if (has_crashkey && !has_guard) _exit(3);
       return util::Json(true);
     }
     return TownApp::do_invoke(replica, op, args);

@@ -24,6 +24,7 @@ using core::ReplayReport;
 using core::Session;
 using testing::CollateralTown;
 using testing::CrashyTown;
+using testing::ExitingTown;
 using testing::HungryTown;
 using testing::SleepyTown;
 
@@ -260,11 +261,12 @@ TEST(SandboxSession, EndWithSharedAssertionListThrowsUnderProcessIsolation) {
 // known-crashing pairs
 // ---------------------------------------------------------------------------
 
+template <typename Town>
 ReplayReport run_crashy_faults(const std::string& journal_path) {
   Session::Config config = sandbox_config(1);
-  config.subject_factory = [] { return std::make_unique<CrashyTown>(2); };
+  config.subject_factory = [] { return std::make_unique<Town>(2); };
   config.resume_journal = journal_path;
-  CrashyTown town(2);
+  Town town(2);
   proxy::RdlProxy proxy(town);
   Session session(proxy, std::move(config));
   session.start();
@@ -280,34 +282,45 @@ ReplayReport run_crashy_faults(const std::string& journal_path) {
 }
 
 TEST(SandboxJournal, ResumedRunSkipsKnownCrashingPairs) {
-  const std::string journal_path =
-      ::testing::TempDir() + "/erpi_sandbox_journal.jsonl";
-  std::remove(journal_path.c_str());
+  // A segfaulting subject, and one whose child exits cleanly mid-replay
+  // (crashed with signal 0).
+  const struct {
+    const char* subject;
+    ReplayReport (*run)(const std::string&);
+    int signal;
+  } cases[] = {{"CrashyTown", run_crashy_faults<CrashyTown>, SIGSEGV},
+               {"ExitingTown", run_crashy_faults<ExitingTown>, 0}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.subject);
+    const std::string journal_path =
+        ::testing::TempDir() + "/erpi_sandbox_journal.jsonl";
+    std::remove(journal_path.c_str());
 
-  const ReplayReport first = run_crashy_faults(journal_path);
-  EXPECT_EQ(first.explored, 6u);
-  EXPECT_EQ(first.crashed_replays, 1u);
-  EXPECT_EQ(first.quarantined, (std::vector<std::string>{"none/0,2,1"}));
-  ASSERT_EQ(first.quarantine_records.size(), 1u);
-  EXPECT_EQ(first.quarantine_records[0].reason, "crashed");
-  EXPECT_EQ(first.quarantine_records[0].signal, SIGSEGV);
-  EXPECT_EQ(first.sandbox.crashes, 2u);
+    const ReplayReport first = c.run(journal_path);
+    EXPECT_EQ(first.explored, 6u);
+    EXPECT_EQ(first.crashed_replays, 1u);
+    EXPECT_EQ(first.quarantined, (std::vector<std::string>{"none/0,2,1"}));
+    ASSERT_EQ(first.quarantine_records.size(), 1u);
+    EXPECT_EQ(first.quarantine_records[0].reason, "crashed");
+    EXPECT_EQ(first.quarantine_records[0].signal, c.signal);
+    EXPECT_EQ(first.sandbox.crashes, 2u);
 
-  // Resume against the completed journal: every pair is merged back, the
-  // crash outcome (including the signal) is rehydrated, and no child ever
-  // crashes because the known-crashing pair is never re-executed.
-  const ReplayReport second = run_crashy_faults(journal_path);
-  EXPECT_EQ(second.explored, 6u);
-  EXPECT_EQ(second.pairs_skipped_from_journal, 6u);
-  EXPECT_EQ(second.crashed_replays, 1u);
-  EXPECT_EQ(second.quarantined, (std::vector<std::string>{"none/0,2,1"}));
-  ASSERT_EQ(second.quarantine_records.size(), 1u);
-  EXPECT_EQ(second.quarantine_records[0].reason, "crashed");
-  EXPECT_EQ(second.quarantine_records[0].signal, SIGSEGV);
-  EXPECT_EQ(second.sandbox.crashes, 0u);
-  EXPECT_EQ(second.sandbox.respawns, 0u);
+    // Resume against the completed journal: every pair is merged back, the
+    // crash outcome (including the signal) is rehydrated, and no child ever
+    // crashes because the known-crashing pair is never re-executed.
+    const ReplayReport second = c.run(journal_path);
+    EXPECT_EQ(second.explored, 6u);
+    EXPECT_EQ(second.pairs_skipped_from_journal, 6u);
+    EXPECT_EQ(second.crashed_replays, 1u);
+    EXPECT_EQ(second.quarantined, (std::vector<std::string>{"none/0,2,1"}));
+    ASSERT_EQ(second.quarantine_records.size(), 1u);
+    EXPECT_EQ(second.quarantine_records[0].reason, "crashed");
+    EXPECT_EQ(second.quarantine_records[0].signal, c.signal);
+    EXPECT_EQ(second.sandbox.crashes, 0u);
+    EXPECT_EQ(second.sandbox.respawns, 0u);
 
-  std::remove(journal_path.c_str());
+    std::remove(journal_path.c_str());
+  }
 }
 
 }  // namespace

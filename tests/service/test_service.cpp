@@ -214,6 +214,33 @@ SERVICE_TEST(QueueJournalLoadsPendingAcrossTornTail) {
   EXPECT_EQ(pending[0].id, "b");
 }
 
+SERVICE_TEST(QueueJournalStopsAtAMalformedFinishedRecord) {
+  // A damaged "finished" line ends the valid prefix instead of throwing, so
+  // the daemon still starts and resumes what was accepted before it.
+  for (const char* bad : {R"({"finished":5})", R"({"finished":{}})",
+                          R"({"finished":{"id":7}})"}) {
+    SCOPED_TRACE(bad);
+    const std::string dir = std::string(::testing::TempDir()) + "erpi_bad_finished_state";
+    fs::remove_all(dir);
+    {
+      QueueJournal journal(dir);
+      journal.record_accepted(town_job("a"));
+    }
+    {
+      std::ofstream out(QueueJournal::queue_path(dir), std::ios::app);
+      out << bad << '\n';
+    }
+    const auto pending = QueueJournal::load_pending(dir);
+    ASSERT_EQ(pending.size(), 1u);
+    EXPECT_EQ(pending[0].id, "a");
+
+    TestDaemon daemon("bad_finished", [&](ServiceConfig& config) { config.journal_dir = dir; });
+    EXPECT_TRUE(eventually([&] { return daemon.daemon->stats().resumed == 1; }, 5s));
+    Client client = daemon.connect();
+    EXPECT_TRUE(client.ping());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Ops + happy path
 // ---------------------------------------------------------------------------
