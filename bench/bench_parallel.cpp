@@ -1,10 +1,10 @@
 // Parallel exploration scaling sweep: replays a fixed pruned universe
-// (7 units -> 5040 interleavings of the town app) with the sequential
-// ReplayEngine, then with sched::ParallelExplorer at increasing worker
-// counts, and emits a BENCH_*.json-style document with interleavings/sec
-// and speedup vs the sequential engine. The sweep also cross-checks the
-// determinism guarantee: every run must report identical explored /
-// violations counts.
+// (7 units -> 5040 interleavings of the town app) with sched::ParallelExplorer
+// at one worker (the inline loop, the sequential baseline), then at
+// increasing worker counts, and emits a BENCH_*.json-style document with
+// interleavings/sec and speedup vs the one-worker baseline. The sweep also
+// cross-checks the determinism guarantee: every run must report identical
+// explored / violations counts.
 //
 // Usage: bench_parallel [--workers 1,2,4,8] [--cap N] [--out BENCH_parallel.json]
 #include <cinttypes>
@@ -65,19 +65,6 @@ struct RunResult {
   double seconds = 0;
 };
 
-RunResult run_sequential(const core::EventSet& events, const std::vector<core::EventUnit>& units,
-                         uint64_t cap) {
-  subjects::TownApp town(2);
-  proxy::RdlProxy proxy(town);
-  core::ReplayOptions options;
-  options.stop_on_violation = false;
-  options.max_interleavings = cap;
-  core::ReplayEngine engine(proxy, options);
-  core::GroupedEnumerator enumerator(units);
-  const auto report = engine.run(enumerator, events, make_assertions());
-  return {report.explored, report.violations, report.elapsed_seconds};
-}
-
 RunResult run_parallel(const core::EventSet& events, const std::vector<core::EventUnit>& units,
                        uint64_t cap, int workers) {
   sched::ExplorerOptions options;
@@ -131,9 +118,9 @@ int main(int argc, char** argv) {
               " interleavings, %u core%s ===\n\n",
               units.size(), universe, cores, cores == 1 ? "" : "s");
 
-  const RunResult sequential = run_sequential(events, units, cap);
+  const RunResult sequential = run_parallel(events, units, cap, 1);
   const double seq_rate = static_cast<double>(sequential.explored) / sequential.seconds;
-  std::printf("  sequential engine: %8" PRIu64 " interleavings in %7.3fs  (%8.0f il/s)\n",
+  std::printf("  inline baseline:   %8" PRIu64 " interleavings in %7.3fs  (%8.0f il/s)\n",
               sequential.explored, sequential.seconds, seq_rate);
 
   util::Json doc = util::Json::object();

@@ -1,6 +1,5 @@
 // Guided-exploration benchmark (DESIGN.md §12): time-to-first-violation per
-// searcher strategy, and frontier work-stealing balance under a straggler
-// workload.
+// searcher strategy, and worker balance under a straggler workload.
 //
 // The search section plants three order-dependent bugs in the town app's
 // 720-interleaving universe — a dense lex-last block, a single lex-last
@@ -9,16 +8,15 @@
 // fired. ViolationFirst runs corpus-seeded: each bug's prior is written to a
 // corpus::Store as a Violation record and loaded back through
 // corpus::violation_priors, the way a nightly sweep would seed the next run.
-// The straggler section concentrates replay cost in one enumeration subtree
-// (coarse handles, so the static claim order is maximally unfair) and checks
-// that handle splitting keeps every worker busy: max per-worker idle must
-// stay <= 15% of the parallel section at parallelism 4. Output lands in
-// BENCH_search.json (CI uploads it).
+// The straggler section concentrates replay cost in the first 120 lex-order
+// schedules and checks that the shared batch queue spreads them over every
+// worker: max per-worker idle must stay <= 15% of the pool's wall clock at
+// parallelism 4. Output lands in BENCH_search.json (CI uploads it).
 //
-// --smoke is the CI guard: (1) LexOrder through the frontier engine must
-// reproduce the streaming dispatcher's report byte-for-byte at parallelism 1
-// and 4, and (2) corpus-seeded ViolationFirst must find each planted bug
-// exploring < 10% of the universe.
+// --smoke is the CI guard: (1) LexOrder and RandomPath must report
+// byte-identically at parallelism 1 and 4 through Session::end, and (2)
+// corpus-seeded ViolationFirst must find each planted bug exploring < 10% of
+// the universe.
 //
 // Usage: bench_search [--out BENCH_search.json] [--smoke]
 #include <chrono>
@@ -156,8 +154,6 @@ struct SearcherSetup {
 std::vector<SearcherSetup> searcher_setups() {
   return {
       {"lex", false, [](core::Session::Config&) {}},  // streaming baseline
-      {"lex_frontier", false,
-       [](core::Session::Config& c) { c.search.deterministic_order = false; }},
       {"random_path", false,
        [](core::Session::Config& c) { c.search.strategy = core::SearchStrategy::RandomPath; }},
       {"violation_first", true,
@@ -180,24 +176,21 @@ std::string normalized(core::ReplayReport report) {
 }
 
 // ---------------------------------------------------------------------------
-// Straggler section: one expensive subtree, coarse handles, idle gate.
+// Straggler section: one expensive block of the stream, idle gate.
 // ---------------------------------------------------------------------------
 
 util::Json run_straggler(bool& ok) {
   core::Session::Config config = base_config(4);
   config.replay.stop_on_violation = false;
-  config.search.deterministic_order = false;  // LexOrder via the frontier
-  // Coarse handles: one per first-unit block (120 items each), so the static
-  // claim order is maximally unfair and only stealing can rebalance.
-  config.search.max_subtree_items = 180;
   config.collect_explorer_stats = true;
 
   // Sleep-dominated replay cost with a 10x skew: the first block (schedules
-  // led by e0) costs 1.5 ms per replay, everything else 150 us. Sleeps
-  // overlap regardless of core count, so the idle measurement reflects
-  // scheduling balance, not CPU contention. Without stealing, whoever
-  // claimed the expensive block would straggle for ~180 ms while the other
-  // three workers finish their ~30 ms shares and sit idle (~80%).
+  // led by e0, the first 120 in lex order) costs 1.5 ms per replay,
+  // everything else 150 us. Sleeps overlap regardless of core count, so the
+  // idle measurement reflects scheduling balance, not CPU contention. The
+  // dispatcher's batches put the expensive block on every worker; had one
+  // worker taken the whole block it would straggle for ~180 ms while the
+  // other three finished their ~30 ms shares and sat idle (~80%).
   const core::AssertionFactory factory = [](proxy::Rdl&) -> core::AssertionList {
     return {core::custom("straggler", [](const core::TestContext& ctx) {
       const bool expensive = ctx.interleaving.order.front() == 0;
@@ -208,21 +201,16 @@ util::Json run_straggler(bool& ok) {
 
   const core::ReplayReport report = run(std::move(config), factory);
   ok &= report.explored == kUniverse;
-  ok &= report.explorer.steals > 0;
   const bool idle_ok = report.explorer.max_idle_fraction <= 0.15;
   ok &= idle_ok;
 
-  std::printf("  straggler p=4: %" PRIu64 " subtrees  %" PRIu64 " steals (%" PRIu64
-              " splits)  max idle %.1f%%  %.3fs  [%s]\n",
-              report.explorer.subtrees, report.explorer.steals, report.explorer.splits,
-              100.0 * report.explorer.max_idle_fraction, report.elapsed_seconds,
-              idle_ok ? "<=15% OK" : ">15% FAIL");
+  std::printf("  straggler p=4: batches of %" PRIu64 "  max idle %.1f%%  %.3fs  [%s]\n",
+              report.explorer.batch_size, 100.0 * report.explorer.max_idle_fraction,
+              report.elapsed_seconds, idle_ok ? "<=15% OK" : ">15% FAIL");
 
   util::Json row = util::Json::object();
   row["parallelism"] = int64_t{4};
-  row["subtrees"] = static_cast<int64_t>(report.explorer.subtrees);
-  row["steals"] = static_cast<int64_t>(report.explorer.steals);
-  row["splits"] = static_cast<int64_t>(report.explorer.splits);
+  row["batch_size"] = static_cast<int64_t>(report.explorer.batch_size);
   row["max_idle_fraction"] = report.explorer.max_idle_fraction;
   row["elapsed_seconds"] = report.elapsed_seconds;
   row["idle_gate_ok"] = idle_ok;
@@ -230,30 +218,30 @@ util::Json run_straggler(bool& ok) {
 }
 
 // ---------------------------------------------------------------------------
-// --smoke: frontier parity + corpus-seeded ViolationFirst speedup, for CI.
+// --smoke: worker-count parity + corpus-seeded ViolationFirst speedup, for CI.
 // ---------------------------------------------------------------------------
 
 int run_smoke() {
   bool ok = true;
   const auto bugs = planted_bugs();
 
-  // Gate 1: LexOrder through the frontier engine reproduces the streaming
-  // dispatcher's report byte-for-byte (full sweep, modulo wall-clock noise).
-  {
-    core::Session::Config streaming = base_config(4);
-    streaming.replay.stop_on_violation = false;
-    const std::string baseline =
-        normalized(run(std::move(streaming), planted_assertions(bugs[0])));
+  // Gate 1: the report depends on the strategy, never on the worker count —
+  // the inline loop and the pool commit byte-identical full sweeps (modulo
+  // wall-clock noise), streamed (LexOrder) and ranked (RandomPath) alike.
+  for (const core::SearchStrategy strategy :
+       {core::SearchStrategy::LexOrder, core::SearchStrategy::RandomPath}) {
+    std::string reports[2];
     for (const int parallelism : {1, 4}) {
-      core::Session::Config frontier = base_config(parallelism);
-      frontier.replay.stop_on_violation = false;
-      frontier.search.deterministic_order = false;
-      const bool match =
-          normalized(run(std::move(frontier), planted_assertions(bugs[0]))) == baseline;
-      std::printf("  lex frontier parity p=%d: %s\n", parallelism,
-                  match ? "byte-identical" : "MISMATCH");
-      ok &= match;
+      core::Session::Config config = base_config(parallelism);
+      config.replay.stop_on_violation = false;
+      config.search.strategy = strategy;
+      reports[parallelism == 1 ? 0 : 1] =
+          normalized(run(std::move(config), planted_assertions(bugs[0])));
     }
+    const bool match = reports[0] == reports[1];
+    std::printf("  %s parity p=1 vs p=4: %s\n", core::search_strategy_name(strategy),
+                match ? "byte-identical" : "MISMATCH");
+    ok &= match;
   }
 
   // Gate 2: corpus-seeded ViolationFirst finds every planted bug exploring
@@ -334,7 +322,7 @@ int main(int argc, char** argv) {
     ok &= vf_report.reproduced && vf_report.first_violation_index * 10 <= bug.lex_index;
   }
 
-  std::printf("\n=== Guided search: work-stealing straggler balance ===\n\n");
+  std::printf("\n=== Guided search: straggler balance ===\n\n");
   util::Json straggler = run_straggler(ok);
 
   util::Json doc = util::Json::object();

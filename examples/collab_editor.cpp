@@ -3,12 +3,12 @@
 // item. Runs the replay twice — once against the fixed library and once
 // against the historical Array.MoveAfter defect (issue #676) — and uses the
 // *threaded* replay mode, where one worker thread per replica executes its
-// events under the Redlock-style distributed mutex hosted by the mini-Redis
-// server (the deployment shape of the paper's testbed).
+// events under the Redlock-style distributed mutex hosted by the replay
+// engine's embedded mini-Redis server (the deployment shape of the paper's
+// testbed).
 #include <cstdio>
 
 #include "core/session.hpp"
-#include "kvstore/server.hpp"
 #include "subjects/yorkie.hpp"
 
 using namespace erpi;
@@ -21,7 +21,7 @@ util::Json jobj(std::initializer_list<std::pair<const char*, util::Json>> kv) {
   return out;
 }
 
-core::ReplayReport run(bool fixed_library, kv::Server& lock_server) {
+core::ReplayReport run(bool fixed_library) {
   subjects::Yorkie::Flags flags;
   flags.move_after_fixed = fixed_library;
   subjects::Yorkie editor(2, flags);
@@ -30,7 +30,6 @@ core::ReplayReport run(bool fixed_library, kv::Server& lock_server) {
   core::Session::Config config;
   config.replay.max_interleavings = 300;
   config.replay.threaded = true;  // per-replica workers + distributed lock
-  config.replay.lock_server = &lock_server;
   core::Session session(proxy, config);
 
   session.start();
@@ -50,13 +49,11 @@ core::ReplayReport run(bool fixed_library, kv::Server& lock_server) {
 }  // namespace
 
 int main() {
-  kv::Server lock_server;  // the shared mini-Redis hosting the replay lock
-
   std::printf("Collaborative to-do editor — concurrent MoveAfter test\n");
   std::printf("(threaded replay: one worker per replica, ordered via the\n");
   std::printf(" distributed lock on the embedded mini-Redis server)\n\n");
 
-  const auto buggy = run(/*fixed_library=*/false, lock_server);
+  const auto buggy = run(/*fixed_library=*/false);
   if (buggy.reproduced) {
     std::printf("arrival-order MoveAfter (issue #676): diverged at interleaving #%llu\n",
                 static_cast<unsigned long long>(buggy.first_violation_index));
@@ -65,7 +62,7 @@ int main() {
     std::printf("arrival-order MoveAfter: no divergence found within the cap\n\n");
   }
 
-  const auto fixed = run(/*fixed_library=*/true, lock_server);
+  const auto fixed = run(/*fixed_library=*/true);
   if (fixed.reproduced) {
     std::printf("LWW MoveAfter (the fix): survives the simple concurrent-move race,\n"
                 "but exhaustive replay still finds a deeper corner case at\n"

@@ -62,8 +62,8 @@ class Enumerator {
 
 /// A contiguous span of a materialized enumeration stream whose members all
 /// share an event prefix of at least `prefix_len` positions — one subtree of
-/// the enumeration tree, the hand-out unit of guided exploration's
-/// work-stealing frontier (DESIGN.md §12). Spans are half-open [begin, end)
+/// the enumeration tree, the unit guided exploration's searchers rank
+/// (DESIGN.md §12). Spans are half-open [begin, end)
 /// indices into the materialized item vector, in stream order.
 struct SubtreeSpan {
   size_t begin = 0;

@@ -1,6 +1,5 @@
 #include "core/replay.hpp"
 
-#include <stdexcept>
 #include <thread>
 
 #include "core/dpor.hpp"
@@ -49,8 +48,6 @@ util::Json ExplorerStats::to_json() const {
   util::Json j = util::Json::object();
   j["batch_size"] = static_cast<int64_t>(batch_size);
   j["subtrees"] = static_cast<int64_t>(subtrees);
-  j["steals"] = static_cast<int64_t>(steals);
-  j["splits"] = static_cast<int64_t>(splits);
   j["queue_wait_seconds"] = queue_wait_seconds;
   j["max_idle_fraction"] = max_idle_fraction;
   return j;
@@ -130,11 +127,60 @@ util::Json ReplayReport::to_json() const {
   return j;
 }
 
+void commit_outcome(ReplayReport& report, const Interleaving& il,
+                    const InterleavingOutcome& outcome, const std::optional<PlanTag>& plan) {
+  ++report.explored;
+  if (outcome.quarantine()) {
+    // Quarantine (watchdog timeout, deterministic sandbox crash or oom):
+    // counted per kind, keyed, never a violation — and committed in order,
+    // so the quarantine list is deterministic.
+    if (outcome.timed_out) {
+      ++report.timed_out;
+    } else if (outcome.crashed) {
+      ++report.crashed_replays;
+    } else {
+      ++report.oom_replays;
+    }
+    std::string key;
+    if (plan) {
+      key = plan->key;
+      key += '/';
+    }
+    il.append_key(key);
+    report.quarantine_records.push_back(
+        {key, outcome.quarantine_reason(), outcome.term_signal});
+    report.quarantined.push_back(std::move(key));
+  }
+  if (outcome.recovery) {
+    switch (outcome.recovery->status) {
+      case RecoveryVerdict::Status::Recovered: ++report.recoveries_clean; break;
+      case RecoveryVerdict::Status::MissingEntries: ++report.recoveries_missing_entries; break;
+      case RecoveryVerdict::Status::Diverged: ++report.recoveries_diverged; break;
+    }
+  }
+  for (const auto& violation : outcome.violations) {
+    ++report.violations;
+    if (report.messages.size() < 16) {
+      report.messages.push_back(
+          plan ? "[plan " + std::string(plan->key) + "] " + violation.message
+               : violation.message);
+    }
+    if (!report.reproduced) {
+      report.reproduced = true;
+      report.first_violation_index = report.explored;
+      report.first_violation_assertion = violation.assertion;
+      report.first_violation = il;
+      if (plan) {
+        report.first_violation_plan = plan->key;
+        report.first_violation_plan_interleaving = plan->ordinal;
+      }
+    }
+  }
+}
+
 ReplayEngine::ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options)
     : proxy_(&proxy), options_(std::move(options)) {
-  if (options_.threaded && options_.lock_server == nullptr) {
-    throw std::invalid_argument("threaded replay requires a lock_server");
-  }
+  if (options_.threaded) lock_server_ = std::make_unique<kv::Server>();
   if (options_.observer_factory) observer_ = options_.observer_factory(proxy.target());
   if (options_.footprint_learner != nullptr) {
     recorder_ = std::make_unique<FootprintRecorder>(
@@ -175,7 +221,7 @@ void ReplayEngine::execute_threaded(const Interleaving& il, const EventSet& even
     positions_by_replica[event.replica].push_back(pos);
   }
 
-  kv::Client control(*options_.lock_server);
+  kv::Client control(*lock_server_);
   const std::string turn_key = "erpi:turn";
   control.set(turn_key, "0");
 
@@ -183,10 +229,10 @@ void ReplayEngine::execute_threaded(const Interleaving& il, const EventSet& even
   workers.reserve(positions_by_replica.size());
   for (const auto& [replica, positions] : positions_by_replica) {
     workers.emplace_back([&, replica = replica, positions = positions] {
-      kv::DistributedMutex mutex(*options_.lock_server, "erpi:replay-lock",
+      kv::DistributedMutex mutex(*lock_server_, "erpi:replay-lock",
                                  kv::DistributedMutex::Options{},
                                  0x9e3779b9u ^ static_cast<uint64_t>(replica));
-      kv::Client client(*options_.lock_server);
+      kv::Client client(*lock_server_);
       for (const size_t pos : positions) {
         // Wait for our turn under the distributed lock — the same shared-key
         // mutex discipline the paper uses across machines.
@@ -258,72 +304,6 @@ InterleavingOutcome ReplayEngine::replay_one(const Interleaving& il, const Event
   }
   if (observer_) observer_->finish_outcome(proxy_->target(), il, outcome);
   return outcome;
-}
-
-ReplayReport ReplayEngine::run(Enumerator& enumerator, const EventSet& events,
-                               const AssertionList& assertions) {
-  ReplayReport report;
-  util::Stopwatch watch;
-  BudgetAccount local_budget(options_.resource_budget_bytes);
-  BudgetAccount* budget = options_.budget != nullptr ? options_.budget : &local_budget;
-
-  for (const auto& assertion : assertions) assertion->on_run_start();
-
-  while (report.explored < options_.max_interleavings) {
-    // Cooperative cancel: stop pulling and return the committed prefix.
-    if (options_.cancel && options_.cancel->load(std::memory_order_relaxed)) {
-      report.cancelled = true;
-      break;
-    }
-    // Resource check first — the explored-interleaving log plus any
-    // enumerator/pruner caches must fit the configured budget.
-    const uint64_t extra = options_.extra_cache_bytes ? options_.extra_cache_bytes() : 0;
-    if (budget->crash_if_exceeded(extra)) {
-      report.crashed = true;
-      report.budget_exhausted = true;
-      break;
-    }
-
-    const auto il = enumerator.next();
-    if (!il) {
-      report.exhausted = true;
-      break;
-    }
-    ++report.explored;
-    budget->charge(explored_log_entry_bytes(*il));
-
-    const InterleavingOutcome outcome = replay_one(*il, events, assertions);
-    if (outcome.quarantine()) {
-      // In-process replay only ever times out (crash/oom outcomes need the
-      // sandbox), but the aggregation is shared so the taxonomy stays in one
-      // place.
-      if (outcome.timed_out) ++report.timed_out;
-      if (outcome.crashed) ++report.crashed_replays;
-      if (outcome.oom) ++report.oom_replays;
-      report.quarantined.push_back(il->key());
-      report.quarantine_records.push_back(
-          {il->key(), outcome.quarantine_reason(), outcome.term_signal});
-    }
-    count_recovery(report, outcome);
-    for (const auto& violation : outcome.violations) {
-      ++report.violations;
-      if (report.messages.size() < 16) report.messages.push_back(violation.message);
-      if (!report.reproduced) {
-        report.reproduced = true;
-        report.first_violation_index = report.explored;
-        report.first_violation_assertion = violation.assertion;
-        report.first_violation = *il;
-      }
-    }
-
-    if (options_.on_outcome) options_.on_outcome(report.explored, *il, outcome);
-    if (options_.on_interleaving_done) options_.on_interleaving_done(report.explored, *il);
-    if (!outcome.violations.empty() && options_.stop_on_violation) break;
-  }
-
-  report.hit_cap = report.explored >= options_.max_interleavings;
-  report.elapsed_seconds = watch.elapsed_seconds();
-  return report;
 }
 
 }  // namespace erpi::core

@@ -1,28 +1,28 @@
 // Replay engine (paper §4.3).
 //
-// Pulls interleavings from an enumerator and, for each one: resets the system
-// under test to its initial state, executes the events in the interleaving's
-// order through the RDL proxy, then runs the configured assertions. Every
-// interleaving replays from reset(); no state carries over between replays.
-// Two execution modes:
+// Replays one interleaving at a time: resets the system under test to its
+// initial state, executes the events in the interleaving's order through the
+// RDL proxy, then runs the configured assertions. Every interleaving replays
+// from reset(); no state carries over between replays. Two execution modes:
 //
 //  * fast (default) — events are invoked in order on the calling thread; the
 //    order is trivially enforced. This is what the benchmarks use.
 //  * threaded — one worker thread per replica, with the global event order
 //    enforced through a Redlock-style distributed mutex plus a turn counter
-//    in the mini-Redis server, mirroring the paper's deployment across
-//    machines. Used by tests/examples to validate the lock protocol.
+//    in a mini-Redis server the engine owns, mirroring the paper's
+//    deployment across machines. Used by tests/examples to validate the lock
+//    protocol.
 //
-// The engine also models the paper's resource accounting: like the DMCK
-// "server [that] keeps track of which interleavings have been explored", it
-// records every explored interleaving; when the configured budget is
-// exceeded the run "crashes" (Fig. 10's succeed-or-crash experiment).
-//
-// Thread safety: one ReplayEngine::run drives one enumerator on one thread.
-// To explore an interleaving stream across cores, use sched::ParallelExplorer
-// (src/sched/explorer.hpp), which gives each worker its own engine over an
-// isolated subject fixture and charges all workers against one shared
-// BudgetAccount.
+// The engine does not drive a stream. sched::ParallelExplorer
+// (src/sched/explorer.hpp) is the one exploration loop: it pulls
+// interleavings from the enumerator, models the paper's resource accounting
+// (like the DMCK "server [that] keeps track of which interleavings have been
+// explored", it charges every explored interleaving to a BudgetAccount and
+// "crashes" the run when the budget is exceeded — Fig. 10's
+// succeed-or-crash experiment), and folds each outcome into the report with
+// commit_outcome below. At one worker it replays inline on the calling
+// thread; at more, each worker owns its own engine over an isolated subject
+// fixture.
 #pragma once
 
 #include <algorithm>
@@ -119,18 +119,18 @@ using SubjectFactory = std::function<std::unique_ptr<proxy::Rdl>()>;
 
 /// Builds fresh assertion instances bound to `subject` (so observers like
 /// the ResourceProfiler can attach to that fixture's network). Called once
-/// per parallel worker; cross-interleaving assertions therefore compare
+/// per explorer worker; cross-interleaving assertions therefore compare
 /// within one worker's shard only (see DESIGN.md "Parallel exploration").
 using AssertionFactory = std::function<AssertionList(proxy::Rdl& subject)>;
 
-/// Guided-exploration searcher strategies (DESIGN.md §12). A searcher ranks
-/// the frontier of enumeration subtrees before replay; the *commit* order (and
-/// with it explored counts, the violation floor and stop_on_violation
-/// semantics) follows that rank deterministically at any worker count.
+/// Exploration order (DESIGN.md §12). A searcher ranks enumeration subtrees
+/// before replay; the *commit* order (and with it explored counts, the
+/// violation floor and stop_on_violation semantics) follows that rank
+/// deterministically at any worker count.
 ///
-///  * LexOrder        — the enumerator's native stream order. With
-///    SearchOptions::deterministic_order (the default) this is the historical
-///    streaming engine, byte-identical to prior releases.
+///  * LexOrder        — the enumerator's native stream order, pulled lazily.
+///    The default; every other strategy is "ranked": the explorer drains the
+///    capped stream once, splits it into subtrees and serves it in rank order.
 ///  * RandomPath      — seeded pseudo-random subtree order (klee-style random
 ///    tree descent, collapsed to a deterministic priority). Same seed ⇒ same
 ///    order on every run and worker count.
@@ -151,60 +151,46 @@ enum class SearchStrategy { LexOrder, RandomPath, ViolationFirst, CoverageWeight
 
 const char* search_strategy_name(SearchStrategy strategy) noexcept;
 
-/// Guided-exploration knobs (Session::Config::search, sched::ExplorerOptions).
+/// Exploration-order knobs (Session::Config::search, sched::ExplorerOptions).
 struct SearchOptions {
   SearchStrategy strategy = SearchStrategy::LexOrder;
-  /// Force lex (enumerator stream) commit order. Defaults on: LexOrder with
-  /// deterministic_order runs the historical streaming dispatcher and its
-  /// reports are byte-identical to prior releases. Clearing it routes even
-  /// LexOrder through the subtree frontier + work stealing (same report
-  /// fields; the budget is charged at generation instead of interleaved with
-  /// replay — see DESIGN.md §12 for the exact parity limits).
-  bool deterministic_order = true;
   /// RandomPath / Interleaved seed. Same seed + same searcher ⇒ identical
   /// ReplayReport at any parallelism.
   uint64_t seed = 42;
   /// Interleaved constituents, in rotation order. Empty = the default trio
   /// {ViolationFirst, RandomPath, CoverageWeighted}.
   std::vector<SearchStrategy> interleaved;
-  /// Frontier granularity: largest item count per subtree handle before the
+  /// Ranking granularity: largest item count per subtree span before the
   /// splitter recurses a level deeper. 0 = auto (≈ stream / 64 — a pure
   /// function of the stream, so the partition and every searcher ranking are
   /// identical at any worker count).
   size_t max_subtree_items = 0;
-
-  /// True when these options route exploration through the guided frontier
-  /// instead of the historical streaming dispatcher.
-  bool guided() const noexcept {
-    return strategy != SearchStrategy::LexOrder || !deterministic_order;
-  }
 };
 
-/// Explorer scheduling telemetry (guided exploration, DESIGN.md §12): the
-/// chosen dispatch batch size, frontier shape, steal traffic and worker idle
-/// time. Collected only when ExplorerOptions::collect_stats is set (timing
-/// fields are wall-clock noise, so reports stay byte-stable by default) and
-/// omitted from to_json when all-zero, SandboxStats-style.
+/// Explorer scheduling telemetry (DESIGN.md §12.6): the dispatch batch size,
+/// the ranked subtree count and worker wait/idle time. Collected only when
+/// ExplorerOptions::collect_stats is set (timing fields are wall-clock noise,
+/// so reports stay byte-stable by default) and omitted from to_json when
+/// all-zero, SandboxStats-style.
 struct ExplorerStats {
-  uint64_t batch_size = 0;        // streaming mode: chosen dispatch batch
-  uint64_t subtrees = 0;          // frontier handles after ranking
-  uint64_t steals = 0;            // steal operations across the frontier
-  uint64_t splits = 0;            // steals that split the victim's handle
+  uint64_t batch_size = 0;        // interleavings per dispatched batch (1 inline)
+  uint64_t subtrees = 0;          // ranked subtree spans (ranked searchers only)
+  /// Retired: nothing writes this field and to_json() omits it; it remains
+  /// for readers that still set it.
+  uint64_t steals = 0;
   double queue_wait_seconds = 0;  // summed worker wait for work
-  double max_idle_fraction = 0;   // max over workers of idle / wall-clock
+  double max_idle_fraction = 0;   // max over workers of idle / pool wall-clock
 
   void merge(const ExplorerStats& other) noexcept {
     batch_size = std::max(batch_size, other.batch_size);
     subtrees += other.subtrees;
-    steals += other.steals;
-    splits += other.splits;
     queue_wait_seconds += other.queue_wait_seconds;
     max_idle_fraction = std::max(max_idle_fraction, other.max_idle_fraction);
   }
 
   bool any() const noexcept {
-    return batch_size != 0 || subtrees != 0 || steals != 0 || splits != 0 ||
-           queue_wait_seconds != 0 || max_idle_fraction != 0;
+    return batch_size != 0 || subtrees != 0 || queue_wait_seconds != 0 ||
+           max_idle_fraction != 0;
   }
 
   util::Json to_json() const;
@@ -319,10 +305,9 @@ struct ReplayOptions {
   uint64_t max_interleavings = 10'000;
   /// Stop at the first assertion violation (bug reproduced).
   bool stop_on_violation = true;
-  /// Execute through per-replica worker threads + distributed lock.
+  /// Execute through per-replica worker threads + distributed lock. The
+  /// engine hosts the lock on a private kv::Server.
   bool threaded = false;
-  /// KV server hosting the distributed lock (required when threaded).
-  kv::Server* lock_server = nullptr;
   /// Simulated memory budget in bytes; exceeding it aborts the run with
   /// crashed=true (Fig. 10). Counts the explored-interleaving log plus the
   /// dedup caches reported by `extra_cache_bytes`. Both depend only on the
@@ -354,10 +339,12 @@ struct ReplayOptions {
   /// over all contexts, so a new context only ever widens the relation.
   std::string footprint_context = "none";
   /// Replay watchdog: when > 0, sched::ParallelExplorer bounds every replay
-  /// to this many milliseconds. A replay that exceeds the deadline is
-  /// recorded as a structured `timed_out` outcome (not a crash), its key is
-  /// quarantined in the report, the worker's fixture is rebuilt, and
-  /// exploration continues. The sequential ReplayEngine::run ignores it.
+  /// to this many milliseconds, at every parallelism. A replay that exceeds
+  /// the deadline is recorded as a structured `timed_out` outcome (not a
+  /// crash), its key is quarantined in the report, the worker's fixture is
+  /// rebuilt from the subject factory, and exploration continues. A run on a
+  /// borrowed fixture (Session::end(AssertionList)) cannot rebuild it and
+  /// rejects the watchdog with std::invalid_argument before replaying.
   /// Under Isolation::Process the supervisor escalates from the cooperative
   /// in-process cancel to SIGKILLing the sandbox child — a replay stuck
   /// inside subject code (unreachable by the cooperative flag) is reclaimed
@@ -388,13 +375,12 @@ struct ReplayOptions {
   uint64_t sandbox_spawn_backoff_ms = 10;
   uint64_t sandbox_spawn_backoff_cap_ms = 1000;
   /// Cooperative cancellation token. When set and flipped true, dispatch
-  /// stops pulling new interleavings (the streaming and guided explorers
-  /// check it between pulls, the sequential engine between replays, the
-  /// fault explorer additionally between plans) and the run drains to a
-  /// deterministic committed prefix with ReplayReport::cancelled set. The
-  /// service daemon flips it when a job's client disconnects mid-stream or
-  /// its deadline expires; unlike the budget crash latch it carries no
-  /// "crashed" connotation.
+  /// stops pulling new interleavings (the explorer checks it before each
+  /// pull, the fault explorer additionally between plans) and the run
+  /// drains to a deterministic committed prefix with ReplayReport::cancelled
+  /// set. The service daemon flips it when a job's client disconnects
+  /// mid-stream or its deadline expires; unlike the budget crash latch it
+  /// carries no "crashed" connotation.
   std::shared_ptr<std::atomic<bool>> cancel;
   /// Per-interleaving outcome tap: index, interleaving, and everything the
   /// replay observed (violations, timed_out). Same threading contract as
@@ -405,13 +391,12 @@ struct ReplayOptions {
   /// interleaving itself (the Session uses this to poll the constraints
   /// directory and to persist replayed interleavings).
   ///
-  /// Threading contract: ReplayEngine::run invokes the callback on the
+  /// Threading contract: sched::ParallelExplorer invokes the callback on the
   /// calling thread, strictly serialized, in ascending index order, never
-  /// concurrently with itself. sched::ParallelExplorer preserves the same
-  /// contract — delivery happens on its control thread in global index order
-  /// while holding the enumerator lock — so the callback may mutate the
-  /// enumerator / pruning pipeline without additional locking. The callback
-  /// must not re-enter the engine or the explorer.
+  /// concurrently with itself — with more than one worker, while holding the
+  /// enumerator lock — so the callback may mutate the enumerator / pruning
+  /// pipeline without additional locking. The callback must not re-enter the
+  /// engine or the explorer.
   std::function<void(uint64_t, const Interleaving&)> on_interleaving_done;
 };
 
@@ -468,8 +453,8 @@ struct ReplayReport {
   /// (and omitted from to_json) outside Isolation::Process and on crash-free
   /// sandboxed runs, keeping crash-free reports identical across modes.
   SandboxStats sandbox;
-  /// Explorer scheduling telemetry (batch sizing, frontier shape, steal
-  /// traffic, idle time). All-zero — and omitted from to_json — unless stats
+  /// Explorer scheduling telemetry (batch size, ranked subtree count, wait
+  /// and idle time). All-zero — and omitted from to_json — unless stats
   /// collection was explicitly enabled (Session::Config::
   /// collect_explorer_stats), because its timing fields are wall-clock noise
   /// and would perturb otherwise byte-stable reports.
@@ -543,33 +528,39 @@ struct InterleavingOutcome {
   }
 };
 
-/// Fold one outcome's recovery verdict into the run-level counters — shared
-/// by every aggregation site (sequential engine, parallel committer, fault
-/// explorer) so all report shapes agree at any parallelism.
-inline void count_recovery(ReplayReport& report, const InterleavingOutcome& outcome) noexcept {
-  if (!outcome.recovery) return;
-  switch (outcome.recovery->status) {
-    case RecoveryVerdict::Status::Recovered: ++report.recoveries_clean; break;
-    case RecoveryVerdict::Status::MissingEntries: ++report.recoveries_missing_entries; break;
-    case RecoveryVerdict::Status::Diverged: ++report.recoveries_diverged; break;
-  }
-}
+/// The fault plan a committed pair ran under (fault sweeps only).
+struct PlanTag {
+  std::string_view key;  // FaultPlan::key()
+  uint64_t ordinal = 0;  // 1-based interleaving ordinal within the plan's sweep
+};
+
+/// Fold one committed outcome into the run report: the single aggregation
+/// every run shares (the explorer's inline loop and committer, and the fault
+/// explorer's live and journal-merged pairs), so all report shapes agree at
+/// any parallelism. Counts the pair, quarantines watchdog timeouts and
+/// deterministic sandbox crashes/ooms by key, counts recovery verdicts and
+/// records violations, latching the first one. With a plan, quarantine keys
+/// read "plan/il", messages "[plan p] ...", and the first violation also
+/// names its plan and plan ordinal.
+void commit_outcome(ReplayReport& report, const Interleaving& il,
+                    const InterleavingOutcome& outcome,
+                    const std::optional<PlanTag>& plan = std::nullopt);
 
 class ReplayEngine {
  public:
+  /// Builds a private kv::Server for the distributed lock when
+  /// `options.threaded` is set: the turn and lock keys are fixed, so a server
+  /// shared by concurrently running engines would mix their turns.
   ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options);
   /// Uninstalls the footprint recorder from the subject (if one was wired).
   ~ReplayEngine();
 
-  ReplayReport run(Enumerator& enumerator, const EventSet& events,
-                   const AssertionList& assertions);
-
   /// Replay exactly one interleaving (reset → execute → assert) without
-  /// touching any run-level state. This is the building block the parallel
-  /// scheduler drives from worker threads — each worker owns its own engine,
-  /// proxy and subject, so concurrent replay_one calls never share mutable
-  /// subject state. Does not call Assertion::on_run_start and does not
-  /// deliver on_interleaving_done; callers own that protocol.
+  /// touching any run-level state. This is the building block the explorer
+  /// drives — each worker owns its own engine, proxy and subject, so
+  /// concurrent replay_one calls never share mutable subject state. Does not
+  /// call Assertion::on_run_start and does not deliver on_interleaving_done;
+  /// callers own that protocol.
   InterleavingOutcome replay_one(const Interleaving& il, const EventSet& events,
                                  const AssertionList& assertions);
 
@@ -594,6 +585,7 @@ class ReplayEngine {
 
   proxy::RdlProxy* proxy_;
   ReplayOptions options_;
+  std::unique_ptr<kv::Server> lock_server_;  // threaded mode only
   std::shared_ptr<ReplayObserver> observer_;  // from options_.observer_factory
   /// Owned footprint hook (null unless options_.footprint_learner is set);
   /// installed on the subject in the constructor, uninstalled in ~ReplayEngine.

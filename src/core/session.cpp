@@ -214,59 +214,46 @@ void Session::finish_run(const PreparedRun& prepared) {
   active_pruned_ = nullptr;
 }
 
+bool Session::sandboxed() const noexcept {
+  return config_.isolation == Isolation::Process ||
+         config_.replay.isolation == Isolation::Process;
+}
+
 ReplayReport Session::end(const AssertionList& assertions) {
   if (config_.parallelism > 1) {
     throw std::invalid_argument(
         "parallelism > 1 needs end(AssertionFactory) so each worker owns its "
         "assertion state");
   }
-  if (config_.isolation == Isolation::Process ||
-      config_.replay.isolation == Isolation::Process) {
+  if (sandboxed()) {
     throw std::invalid_argument(
         "process isolation needs end(AssertionFactory) and a subject factory: "
         "the sandbox children rebuild the fixture and its assertions from the "
         "factories");
   }
-  if (config_.search.guided()) {
-    throw std::invalid_argument(
-        "guided search needs end(AssertionFactory) and a subject factory: the "
-        "run is driven through sched::ParallelExplorer, whose workers rebuild "
-        "the fixture and its assertions from the factories");
-  }
-  PreparedRun prepared = prepare_run();
-  ReplayEngine engine(*proxy_, prepared.replay);
-  ReplayReport report = engine.run(*prepared.enumerator, events_, assertions);
-  finish_run(prepared);
-  return report;
+  return explore({}, &assertions);
 }
 
 ReplayReport Session::end_with_factory(const AssertionFactory& assertion_factory) {
-  const bool sandboxed = config_.isolation == Isolation::Process ||
-                         config_.replay.isolation == Isolation::Process;
-  if (config_.parallelism <= 1 && !sandboxed && !config_.search.guided()) {
-    // Delegate to the sequential path — bit-for-bit today's behavior.
-    AssertionList assertions;
-    if (assertion_factory) assertions = assertion_factory(proxy_->target());
-    const int saved_parallelism = config_.parallelism;  // may be 0/negative
-    config_.parallelism = 1;
-    auto report = end(assertions);
-    config_.parallelism = saved_parallelism;
-    return report;
-  }
-  // Sandboxed and guided runs always go through the explorer (even at
-  // parallelism 1): sandboxed fixtures must be rebuilt from the factory
-  // inside each child, and guided search is the explorer's frontier engine.
-  if (!config_.subject_factory) {
+  if (config_.subject_factory) return explore(assertion_factory, nullptr);
+  if (config_.parallelism > 1 || sandboxed()) {
     throw std::invalid_argument(
         "parallel exploration requires a subject factory "
         "(Session::start(factory) or Config::subject_factory)");
   }
-  if (config_.search.guided() && !config_.resume_journal.empty()) {
+  // No factory to build a worker from: replay on the session's own fixture.
+  AssertionList assertions;
+  if (assertion_factory) assertions = assertion_factory(proxy_->target());
+  return explore({}, &assertions);
+}
+
+ReplayReport Session::explore(const AssertionFactory& assertion_factory,
+                              const AssertionList* borrowed) {
+  if (config_.search.strategy != SearchStrategy::LexOrder && !config_.resume_journal.empty()) {
     throw std::invalid_argument(
         "guided search cannot resume from a journal: journal skip-and-merge "
         "assumes the enumerator's stream order, which a searcher reorders");
   }
-
   PreparedRun prepared = prepare_run();
   sched::ExplorerOptions options;
   options.parallelism = config_.parallelism;
@@ -280,7 +267,10 @@ ReplayReport Session::end_with_factory(const AssertionFactory& assertion_factory
         config_.violation_priors);
   }
   sched::ParallelExplorer explorer(std::move(options));
-  ReplayReport report = explorer.run(*prepared.enumerator, events_);
+  ReplayReport report =
+      borrowed != nullptr
+          ? explorer.run(*prepared.enumerator, events_, *proxy_, *borrowed)
+          : explorer.run(*prepared.enumerator, events_);
   worker_assertions_ = explorer.worker_assertions();
   finish_run(prepared);
   return report;

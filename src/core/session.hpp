@@ -13,10 +13,12 @@
 // files), persist to the Datalog store, replay every surviving interleaving,
 // and evaluate the test assertions after each one.
 //
-// Parallel exploration (src/sched/): set config.parallelism > 1, hand start()
-// a replica-set factory that clones the subject fixture, and call the
-// end(AssertionFactory) overload so every worker gets its own assertion
-// state:
+// Every run goes through sched::ParallelExplorer, the one exploration loop.
+// end(AssertionList) replays inline on the captured proxy's own fixture,
+// with one worker. For parallel exploration, set config.parallelism > 1,
+// hand start() a replica-set factory that clones the subject fixture, and
+// call the end(AssertionFactory) overload so every worker gets its own
+// fixture and assertion state:
 //
 //   Session session(proxy, config);              // config.parallelism = 8
 //   session.start([] { return std::make_unique<subjects::TownApp>(2); });
@@ -25,7 +27,8 @@
 //     return {query_result_equals(9, expected)};
 //   });
 //
-// parallelism == 1 keeps the sequential engine bit-for-bit (same explored
+// With a factory, workers are built from it at every parallelism, 1
+// included; the report is the same at any worker count (same explored
 // count, same first_violation_index, same persisted log).
 #pragma once
 
@@ -85,13 +88,13 @@ class Session {
     bool generation_pruning = true;
     /// Persist events/units and every replayed interleaving into Datalog.
     bool persist = false;
-    /// Worker count for parallel exploration (sched::ParallelExplorer).
-    /// 1 (default) replays sequentially on the calling thread, preserving
-    /// today's behavior exactly; > 1 requires a subject factory and the
+    /// Worker count for sched::ParallelExplorer. 1 (default) replays inline
+    /// on the calling thread; > 1 requires a subject factory and the
     /// end(AssertionFactory) overload.
     int parallelism = 1;
-    /// Clones the subject-system fixture for each parallel worker (also
-    /// settable through start(SubjectFactory)).
+    /// Clones the subject-system fixture for each worker (also settable
+    /// through start(SubjectFactory)). end(AssertionFactory) builds its
+    /// workers from it at every parallelism; the replay watchdog needs it.
     SubjectFactory subject_factory;
     /// Crash isolation (DESIGN.md §9): Isolation::Process replays every
     /// interleaving inside per-worker sandbox children behind fork servers,
@@ -101,9 +104,8 @@ class Session {
     /// crashed/oom/timed_out outcome instead of killing the exploration.
     /// Requires a subject factory and the end(AssertionFactory) overload —
     /// the children rebuild the fixture from the factory — and works at any
-    /// parallelism (1 included: the run is driven through
-    /// sched::ParallelExplorer with one worker). Overrides replay.isolation
-    /// when set. Crash-free runs report identically to Isolation::None.
+    /// parallelism, 1 included. Overrides replay.isolation when set.
+    /// Crash-free runs report identically to Isolation::None.
     Isolation isolation = Isolation::None;
     /// Crash-safe resume journal path for fault-schedule exploration
     /// (faults::explore_with_faults). "" disables journaling. When the file
@@ -120,19 +122,17 @@ class Session {
     std::string corpus_path;
     /// How the corpus is consulted (ignored unless corpus_path is set).
     CorpusMode corpus_mode = CorpusMode::Reuse;
-    /// Guided exploration (DESIGN.md §12). The default — LexOrder with
-    /// deterministic_order — keeps today's engines bit-for-bit. Any other
-    /// setting routes the run through sched::ParallelExplorer's subtree
-    /// frontier (even at parallelism 1, which therefore needs a subject
-    /// factory and the end(AssertionFactory) overload, like
-    /// Isolation::Process) and replays in the searcher's order.
+    /// Exploration order (DESIGN.md §12). The default LexOrder streams the
+    /// enumerator; any other strategy drains the capped stream, ranks its
+    /// subtrees and replays in the searcher's order, at any parallelism and
+    /// through either end() overload.
     SearchOptions search;
     /// Previously violating interleavings fed to the ViolationFirst
     /// searcher as priors, in addition to the corpus's violation records
     /// (corpus::violation_priors loads them from a store directory).
     std::vector<Interleaving> violation_priors;
-    /// Record scheduling telemetry into ReplayReport::explorer (chosen
-    /// batch size, frontier shape, steal traffic, queue-wait/idle time).
+    /// Record scheduling telemetry into ReplayReport::explorer (batch
+    /// size, ranked subtree count, queue-wait/idle time).
     /// Off by default: the timing fields are wall-clock noise and would
     /// perturb otherwise byte-stable reports.
     bool collect_explorer_stats = false;
@@ -150,17 +150,22 @@ class Session {
   void start();
 
   /// Begin capturing and register the replica-set factory used to clone the
-  /// subject fixture per parallel worker (overrides Config::subject_factory).
+  /// subject fixture per worker (overrides Config::subject_factory).
   void start(SubjectFactory subject_factory);
 
-  /// Stop capturing, generate + prune + replay, check assertions.
-  /// Requires parallelism == 1 (shared assertion instances cannot be handed
-  /// to concurrent workers); throws std::invalid_argument otherwise.
+  /// Stop capturing, generate + prune + replay, check assertions — inline,
+  /// on the captured proxy's own fixture. Requires parallelism == 1 (shared
+  /// assertion instances cannot be handed to concurrent workers),
+  /// Isolation::None and no replay watchdog (the session's fixture cannot be
+  /// abandoned to a hung replay and rebuilt); throws std::invalid_argument
+  /// otherwise.
   ReplayReport end(const AssertionList& assertions);
 
-  /// Parallelism-aware end(): builds one assertion set per worker via the
-  /// factory. With parallelism == 1 this calls the factory once against the
-  /// captured proxy's subject and behaves exactly like end(AssertionList).
+  /// Parallelism-aware end(): builds every worker's fixture from the subject
+  /// factory and one assertion set per worker via `assertion_factory`, at
+  /// any parallelism. Without a subject factory (parallelism 1 only) it calls
+  /// the factory once against the captured proxy's subject and behaves
+  /// exactly like end(AssertionList).
   /// (Constrained template so end({}) still resolves to the list overload.)
   template <typename F,
             typename = std::enable_if_t<std::is_invocable_r_v<AssertionList, F&, proxy::Rdl&>>>
@@ -182,9 +187,9 @@ class Session {
   const EventSet& events() const noexcept { return events_; }
   const std::vector<EventUnit>& units() const noexcept { return units_; }
 
-  /// After a parallel end(): each worker's assertion instances, for merging
-  /// observer state (e.g. collect_profiles over ResourceProfiler samples).
-  /// Empty after a sequential run.
+  /// After end(): each worker's assertion instances, for merging observer
+  /// state (e.g. collect_profiles over ResourceProfiler samples). Empty
+  /// under Isolation::Process, whose fixtures live in the sandbox children.
   const std::vector<AssertionList>& worker_assertions() const noexcept {
     return worker_assertions_;
   }
@@ -231,6 +236,11 @@ class Session {
   };
   PreparedRun prepare_run();
   void finish_run(const PreparedRun& prepared);
+  bool sandboxed() const noexcept;
+  /// Run the explorer on workers built from the factories, or inline on the
+  /// session's fixture with `borrowed` assertions when that is non-null.
+  ReplayReport explore(const AssertionFactory& assertion_factory,
+                       const AssertionList* borrowed);
   PruningPipeline build_pipeline() const;
 
   proxy::RdlProxy* proxy_;

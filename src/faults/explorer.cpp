@@ -97,8 +97,8 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   core::ReplayOptions replay = config.replay;
   if (config.isolation != core::Isolation::None) replay.isolation = config.isolation;
 
-  const bool guided = config.search.guided();
-  if (guided && !config.resume_journal.empty()) {
+  const bool ranked = config.search.strategy != core::SearchStrategy::LexOrder;
+  if (ranked && !config.resume_journal.empty()) {
     throw std::invalid_argument(
         "guided search cannot resume from a journal: journal skip-and-merge "
         "assumes the enumerator's stream order, which a searcher reorders");
@@ -136,7 +136,7 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   util::Stopwatch watch;
   core::ReplayReport report;
 
-  // One budget spans the whole sweep, like one sequential run would charge.
+  // One budget spans the whole sweep, as if it were one run.
   core::BudgetAccount local_budget(replay.resource_budget_bytes);
   core::BudgetAccount* budget = replay.budget != nullptr ? replay.budget : &local_budget;
 
@@ -175,14 +175,14 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   }
   const bool reuse = store && config.corpus_mode == core::CorpusMode::Reuse;
 
-  // ---- guided-search inputs, shared across the whole plan sweep -----------
+  // ---- ranked-search inputs, shared across the whole plan sweep -----------
   // ViolationFirst priors: explicit config priors plus every distinct
   // violating interleaving the corpus has recorded under ANY fingerprint or
   // plan — a violation's neighborhood transfers across configurations even
   // when outcome reuse must not (the violation/4 relation's corpus-side view).
   std::shared_ptr<const std::vector<core::Interleaving>> priors;
   std::shared_ptr<sched::CoverageState> coverage;
-  if (guided) {
+  if (ranked) {
     auto combined = std::make_shared<std::vector<core::Interleaving>>(
         config.violation_priors);
     if (store) {
@@ -244,41 +244,11 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   // Commit one (interleaving, plan) pair into the run report — the single
   // aggregation point both live outcomes and journal-merged outcomes go
   // through, so resumed and uninterrupted runs produce identical reports.
-  const auto commit = [&](const FaultPlan& plan, uint64_t plan_ordinal,
+  const auto commit = [&](const std::string& plan_key, uint64_t plan_ordinal,
                           const core::Interleaving& il,
                           const core::InterleavingOutcome& outcome, bool from_journal) {
-    ++report.explored;
+    core::commit_outcome(report, il, outcome, core::PlanTag{plan_key, plan_ordinal});
     if (from_journal) ++report.pairs_skipped_from_journal;
-    if (outcome.quarantine()) {
-      if (outcome.timed_out) {
-        ++report.timed_out;
-      } else if (outcome.crashed) {
-        ++report.crashed_replays;
-      } else {
-        ++report.oom_replays;
-      }
-      std::string qkey = plan.key();
-      qkey += '/';
-      il.append_key(qkey);
-      report.quarantine_records.push_back(
-          {qkey, outcome.quarantine_reason(), outcome.term_signal});
-      report.quarantined.push_back(std::move(qkey));
-    }
-    core::count_recovery(report, outcome);
-    for (const auto& violation : outcome.violations) {
-      ++report.violations;
-      if (report.messages.size() < 16) {
-        report.messages.push_back("[plan " + plan.key() + "] " + violation.message);
-      }
-      if (!report.reproduced) {
-        report.reproduced = true;
-        report.first_violation_index = report.explored;
-        report.first_violation_assertion = violation.assertion;
-        report.first_violation = il;
-        report.first_violation_plan = plan.key();
-        report.first_violation_plan_interleaving = plan_ordinal;
-      }
-    }
     if (!outcome.violations.empty() && replay.stop_on_violation) stopped = true;
     if (user_on_outcome) user_on_outcome(report.explored, il, outcome);
   };
@@ -292,18 +262,19 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
       break;
     }
     ++report.plans_explored;
+    const std::string plan_key = plan.key();
 
     // Merge the journaled prefix of this plan's sweep (an ascending 1..m
     // prefix, because the committer journals in commit order).
     uint64_t skip = 0;
-    if (const auto it = journaled.find(plan.key()); it != journaled.end()) {
+    if (const auto it = journaled.find(plan_key); it != journaled.end()) {
       for (const auto& record : it->second) {
         // Journal-merged pairs are proven outcomes of this configuration —
         // the corpus learns them (or diffs against them) like live commits.
         // Sandbox outcomes resume as recorded: a known-crashing pair is
         // quarantined again without re-executing it.
-        offer_to_corpus(plan.key(), record.key, record.outcome);
-        commit(plan, record.interleaving, core::Interleaving::from_key(record.key),
+        offer_to_corpus(plan_key, record.key, record.outcome);
+        commit(plan_key, record.interleaving, core::Interleaving::from_key(record.key),
                record.outcome, /*from_journal=*/true);
         skip = record.interleaving;
         if (stopped) break;
@@ -355,9 +326,9 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
       const uint64_t plan_ordinal = skip + index;
       std::string il_key;
       il.append_key(il_key);
-      if (journal) journal->append({plan.key(), plan_ordinal, il_key, outcome});
-      offer_to_corpus(plan.key(), il_key, outcome);
-      commit(plan, plan_ordinal, il, outcome, /*from_journal=*/false);
+      if (journal) journal->append({plan_key, plan_ordinal, il_key, outcome});
+      offer_to_corpus(plan_key, il_key, outcome);
+      commit(plan_key, plan_ordinal, il, outcome, /*from_journal=*/false);
     };
     options.subject_factory = config.subject_factory;
     options.assertion_factory = assertion_factory;
@@ -365,11 +336,11 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     options.collect_stats = config.collect_explorer_stats;
     options.violation_priors = priors;
     options.coverage = coverage;
-    options.context_key = plan.key();
+    options.context_key = plan_key;
     if (reuse) {
       // The dispatcher resolves already-proven classes straight from the
       // corpus; misses replay normally and are appended via offer_to_corpus.
-      options.outcome_cache = [&, plan_key = plan.key()](const core::Interleaving& il)
+      options.outcome_cache = [&](const core::Interleaving& il)
           -> std::optional<core::InterleavingOutcome> {
         std::string il_key;
         il.append_key(il_key);

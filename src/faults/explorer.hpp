@@ -2,12 +2,13 @@
 //
 // Composes the bounded plan catalog with the Session's interleaving stream,
 // plan-major: for each plan, the configured enumerator is rebuilt and its
-// full surviving stream is replayed under that plan through the parallel
-// scheduler (workers = max(1, Session::Config::parallelism); one worker is
-// the degenerate deterministic case). Outcomes are committed in (plan,
-// interleaving) order, so the merged report — explored pairs, violations,
-// first (interleaving, plan) violation, quarantine list — is identical at
-// any parallelism.
+// full surviving stream is replayed under that plan through one
+// sched::ParallelExplorer built from the subject factory (workers =
+// max(1, Session::Config::parallelism); one worker runs inline on the
+// calling thread). Every pair, live or journal-merged, is committed through
+// core::commit_outcome in (plan, interleaving) order, so the merged report —
+// explored pairs, violations, first (interleaving, plan) violation,
+// quarantine list — is identical at any parallelism.
 //
 // Robustness mechanisms wired here:
 //  * run journal (core::RunJournal): when Session::Config::resume_journal is

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "kvstore/server.hpp"
 #include "proxy/proxy.hpp"
 #include "util/json.hpp"
 
@@ -90,7 +89,6 @@ bool is_ready_payload(const std::string& payload) {
   const std::string oom_payload = encode_response(oom_template);
 
   std::unique_ptr<proxy::Rdl> subject;
-  std::unique_ptr<kv::Server> lock_server;
   std::unique_ptr<proxy::RdlProxy> rdl_proxy;
   core::AssertionList assertions;
   std::unique_ptr<core::ReplayEngine> engine;
@@ -101,12 +99,7 @@ bool is_ready_payload(const std::string& payload) {
     }
     rdl_proxy = std::make_unique<proxy::RdlProxy>(*subject);
     if (config.assertion_factory) assertions = config.assertion_factory(*subject);
-    core::ReplayOptions options = config.options;
-    if (options.threaded) {
-      lock_server = std::make_unique<kv::Server>();
-      options.lock_server = lock_server.get();
-    }
-    engine = std::make_unique<core::ReplayEngine>(*rdl_proxy, std::move(options));
+    engine = std::make_unique<core::ReplayEngine>(*rdl_proxy, config.options);
     for (const auto& assertion : assertions) assertion->on_run_start();
   } catch (const std::bad_alloc&) {
     write_frame(data_fd, oom_payload);
@@ -218,7 +211,6 @@ ForkServer::ForkServer(core::SubjectFactory subject_factory,
   config.options.on_interleaving_done = nullptr;
   config.options.watchdog_timeout_ms = 0;
   config.options.isolation = core::Isolation::None;
-  config.options.lock_server = nullptr;  // the runner builds its own
 
   int control[2];
   int data[2];

@@ -1,47 +1,48 @@
-// ParallelExplorer — multi-core interleaving replay with deterministic
-// violation semantics (the ROADMAP's scale-out move: explore interleavings
-// *across* cores, the way stateless model checkers shard their search).
+// ParallelExplorer — the one exploration loop (paper §4.3's replay loop,
+// sharded across cores the way stateless model checkers shard their search).
 //
-// Architecture (three roles, two channels):
+// One *source* hands out (ordinal, interleaving, cached outcome) items under
+// a single protocol: the interleaving cap, the violation floor, the cancel
+// token, the budget check before each pull and the charge after it, and the
+// corpus outcome cache. For LexOrder it pulls lazily from the enumerator; for
+// a ranked searcher it drains that same pull once, splits the stream into
+// subtrees, ranks them (DESIGN.md §12) and serves ordinals in rank order.
+// Two consumers, chosen by the worker count:
 //
-//   dispatcher thread ──batches──▶ BoundedQueue ──▶ N worker threads
-//        │  drains the (single-threaded) enumerator under a mutex,        │
-//        │  doing the budget check + charge exactly where the             │
-//        │  sequential engine does (before/after each next()).            │
-//        ▼                                                                ▼
-//   control thread ◀──(global_index, outcome)── results channel ◀─────────┘
-//        commits outcomes in ascending global-index order through the same
-//        aggregation the sequential engine runs, and delivers
-//        on_interleaving_done callbacks serialized, in order.
+//   * one worker — the calling thread pulls, replays and commits one item at
+//     a time, with no threads of its own (in-process, sandboxed or under the
+//     watchdog alike);
+//   * N workers —
 //
-// Determinism guarantee: because every interleaving is tagged with its
-// position in the enumerator stream and outcomes are *committed* in that
-// order, the merged report's explored / violations / first_violation_index /
-// first_violation_assertion / messages are identical for every worker count
-// and every thread schedule — including stop_on_violation runs, where the
-// first committed violation is provably the lowest-index one:
+//       dispatcher thread ──batches──▶ BoundedQueue ──▶ N worker threads
+//            │  pulls from the source under a mutex                 │
+//            ▼                                                      ▼
+//       control thread ◀──(ordinal, outcome)── results channel ◀────┘
+//            commits outcomes in ascending ordinal order and delivers
+//            on_interleaving_done callbacks serialized, in order.
 //
-//   * workers that find a violation at global index v lower an atomic
-//     "violation floor" (monotone min); workers early-cancel any index
-//     > floor, but every index < floor is still replayed and reported, so
-//     a lower violation can never be lost;
+// Both commit through core::commit_outcome, in ordinal order, so the report
+// is a pure function of (stream, SearchOptions): identical for every worker
+// count and every thread schedule — including stop_on_violation runs, where
+// the first committed violation is provably the lowest-ordinal one:
+//
+//   * workers that find a violation at ordinal v lower an atomic "violation
+//     floor" (monotone min); workers early-cancel any ordinal > floor, but
+//     every ordinal < floor is still replayed and reported, so a lower
+//     violation can never be lost;
 //   * commits ascend, so the first committed violation is the stream's
-//     first violation; committing stops there and explored == that index,
-//     exactly as the sequential engine reports.
+//     first violation; committing stops there and explored == that ordinal.
+//
+// Which fixture a run replays on: run(enumerator, events) builds every
+// worker from the subject factory (or, under Isolation::Process, a sandbox
+// fork server per worker); the overload taking a proxy and an assertion list
+// replays inline on that caller-owned fixture, and needs one worker and
+// Isolation::None.
 //
 // Caveat (documented in DESIGN.md): assertions are instantiated per worker,
 // so *cross-interleaving* assertions compare state within one worker's shard
-// only. Per-interleaving assertions are bit-for-bit identical to sequential.
-//
-// Guided exploration (DESIGN.md §12): when ExplorerOptions::search asks for a
-// non-default searcher (or clears deterministic_order), run() switches from
-// the streaming dispatcher above to a two-phase engine: the capped stream is
-// first materialized on the calling thread (same budget protocol, same
-// outcome-cache resolution), partitioned into enumeration subtrees and ranked
-// by the searcher; workers then drain a work-stealing frontier of subtree
-// handles while the committer merges outcomes in *rank* order. The report is
-// a pure function of (stream, SearchOptions) — identical at every worker
-// count — it just walks the space in the searcher's order instead of lex.
+// only. Per-interleaving assertions are bit-for-bit identical at any worker
+// count.
 #pragma once
 
 #include <functional>
@@ -52,32 +53,23 @@
 
 #include "core/replay.hpp"
 #include "sched/searcher.hpp"
-#include "sched/worker.hpp"
-
-namespace erpi::sandbox {
-class ForkServer;
-}
 
 namespace erpi::sched {
 
 struct ExplorerOptions {
-  /// Worker count. Values < 1 are clamped to 1. (Session short-circuits
-  /// parallelism == 1 to the plain sequential engine; driving the explorer
-  /// with one worker is still deterministic, just pays thread overhead.)
+  /// Worker count. Values < 1 are clamped to 1. One worker runs inline on
+  /// the calling thread; more run the dispatcher / pool / committer
+  /// pipeline.
   int parallelism = 2;
-  /// Interleavings per dispatched batch. 0 = auto: small enough that idle
-  /// workers always find work to steal from the queue, large enough that
-  /// queue traffic stays off the profile.
-  size_t batch_size = 0;
   /// Run-wide replay options (cap, stop_on_violation, threaded, budget,
-  /// extra_cache_bytes, on_interleaving_done). Per-worker fields
-  /// (lock_server) are rewired inside each WorkerContext. With
-  /// replay.isolation == Isolation::Process each worker drives a
-  /// sandbox::ForkServer instead of an in-process fixture: replays execute
-  /// in per-worker child processes, and child deaths surface as structured
-  /// crashed/oom/timed_out outcomes instead of taking the run down.
+  /// extra_cache_bytes, on_interleaving_done). With replay.isolation ==
+  /// Isolation::Process each worker drives a sandbox::ForkServer instead of
+  /// an in-process fixture: replays execute in per-worker child processes,
+  /// and child deaths surface as structured crashed/oom/timed_out outcomes
+  /// instead of taking the run down.
   core::ReplayOptions replay;
-  /// Builds one isolated subject fixture per worker. Required.
+  /// Builds one isolated subject fixture per worker. Required by
+  /// run(enumerator, events).
   core::SubjectFactory subject_factory;
   /// Builds one assertion set per worker (may be empty).
   core::AssertionFactory assertion_factory;
@@ -91,9 +83,8 @@ struct ExplorerOptions {
   /// are identical to an uncached run.
   std::function<std::optional<core::InterleavingOutcome>(const core::Interleaving&)>
       outcome_cache;
-  /// Guided exploration (DESIGN.md §12): searcher strategy and determinism
-  /// knobs. The default (LexOrder + deterministic_order) is the streaming
-  /// dispatcher, byte-identical to prior releases.
+  /// Exploration order (DESIGN.md §12). LexOrder (the default) streams the
+  /// enumerator; any other strategy ranks the drained stream first.
   core::SearchOptions search;
   /// ViolationFirst priors: previously violating interleavings (explicit
   /// session config plus the outcome corpus's violation records).
@@ -104,8 +95,8 @@ struct ExplorerOptions {
   std::shared_ptr<CoverageState> coverage;
   /// Context tag mixed into coverage features (e.g. the fault plan's key).
   std::string context_key;
-  /// Record scheduling telemetry into ReplayReport::explorer (chosen batch
-  /// size, frontier shape, steal traffic, queue-wait and idle time). Off by
+  /// Record scheduling telemetry into ReplayReport::explorer (batch size,
+  /// ranked subtree count, queue-wait and idle time). Off by
   /// default: the timing fields are wall-clock noise and would perturb
   /// otherwise byte-stable reports.
   bool collect_stats = false;
@@ -115,12 +106,20 @@ class ParallelExplorer {
  public:
   explicit ParallelExplorer(ExplorerOptions options);
 
-  /// Shard `enumerator`'s stream across the worker pool and replay
-  /// concurrently. The enumerator itself is only ever touched by the
-  /// dispatcher under a mutex (enumerators stay single-threaded); the same
-  /// mutex is held while on_interleaving_done runs, so callbacks may extend
-  /// the pruning pipeline mid-run just like in the sequential engine.
+  /// Explore `enumerator`'s stream on workers built from the subject and
+  /// assertion factories. The enumerator is only ever touched by one thread
+  /// at a time (enumerators stay single-threaded); with several workers the
+  /// dispatcher holds a mutex while pulling and the committer holds it while
+  /// on_interleaving_done runs, so callbacks may extend the pruning pipeline
+  /// mid-run.
   core::ReplayReport run(core::Enumerator& enumerator, const core::EventSet& events);
+
+  /// Explore inline on a caller-owned fixture: `fixture` and `assertions`
+  /// are borrowed for the run. Requires one worker and Isolation::None, and
+  /// no watchdog (a borrowed fixture cannot be abandoned to a hung replay and
+  /// rebuilt); throws std::invalid_argument otherwise.
+  core::ReplayReport run(core::Enumerator& enumerator, const core::EventSet& events,
+                         proxy::RdlProxy& fixture, const core::AssertionList& assertions);
 
   /// Post-run: every worker's assertion instances, for merging observer
   /// state (e.g. core::collect_profiles over ResourceProfiler samples).
@@ -133,25 +132,6 @@ class ParallelExplorer {
   }
 
  private:
-  /// Per-worker scheduling telemetry, filled only when collect_stats is set.
-  struct WorkerTelemetry {
-    double wait_seconds = 0;
-    double idle_fraction = 0;
-  };
-
-  void run_streaming(core::Enumerator& enumerator, const core::EventSet& events,
-                     int workers, core::BudgetAccount* budget,
-                     std::vector<std::unique_ptr<WorkerContext>>& contexts,
-                     std::vector<std::unique_ptr<sandbox::ForkServer>>& sandboxes,
-                     core::ReplayReport& report, bool& crashed, bool& exhausted,
-                     bool& cancelled, std::vector<WorkerTelemetry>& telemetry);
-  void run_guided(core::Enumerator& enumerator, const core::EventSet& events,
-                  int workers, core::BudgetAccount* budget,
-                  std::vector<std::unique_ptr<WorkerContext>>& contexts,
-                  std::vector<std::unique_ptr<sandbox::ForkServer>>& sandboxes,
-                  core::ReplayReport& report, bool& crashed, bool& exhausted,
-                  bool& cancelled, std::vector<WorkerTelemetry>& telemetry);
-
   ExplorerOptions options_;
   std::vector<core::AssertionList> worker_assertions_;
 };

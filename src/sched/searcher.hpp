@@ -1,7 +1,7 @@
 // Searcher strategies for guided exploration (DESIGN.md §12).
 //
-// A searcher ranks the frontier of enumeration subtrees before any replay
-// happens: given the materialized (capped) stream and its subtree partition
+// A searcher ranks the enumeration subtrees before any of them is served:
+// given the materialized (capped) stream and its subtree partition
 // (core::split_tree_order), select() returns a permutation of the subtree
 // indices. Replay *commits* follow that rank — ordinal 0 is every item of the
 // first-ranked subtree in stream order, then the second, and so on — so the
@@ -27,7 +27,8 @@ namespace erpi::sched {
 
 /// Feature dedup for CoverageWeighted, shared across sweeps. Features are
 /// opaque 64-bit hashes of (context, prefix position, operation) triples.
-/// Not thread-safe: searchers run on the control thread before workers start.
+/// Not thread-safe: a searcher runs once, on the thread that drains the
+/// explorer's source, before any ranked item is served.
 class CoverageState {
  public:
   /// Record a feature; true if it was new.

@@ -7,20 +7,41 @@
 #include <thread>
 
 namespace erpi::sched {
+namespace {
+
+core::ReplayOptions worker_options(core::ReplayOptions base) {
+  base.on_interleaving_done = nullptr;
+  base.on_outcome = nullptr;
+  base.extra_cache_bytes = nullptr;  // budget checks happen at dispatch
+  return base;
+}
+
+}  // namespace
 
 WorkerContext::WorkerContext(const core::SubjectFactory& subject_factory,
                              const core::AssertionFactory& assertion_factory,
-                             core::ReplayOptions base, core::BudgetAccount* budget)
-    : subject_factory_(subject_factory), assertion_factory_(assertion_factory) {
+                             core::ReplayOptions base)
+    : subject_factory_(subject_factory),
+      assertion_factory_(assertion_factory),
+      options_(worker_options(std::move(base))) {
   if (!subject_factory_) {
     throw std::invalid_argument("parallel exploration requires a subject factory");
   }
-  options_ = std::move(base);
-  options_.budget = budget;
-  options_.on_interleaving_done = nullptr;
-  options_.on_outcome = nullptr;
-  options_.extra_cache_bytes = nullptr;  // budget checks happen at dispatch
   fixture_ = build_fixture();
+}
+
+WorkerContext::WorkerContext(proxy::RdlProxy& proxy, const core::AssertionList& assertions,
+                             core::ReplayOptions base)
+    : options_(worker_options(std::move(base))) {
+  if (options_.watchdog_timeout_ms > 0) {
+    throw std::invalid_argument(
+        "the replay watchdog needs a subject factory: a timed-out replay abandons "
+        "its fixture, and a borrowed fixture cannot be rebuilt");
+  }
+  fixture_ = std::make_shared<Fixture>();
+  fixture_->assertions = assertions;
+  fixture_->engine = std::make_unique<core::ReplayEngine>(proxy, options_);
+  for (const auto& assertion : fixture_->assertions) assertion->on_run_start();
 }
 
 std::shared_ptr<WorkerContext::Fixture> WorkerContext::build_fixture() const {
@@ -31,13 +52,7 @@ std::shared_ptr<WorkerContext::Fixture> WorkerContext::build_fixture() const {
   }
   fixture->proxy = std::make_unique<proxy::RdlProxy>(*fixture->subject);
   if (assertion_factory_) fixture->assertions = assertion_factory_(*fixture->subject);
-
-  core::ReplayOptions options = options_;
-  if (options.threaded) {
-    fixture->lock_server = std::make_unique<kv::Server>();
-    options.lock_server = fixture->lock_server.get();
-  }
-  fixture->engine = std::make_unique<core::ReplayEngine>(*fixture->proxy, std::move(options));
+  fixture->engine = std::make_unique<core::ReplayEngine>(*fixture->proxy, options_);
 
   for (const auto& assertion : fixture->assertions) assertion->on_run_start();
   return fixture;

@@ -1,28 +1,29 @@
-// WorkerContext — one parallel worker's fully isolated replay universe.
+// WorkerContext — one explorer worker's replay universe.
 //
-// The invariant the parallel explorer depends on: workers never share mutable
-// subject state. Each context therefore owns a private copy of everything a
-// sequential replay run would touch:
+// The invariant the explorer depends on: workers never share mutable subject
+// state. A factory-built context therefore owns a private copy of everything
+// a replay touches:
 //
 //   * its own subject fixture (replica set + simulated network), built by the
 //     caller-supplied SubjectFactory;
 //   * its own RdlProxy over that fixture;
 //   * its own assertion instances (AssertionFactory) — so cross-interleaving
 //     assertion state is per-worker, see DESIGN.md "Parallel exploration";
-//   * in threaded mode, its own kv::Server hosting that worker's distributed
-//     lock — the lock protocol is exercised per interleaving exactly as in
-//     the sequential engine, just on a private server;
-//   * its own ReplayEngine over all of the above.
+//   * its own ReplayEngine over all of the above (in threaded mode the engine
+//     hosts its distributed lock on a private kv::Server).
 //
-// The only shared pieces are explicitly thread-safe: the BudgetAccount
-// (atomic charge, crash-once) and the explorer's queues.
+// A borrowed context replays on a caller-owned proxy and assertion list
+// instead: the single inline worker of a one-worker run on the session's own
+// fixture (Session::end(AssertionList)).
 //
 // Replay watchdog (ReplayOptions::watchdog_timeout_ms > 0): each replay runs
 // on a short-lived thread; if it misses the deadline the engine is cancelled
 // cooperatively, the whole fixture is abandoned to the hung thread (shared
-// ownership, so nothing dangles) and rebuilt fresh, and the interleaving is
-// reported as a structured timed_out outcome. See DESIGN.md §8 for what can
-// and cannot be reclaimed from a hung replay.
+// ownership, so nothing dangles) and rebuilt fresh from the factory, and the
+// interleaving is reported as a structured timed_out outcome. A borrowed
+// fixture cannot be abandoned and rebuilt, so a borrowed context rejects the
+// watchdog. See DESIGN.md §8 for what can and cannot be reclaimed from a
+// hung replay.
 #pragma once
 
 #include <memory>
@@ -33,33 +34,36 @@ namespace erpi::sched {
 
 class WorkerContext {
  public:
-  /// `base` carries the run-wide replay options. The context rewires the
-  /// per-worker pieces: a private lock server when `base.threaded` is set,
-  /// the shared `budget`, and no on_interleaving_done / on_outcome (delivery
-  /// is the explorer's job, serialized on its control thread).
+  /// `base` carries the run-wide replay options. The context drops the
+  /// run-level pieces — on_interleaving_done / on_outcome (delivery is the
+  /// explorer's job) and extra_cache_bytes (the budget is checked at
+  /// dispatch).
   WorkerContext(const core::SubjectFactory& subject_factory,
-                const core::AssertionFactory& assertion_factory,
-                core::ReplayOptions base, core::BudgetAccount* budget);
+                const core::AssertionFactory& assertion_factory, core::ReplayOptions base);
+
+  /// Replays on `proxy` and `assertions`, which must outlive the context.
+  /// Throws std::invalid_argument when `base` sets a watchdog.
+  WorkerContext(proxy::RdlProxy& proxy, const core::AssertionList& assertions,
+                core::ReplayOptions base);
 
   WorkerContext(const WorkerContext&) = delete;
   WorkerContext& operator=(const WorkerContext&) = delete;
 
-  /// Replay one interleaving against this worker's private fixture. With a
-  /// watchdog configured, a replay that exceeds the deadline returns
+  /// Replay one interleaving against this worker's fixture. With a watchdog
+  /// configured, a replay that exceeds the deadline returns
   /// outcome.timed_out == true and this context transparently rebuilds its
   /// fixture before the next call.
   core::InterleavingOutcome replay_one(const core::Interleaving& il,
                                        const core::EventSet& events);
 
-  proxy::Rdl& subject() noexcept { return *fixture_->subject; }
   const core::AssertionList& assertions() const noexcept { return fixture_->assertions; }
 
  private:
   /// Everything a replay touches, bundled so a hung replay thread can keep a
-  /// shared reference while the worker moves on to a fresh instance.
+  /// shared reference while the worker moves on to a fresh instance. The
+  /// subject and proxy are null for a borrowed fixture.
   struct Fixture {
     std::unique_ptr<proxy::Rdl> subject;
-    std::unique_ptr<kv::Server> lock_server;  // threaded mode only
     std::unique_ptr<proxy::RdlProxy> proxy;
     core::AssertionList assertions;
     std::unique_ptr<core::ReplayEngine> engine;
@@ -71,7 +75,7 @@ class WorkerContext {
 
   core::SubjectFactory subject_factory_;
   core::AssertionFactory assertion_factory_;
-  core::ReplayOptions options_;  // per-worker rewired (budget, callbacks)
+  core::ReplayOptions options_;  // run-level callbacks and cache hook dropped
   std::shared_ptr<Fixture> fixture_;
 };
 

@@ -1,10 +1,12 @@
 // Replay-engine tests: reset-per-interleaving, violation reporting, caps,
 // resource budget, fast-vs-threaded equivalence under the distributed lock.
+// Each run replays inline on the fixture's own proxy through the explorer's
+// borrowed-fixture overload.
 #include <gtest/gtest.h>
 
 #include "core/replay.hpp"
 #include "core/session.hpp"
-#include "kvstore/server.hpp"
+#include "sched/explorer.hpp"
 #include "subjects/town.hpp"
 
 namespace erpi::core {
@@ -34,6 +36,15 @@ struct Fixture {
     return std::make_unique<GroupedEnumerator>(units);
   }
 
+  /// One inline run over this fixture's own proxy.
+  ReplayReport explore(ReplayOptions options, const AssertionList& assertions) {
+    sched::ExplorerOptions explorer;
+    explorer.parallelism = 1;
+    explorer.replay = std::move(options);
+    auto stream = enumerator();
+    return sched::ParallelExplorer(std::move(explorer)).run(*stream, events, proxy, assertions);
+  }
+
   subjects::TownApp town;
   proxy::RdlProxy proxy;
   proxy::EventSet events;
@@ -45,11 +56,8 @@ TEST(ReplayEngine, ExploresWholeUniverseWithoutStopOnViolation) {
   ReplayOptions options;
   options.stop_on_violation = false;
   options.max_interleavings = 1000;
-  ReplayEngine engine(fx.proxy, options);
-  auto enumerator = fx.enumerator();
   util::Json expected = util::Json::array();  // empty transmission
-  const auto report =
-      engine.run(*enumerator, fx.events, {query_result_equals(6, expected)});
+  const auto report = fx.explore(options, {query_result_equals(6, expected)});
   EXPECT_TRUE(report.exhausted);
   EXPECT_EQ(report.explored, 120u);  // 5 units
   EXPECT_GT(report.violations, 0u);  // the synced interleavings transmit {otb}
@@ -59,13 +67,10 @@ TEST(ReplayEngine, ExploresWholeUniverseWithoutStopOnViolation) {
 TEST(ReplayEngine, StopsAtFirstViolation) {
   Fixture fx;
   ReplayOptions options;
-  ReplayEngine engine(fx.proxy, options);
-  auto enumerator = fx.enumerator();
   // identity order transmits {} (otb resolved); expecting {otb} violates later
   util::Json expected = util::Json::array();
   expected.push_back("otb");
-  const auto report =
-      engine.run(*enumerator, fx.events, {query_result_equals(6, expected)});
+  const auto report = fx.explore(options, {query_result_equals(6, expected)});
   ASSERT_TRUE(report.reproduced);
   EXPECT_EQ(report.violations, 1u);
   EXPECT_EQ(report.first_violation_index, 1u);  // identity itself violates here
@@ -86,9 +91,7 @@ TEST(ReplayEngine, EachInterleavingStartsFromInitialState) {
     const auto state = fx.town.replica_state(0);
     if (state["problems"].size() > 1) state_leak = true;
   };
-  ReplayEngine engine(fx.proxy, options);
-  auto enumerator = fx.enumerator();
-  engine.run(*enumerator, fx.events, {});
+  fx.explore(options, {});
   EXPECT_FALSE(state_leak);
 }
 
@@ -97,9 +100,7 @@ TEST(ReplayEngine, HonorsInterleavingCap) {
   ReplayOptions options;
   options.max_interleavings = 7;
   options.stop_on_violation = false;
-  ReplayEngine engine(fx.proxy, options);
-  auto enumerator = fx.enumerator();
-  const auto report = engine.run(*enumerator, fx.events, {});
+  const auto report = fx.explore(options, {});
   EXPECT_EQ(report.explored, 7u);
   EXPECT_TRUE(report.hit_cap);
   EXPECT_FALSE(report.exhausted);
@@ -110,9 +111,7 @@ TEST(ReplayEngine, CrashesWhenResourceBudgetExceeded) {
   ReplayOptions options;
   options.stop_on_violation = false;
   options.resource_budget_bytes = 600;  // a handful of explored-log entries
-  ReplayEngine engine(fx.proxy, options);
-  auto enumerator = fx.enumerator();
-  const auto report = engine.run(*enumerator, fx.events, {});
+  const auto report = fx.explore(options, {});
   EXPECT_TRUE(report.crashed);
   EXPECT_LT(report.explored, 120u);
 }
@@ -122,23 +121,16 @@ TEST(ReplayEngine, ThreadedModeMatchesFastMode) {
   ReplayOptions fast_options;
   fast_options.stop_on_violation = false;
   fast_options.max_interleavings = 24;
-  ReplayEngine fast_engine(fast_fx.proxy, fast_options);
-  auto fast_enum = fast_fx.enumerator();
   util::Json expected = util::Json::array();
-  const auto fast_report =
-      fast_engine.run(*fast_enum, fast_fx.events, {query_result_equals(6, expected)});
+  const auto fast_report = fast_fx.explore(fast_options, {query_result_equals(6, expected)});
 
   Fixture threaded_fx;
-  kv::Server lock_server;
   ReplayOptions threaded_options;
   threaded_options.stop_on_violation = false;
   threaded_options.max_interleavings = 24;
   threaded_options.threaded = true;
-  threaded_options.lock_server = &lock_server;
-  ReplayEngine threaded_engine(threaded_fx.proxy, threaded_options);
-  auto threaded_enum = threaded_fx.enumerator();
-  const auto threaded_report = threaded_engine.run(*threaded_enum, threaded_fx.events,
-                                                   {query_result_equals(6, expected)});
+  const auto threaded_report =
+      threaded_fx.explore(threaded_options, {query_result_equals(6, expected)});
 
   EXPECT_EQ(fast_report.explored, threaded_report.explored);
   EXPECT_EQ(fast_report.violations, threaded_report.violations);
@@ -147,12 +139,9 @@ TEST(ReplayEngine, ThreadedModeMatchesFastMode) {
 TEST(ReplayReport, JsonSerialization) {
   Fixture fx;
   ReplayOptions options;
-  ReplayEngine engine(fx.proxy, options);
-  auto enumerator = fx.enumerator();
   util::Json expected = util::Json::array();
   expected.push_back("otb");
-  const auto report =
-      engine.run(*enumerator, fx.events, {query_result_equals(6, expected)});
+  const auto report = fx.explore(options, {query_result_equals(6, expected)});
   const auto j = report.to_json();
   EXPECT_EQ(j["reproduced"].as_bool(), report.reproduced);
   EXPECT_EQ(j["explored"].as_int(), static_cast<int64_t>(report.explored));
@@ -160,13 +149,6 @@ TEST(ReplayReport, JsonSerialization) {
   EXPECT_FALSE(j["messages"].as_array().empty());
   // round-trips through the JSON layer
   EXPECT_TRUE(util::Json::parse(j.dump()).take() == j);
-}
-
-TEST(ReplayEngine, ThreadedModeRequiresLockServer) {
-  Fixture fx;
-  ReplayOptions options;
-  options.threaded = true;
-  EXPECT_THROW(ReplayEngine(fx.proxy, options), std::invalid_argument);
 }
 
 }  // namespace

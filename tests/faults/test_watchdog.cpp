@@ -111,24 +111,50 @@ core::AssertionFactory ops_succeed() {
 }
 
 TEST(ReplayWatchdog, DeadlockedThreadedReplayIsQuarantinedAndRunCompletes) {
-  close_gate();
-  Session::Config config = watchdog_config(2);
+  // The same config at one worker (inline) and two (the pool): the watchdog
+  // applies at every parallelism, and the report does not depend on it.
+  for (const int parallelism : {1, 2}) {
+    close_gate();
+    Session::Config config = watchdog_config(parallelism);
+    HangingTown town(2);
+    proxy::RdlProxy proxy(town);
+    Session session(proxy, std::move(config));
+    session.start();
+    hanging_workload(proxy);
+    const ReplayReport report = session.end(ops_succeed());
+    release_hung_threads();
+
+    // Three units permute six ways; maybe_hang-before-arm deadlocks in three.
+    EXPECT_EQ(report.explored, 6u) << "p=" << parallelism;
+    EXPECT_EQ(report.timed_out, 3u) << "p=" << parallelism;
+    EXPECT_EQ(report.quarantined,
+              (std::vector<std::string>{"1,0,2", "1,2,0", "2,1,0"}))
+        << "p=" << parallelism;
+    // Quarantined replays contribute no violations; the clean ones all pass.
+    EXPECT_EQ(report.violations, 0u) << "p=" << parallelism;
+    EXPECT_TRUE(report.exhausted) << "p=" << parallelism;
+  }
+}
+
+TEST(ReplayWatchdog, BorrowedFixtureRejectsTheWatchdog) {
+  // end(AssertionList) replays on the session's own fixture, which cannot be
+  // abandoned to a hung replay and rebuilt: the run is refused up front. The
+  // gate stays open, so a run that did start would finish instead of hang.
+  release_hung_threads();
+  Session::Config config = watchdog_config(1);
+  config.replay.threaded = false;  // the watchdog is the only reason to refuse
+  uint64_t replayed = 0;
+  config.replay.on_interleaving_done = [&](uint64_t, const core::Interleaving&) {
+    ++replayed;
+  };
   HangingTown town(2);
   proxy::RdlProxy proxy(town);
   Session session(proxy, std::move(config));
   session.start();
   hanging_workload(proxy);
-  const ReplayReport report = session.end(ops_succeed());
-  release_hung_threads();
-
-  // Three units permute six ways; maybe_hang-before-arm deadlocks in three.
-  EXPECT_EQ(report.explored, 6u);
-  EXPECT_EQ(report.timed_out, 3u);
-  EXPECT_EQ(report.quarantined,
-            (std::vector<std::string>{"1,0,2", "1,2,0", "2,1,0"}));
-  // Quarantined replays contribute no violations; the clean ones all pass.
-  EXPECT_EQ(report.violations, 0u);
-  EXPECT_TRUE(report.exhausted);
+  EXPECT_THROW((void)session.end(core::AssertionList{core::all_ops_succeed()}),
+               std::invalid_argument);
+  EXPECT_EQ(replayed, 0u);
 }
 
 TEST(ReplayWatchdog, QuarantineKeysNameThePlanUnderFaultExploration) {

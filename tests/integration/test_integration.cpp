@@ -6,7 +6,6 @@
 
 #include "bugs/registry.hpp"
 #include "core/session.hpp"
-#include "kvstore/server.hpp"
 #include "subjects/crdt_collection.hpp"
 #include "subjects/town.hpp"
 
@@ -111,11 +110,9 @@ TEST(EndToEnd, ThreadedBugHuntReproducesYorkie1) {
   const auto& bug = bugs::find_bug("Yorkie-1");
   auto subject = bug.make_subject();
   proxy::RdlProxy proxy(*subject);
-  kv::Server lock_server;
   core::Session::Config config;
   config.replay.max_interleavings = 300;
   config.replay.threaded = true;
-  config.replay.lock_server = &lock_server;
   if (bug.configure) bug.configure(config);
   core::Session session(proxy, config);
   session.start();
@@ -152,12 +149,10 @@ TEST(EndToEnd, ThreeReplicaRingUnderThreadedReplay) {
   const auto& bug = bugs::find_bug("Roshi-3");
   auto subject = bug.make_subject();
   proxy::RdlProxy proxy(*subject);
-  kv::Server lock_server;
   core::Session::Config config;
   config.replay.max_interleavings = 40;
   config.replay.stop_on_violation = false;
   config.replay.threaded = true;
-  config.replay.lock_server = &lock_server;
   if (bug.configure) bug.configure(config);
   core::Session session(proxy, config);
   session.start();

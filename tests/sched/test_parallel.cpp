@@ -216,6 +216,19 @@ TEST(ParallelExplorer, SharedBudgetCrashesDeterministically) {
   }
 }
 
+TEST(ParallelExplorer, ThrowingCallbackJoinsThePoolAndRethrows) {
+  // The committer delivers callbacks while the dispatcher and workers run;
+  // a throw there must drain and join them, then surface to the caller.
+  for (const int parallelism : {1, 4}) {
+    Session::Config config = stress_config(parallelism);
+    config.replay.on_interleaving_done = [](uint64_t index, const core::Interleaving&) {
+      if (index == 3) throw std::runtime_error("callback failed");
+    };
+    EXPECT_THROW(run_stress(parallelism, std::move(config)), std::runtime_error)
+        << "p=" << parallelism;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Distributed-lock threaded mode under the parallel outer loop
 // ---------------------------------------------------------------------------
@@ -223,13 +236,8 @@ TEST(ParallelExplorer, SharedBudgetCrashesDeterministically) {
 TEST(ParallelExplorer, ThreadedLockModeValidatesUnderParallelOuterLoop) {
   auto threaded_config = [](int parallelism) {
     Session::Config config = stress_config(parallelism);
-    config.replay.threaded = true;  // workers each get a private kv::Server
+    config.replay.threaded = true;  // every engine hosts a private kv::Server
     config.replay.max_interleavings = 24;
-    if (parallelism <= 1) {
-      // the sequential engine needs an explicit lock server
-      static kv::Server sequential_lock_server;
-      config.replay.lock_server = &sequential_lock_server;
-    }
     return config;
   };
   const ReplayReport sequential = run_stress(1, threaded_config(1));
@@ -299,6 +307,86 @@ TEST(ParallelExplorer, StartOverloadRegistersTheFactory) {
   stress_workload(proxy);
   const ReplayReport report = session.end(transmit_assertions());
   EXPECT_GT(report.explored, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The determinism contract across the one loop's consumers
+// ---------------------------------------------------------------------------
+
+// Any schedule that runs the final unit (leader e10) first "violates": the
+// lex-last 120 of the 720 interleavings.
+core::AssertionFactory planted_tail_block() {
+  return [](proxy::Rdl&) -> AssertionList {
+    return {core::custom("planted-tail-block", [](const core::TestContext& ctx) {
+      if (!ctx.interleaving.order.empty() && ctx.interleaving.order.front() == 10) {
+        return util::Status::fail("planted: last unit scheduled first");
+      }
+      return util::Status::ok();
+    })};
+  };
+}
+
+/// One run's report with the wall clock zeroed. `borrowed` replays through
+/// end(AssertionList) on the session's own fixture.
+std::string parity_report(Session::Config config, bool borrowed) {
+  subjects::TownApp town(2);
+  proxy::RdlProxy proxy(town);
+  Session session(proxy, std::move(config));
+  session.start();
+  stress_workload(proxy);
+  ReplayReport report = borrowed ? session.end(planted_tail_block()(town))
+                                 : session.end(planted_tail_block());
+  report.elapsed_seconds = 0;
+  return report.to_json().dump();
+}
+
+TEST(ExplorationParity, ReportDependsOnlyOnWorkloadAndConfig) {
+  // Crashes mid-sweep (explored log plus the pruning pipeline's dedup
+  // cache), a few dozen interleavings into the planted block in lex order.
+  constexpr uint64_t kCrashBudget = 90'000;
+  for (const core::SearchStrategy strategy :
+       {core::SearchStrategy::LexOrder, core::SearchStrategy::RandomPath,
+        core::SearchStrategy::ViolationFirst}) {
+    for (const bool stop_on_violation : {false, true}) {
+      for (const uint64_t budget : {UINT64_MAX, kCrashBudget}) {
+        const auto config_for = [&](int parallelism) {
+          Session::Config config = stress_config(parallelism);
+          config.replay.stop_on_violation = stop_on_violation;
+          config.replay.resource_budget_bytes = budget;
+          config.search.strategy = strategy;
+          config.search.seed = 99;
+          if (strategy == core::SearchStrategy::ViolationFirst) {
+            config.violation_priors = {core::Interleaving{{10, 9, 7, 8, 6, 3, 4, 5, 0, 1, 2}}};
+          }
+          return config;
+        };
+        const std::string cell = std::string(core::search_strategy_name(strategy)) +
+                                 (stop_on_violation ? " stop" : " sweep") +
+                                 (budget == UINT64_MAX ? "" : " budget");
+        const std::string reference = parity_report(config_for(1), /*borrowed=*/true);
+        EXPECT_EQ(parity_report(config_for(1), false), reference) << cell << " p=1 factory";
+        for (const int parallelism : {2, 4}) {
+          EXPECT_EQ(parity_report(config_for(parallelism), false), reference)
+              << cell << " p=" << parallelism;
+        }
+        if (strategy == core::SearchStrategy::LexOrder && budget == UINT64_MAX) {
+          for (const int parallelism : {1, 2}) {
+            Session::Config sandboxed = config_for(parallelism);
+            sandboxed.isolation = core::Isolation::Process;
+            EXPECT_EQ(parity_report(std::move(sandboxed), false), reference)
+                << cell << " process p=" << parallelism;
+          }
+        }
+        // The matrix exercises what it claims: every sweep finds the planted
+        // block, and the budget cuts every full sweep short.
+        const auto parsed = util::Json::parse(reference).take();
+        EXPECT_TRUE(parsed["reproduced"].as_bool()) << cell;
+        if (budget != UINT64_MAX && !stop_on_violation) {
+          EXPECT_TRUE(parsed["crashed"].as_bool()) << cell;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

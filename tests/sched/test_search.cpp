@@ -1,9 +1,8 @@
-// Guided exploration tests (DESIGN.md §12): the work-stealing Frontier, the
-// split_tree_order subtree partition, the searcher strategies, and the
-// report-determinism guarantees of the guided engine — same (stream,
-// SearchOptions) ⇒ same ReplayReport at parallelism ∈ {1, 4, 8}, with and
-// without fault plans — plus the ViolationFirst
-// prior-guided speedup gate and the corpus prior loader.
+// Guided exploration tests (DESIGN.md §12): the split_tree_order subtree
+// partition, the searcher strategies, and the report-determinism guarantees
+// of ranked exploration — same (stream, SearchOptions) ⇒ same ReplayReport at
+// parallelism ∈ {1, 4, 8}, with and without fault plans — plus the
+// ViolationFirst prior-guided speedup gate and the corpus prior loader.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "core/session.hpp"
 #include "corpus/store.hpp"
 #include "faults/explorer.hpp"
-#include "sched/frontier.hpp"
 #include "sched/searcher.hpp"
 #include "subjects/town.hpp"
 
@@ -28,99 +26,6 @@ using core::SearchOptions;
 using core::SearchStrategy;
 using core::Session;
 using core::SubtreeSpan;
-
-// ---------------------------------------------------------------------------
-// Frontier
-// ---------------------------------------------------------------------------
-
-std::vector<Frontier::Handle> ranges(std::initializer_list<std::pair<size_t, size_t>> rs) {
-  std::vector<Frontier::Handle> out;
-  for (const auto& [next, end] : rs) out.push_back({next, end});
-  return out;
-}
-
-TEST(Frontier, HandsOutEveryOrdinalExactlyOnceSingleThreaded) {
-  Frontier frontier(ranges({{0, 7}, {7, 8}, {8, 20}, {20, 20}, {20, 33}}), 3);
-  std::multiset<size_t> seen;
-  // Round-robin the workers so claims, own-deque drains and steals all mix.
-  bool any = true;
-  while (any) {
-    any = false;
-    for (int w = 0; w < 3; ++w) {
-      if (auto slot = frontier.take(w)) {
-        seen.insert(*slot);
-        any = true;
-      }
-    }
-  }
-  ASSERT_EQ(seen.size(), 33u);
-  for (size_t i = 0; i < 33; ++i) EXPECT_EQ(seen.count(i), 1u) << "ordinal " << i;
-  EXPECT_FALSE(frontier.take(0).has_value());
-}
-
-TEST(Frontier, HandsOutEveryOrdinalExactlyOnceUnderContention) {
-  constexpr size_t kTotal = 10'000;
-  Frontier frontier(ranges({{0, kTotal}}), 4);
-  std::vector<std::vector<size_t>> per_worker(4);
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 4; ++w) {
-    threads.emplace_back([&, w] {
-      while (auto slot = frontier.take(w)) per_worker[static_cast<size_t>(w)].push_back(*slot);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  std::vector<size_t> all;
-  for (const auto& v : per_worker) all.insert(all.end(), v.begin(), v.end());
-  ASSERT_EQ(all.size(), kTotal);
-  std::sort(all.begin(), all.end());
-  for (size_t i = 0; i < kTotal; ++i) ASSERT_EQ(all[i], i);
-}
-
-TEST(Frontier, StealSplitsLargestRemainingHandleVictimKeepsFront) {
-  // Worker 0 owns [0, 10); worker 1 drains its own [10, 12) then must steal.
-  Frontier frontier(ranges({{0, 10}, {10, 12}}), 2);
-  EXPECT_EQ(frontier.take(0), std::optional<size_t>(0));  // w0 claims [0,10)
-  EXPECT_EQ(frontier.take(1), std::optional<size_t>(10)); // w1 claims [10,12)
-  EXPECT_EQ(frontier.take(1), std::optional<size_t>(11));
-  EXPECT_EQ(frontier.steals(), 0u);
-
-  // w1 is empty; the only victim handle is w0's [1, 10) (9 remaining). The
-  // split hands the thief the tail [5, 10) and leaves the victim the
-  // contiguous front [1, 5).
-  EXPECT_EQ(frontier.take(1), std::optional<size_t>(5));
-  EXPECT_EQ(frontier.steals(), 1u);
-  EXPECT_EQ(frontier.splits(), 1u);
-
-  // Alternate takes so neither side runs dry and steals back: the victim
-  // walks its contiguous front, the thief its tail half.
-  std::vector<size_t> victim, thief;
-  for (int round = 0; round < 4; ++round) {
-    victim.push_back(*frontier.take(0));
-    thief.push_back(*frontier.take(1));
-  }
-  EXPECT_EQ(victim, (std::vector<size_t>{1, 2, 3, 4}));
-  EXPECT_EQ(thief, (std::vector<size_t>{6, 7, 8, 9}));
-  EXPECT_EQ(frontier.steals(), 1u);
-  EXPECT_FALSE(frontier.take(0).has_value());
-  EXPECT_FALSE(frontier.take(1).has_value());
-}
-
-TEST(Frontier, StealOfSingleItemHandleMovesItWholeWithoutSplit) {
-  Frontier frontier(ranges({{0, 2}}), 2);
-  EXPECT_EQ(frontier.take(0), std::optional<size_t>(0));  // w0 claims, 1 left
-  EXPECT_EQ(frontier.take(1), std::optional<size_t>(1));  // w1 steals it whole
-  EXPECT_EQ(frontier.steals(), 1u);
-  EXPECT_EQ(frontier.splits(), 0u);
-  EXPECT_FALSE(frontier.take(0).has_value());
-  EXPECT_FALSE(frontier.take(1).has_value());
-}
-
-TEST(Frontier, DropsEmptyRangesAndClampsWorkerIndex) {
-  Frontier frontier(ranges({{3, 3}, {5, 6}}), 1);
-  EXPECT_EQ(frontier.take(7), std::optional<size_t>(5));  // out-of-range worker
-  EXPECT_FALSE(frontier.take(-2).has_value());
-}
 
 // ---------------------------------------------------------------------------
 // split_tree_order
@@ -317,7 +222,7 @@ core::AssertionFactory planted_assertions() {
   };
 }
 
-ReplayReport run_guided(Session::Config config) {
+ReplayReport run_planted(Session::Config config) {
   subjects::TownApp town(2);
   proxy::RdlProxy proxy(town);
   Session session(proxy, std::move(config));
@@ -356,32 +261,15 @@ TEST(GuidedSearch, ReportsIdenticalAcrossParallelismAndDepthPerStrategy) {
       return config;
     };
     const std::string name = core::search_strategy_name(strategy);
-    const ReplayReport baseline = run_guided(config_for(1));
+    const ReplayReport baseline = run_planted(config_for(1));
     EXPECT_EQ(baseline.explored, 720u) << name;
     EXPECT_EQ(baseline.violations, 120u) << name;
     ASSERT_TRUE(baseline.reproduced) << name;
 
     for (const int parallelism : {4, 8}) {
-      const ReplayReport report = run_guided(config_for(parallelism));
+      const ReplayReport report = run_planted(config_for(parallelism));
       expect_reports_equal(report, baseline, name + " p=" + std::to_string(parallelism));
     }
-  }
-}
-
-TEST(GuidedSearch, LexFrontierMatchesStreamingByteForByte) {
-  // LexOrder through the frontier engine (deterministic_order = false) must
-  // reproduce the streaming dispatcher's report exactly — same commit order,
-  // same counters — modulo wall-clock noise.
-  auto normalized = [](ReplayReport report) {
-    report.elapsed_seconds = 0.0;
-    return report.to_json().dump();
-  };
-  const std::string streaming = normalized(run_guided(guided_config(4)));
-  for (const int parallelism : {1, 4, 8}) {
-    Session::Config config = guided_config(parallelism);
-    config.search.deterministic_order = false;  // LexOrder, frontier engine
-    EXPECT_EQ(normalized(run_guided(std::move(config))), streaming)
-        << "p=" << parallelism;
   }
 }
 
@@ -391,7 +279,7 @@ TEST(GuidedSearch, ViolationFirstPriorFindsPlantedBugTenTimesFaster) {
   // ranked subtree into the violating block: first commit ordinal violates.
   Session::Config lex = guided_config(1);
   lex.replay.stop_on_violation = true;
-  const ReplayReport lex_report = run_guided(std::move(lex));
+  const ReplayReport lex_report = run_planted(std::move(lex));
   ASSERT_TRUE(lex_report.reproduced);
   ASSERT_EQ(lex_report.first_violation_index, 601u);
 
@@ -400,7 +288,7 @@ TEST(GuidedSearch, ViolationFirstPriorFindsPlantedBugTenTimesFaster) {
   vf.search.strategy = SearchStrategy::ViolationFirst;
   vf.search.max_subtree_items = 16;
   vf.violation_priors = {Interleaving{{10, 9, 7, 8, 6, 3, 4, 5, 0, 1, 2}}};
-  const ReplayReport vf_report = run_guided(std::move(vf));
+  const ReplayReport vf_report = run_planted(std::move(vf));
   ASSERT_TRUE(vf_report.reproduced);
   EXPECT_EQ(vf_report.first_violation_index, 1u);
   // The ISSUE's acceptance gate: >= 10x fewer interleavings than lex.
@@ -411,22 +299,22 @@ TEST(GuidedSearch, ViolationFirstPriorFindsPlantedBugTenTimesFaster) {
 
 TEST(GuidedSearch, ExplorerStatsOmittedByDefaultRecordedWhenEnabled) {
   // Default: no telemetry, no "explorer" key — reports stay byte-stable.
-  const ReplayReport quiet = run_guided(guided_config(4));
+  const ReplayReport quiet = run_planted(guided_config(4));
   EXPECT_FALSE(quiet.explorer.any());
   EXPECT_EQ(quiet.to_json().dump().find("\"explorer\""), std::string::npos);
 
   // Streaming engine with stats: the chosen batch size is recorded.
   Session::Config streaming = guided_config(4);
   streaming.collect_explorer_stats = true;
-  const ReplayReport streamed = run_guided(std::move(streaming));
+  const ReplayReport streamed = run_planted(std::move(streaming));
   EXPECT_GT(streamed.explorer.batch_size, 0u);
   EXPECT_NE(streamed.to_json().dump().find("\"explorer\""), std::string::npos);
 
-  // Guided engine with stats: the frontier shape is recorded.
+  // Ranked run with stats: the subtree count is recorded.
   Session::Config guided = guided_config(4);
   guided.collect_explorer_stats = true;
   guided.search.strategy = SearchStrategy::RandomPath;
-  const ReplayReport ranked = run_guided(std::move(guided));
+  const ReplayReport ranked = run_planted(std::move(guided));
   EXPECT_GT(ranked.explorer.subtrees, 0u);
   EXPECT_NE(ranked.to_json().dump().find("\"explorer\""), std::string::npos);
 }
@@ -440,7 +328,24 @@ TEST(GuidedSearch, GuardsRejectSharedAssertionsAndJournalResume) {
     Session session(proxy, std::move(config));
     session.start();
     stress_workload(proxy);
-    // Shared assertion instances cannot be handed to the frontier workers.
+    // One worker replays a shared assertion list inline on the session's own
+    // fixture, and reports exactly what the factory-built worker does.
+    ReplayReport listed = session.end(planted_assertions()(town));
+    Session::Config factory_config = guided_config(1);
+    factory_config.search.strategy = SearchStrategy::RandomPath;
+    ReplayReport built = run_planted(std::move(factory_config));
+    listed.elapsed_seconds = built.elapsed_seconds = 0;
+    EXPECT_EQ(listed.to_json().dump(), built.to_json().dump());
+  }
+  {
+    subjects::TownApp town(2);
+    proxy::RdlProxy proxy(town);
+    Session::Config config = guided_config(4);
+    config.search.strategy = SearchStrategy::RandomPath;
+    Session session(proxy, std::move(config));
+    session.start();
+    stress_workload(proxy);
+    // Shared assertion instances cannot be handed to concurrent workers.
     EXPECT_THROW(session.end(core::AssertionList{}), std::invalid_argument);
   }
   {
@@ -474,7 +379,7 @@ void fault_workload(proxy::RdlProxy& proxy) {
   (void)proxy.exec_sync(0, 1);                       // e8
 }
 
-ReplayReport run_guided_faults(int parallelism, SearchStrategy strategy) {
+ReplayReport run_fault_sweep(int parallelism, SearchStrategy strategy) {
   Session::Config config;
   config.generation_order = core::GroupedEnumerator::Order::Lexicographic;
   config.spec_groups = {{0, 1, 2}, {3, 4, 5}, {6, 7, 8}};
@@ -499,10 +404,10 @@ ReplayReport run_guided_faults(int parallelism, SearchStrategy strategy) {
 TEST(GuidedSearch, FaultPlanSweepsIdenticalAcrossParallelism) {
   for (const SearchStrategy strategy :
        {SearchStrategy::RandomPath, SearchStrategy::ViolationFirst}) {
-    const ReplayReport sequential = run_guided_faults(1, strategy);
+    const ReplayReport sequential = run_fault_sweep(1, strategy);
     ASSERT_GT(sequential.plans_explored, 1u);
     ASSERT_GT(sequential.explored, sequential.plans_explored);
-    const ReplayReport parallel = run_guided_faults(4, strategy);
+    const ReplayReport parallel = run_fault_sweep(4, strategy);
     expect_reports_equal(parallel, sequential,
                          std::string("faults ") + core::search_strategy_name(strategy));
     EXPECT_EQ(parallel.plans_explored, sequential.plans_explored);

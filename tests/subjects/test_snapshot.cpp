@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,10 @@ struct SnapshotCase {
   /// Second phase: consumes the pending sync and mutates further.
   std::function<void(SubjectBase&)> phase2;
 };
+
+/// gtest prints a parameter without a printer as its raw bytes, which embed
+/// pointers and change between builds; the subject name is stable.
+void PrintTo(const SnapshotCase& snapshot_case, std::ostream* os) { *os << snapshot_case.name; }
 
 void must(util::Result<util::Json> r) { ASSERT_TRUE(r.has_value()) << r.error().message; }
 
