@@ -159,11 +159,8 @@ util::Json run_scale(size_t scale, bool& ok) {
       record.plan = "drop:" + std::to_string(i % 97);
       record.il = std::to_string(i);
       if (i % 11 == 0) {
-        record.kind = corpus::OutcomeKind::Violation;
-        record.violations.push_back({"replicas_converge", "diverged"});
+        record.outcome.violations.push_back({"replicas_converge", "diverged"});
         if (i < slice) ++slice_violations;
-      } else {
-        record.kind = corpus::OutcomeKind::Pass;
       }
       store.append(std::move(record));
     }
@@ -265,8 +262,9 @@ int run_smoke(size_t rounds) {
   }
   bool saw_pass_to_violation = false;
   for (const auto& change : flipped.diff.changed) {
-    saw_pass_to_violation |= change.before.kind == corpus::OutcomeKind::Pass &&
-                             change.after.kind == corpus::OutcomeKind::Violation;
+    saw_pass_to_violation |=
+        std::string(core::outcome_kind_name(change.before)) == "pass" &&
+        std::string(core::outcome_kind_name(change.after)) == "violation";
   }
   if (!saw_pass_to_violation) {
     std::fprintf(stderr, "bench_corpus: no pass->violation flip in the diff\n");

@@ -136,8 +136,7 @@ std::vector<core::Interleaving> corpus_seeded_priors(const PlantedBug& bug) {
     record.fingerprint = 1;
     record.plan = "none";
     record.il = bug.prior.key();
-    record.kind = corpus::OutcomeKind::Violation;
-    record.violations.push_back({bug.name, "planted bug fired"});
+    record.outcome.violations.push_back({bug.name, "planted bug fired"});
     store.append(std::move(record));
   }
   auto priors = corpus::violation_priors(dir);

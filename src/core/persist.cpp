@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace erpi::core {
@@ -136,61 +137,22 @@ std::vector<int64_t> InterleavingStore::interleavings_where_precedes(int e1, int
 
 namespace {
 
-std::string fingerprint_hex(uint64_t fingerprint) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return std::string(buf);
-}
-
 std::string journal_header_line(uint64_t fingerprint) {
   util::Json header = util::Json::object();
   header["erpi_run_journal"] = static_cast<int64_t>(1);
-  header["fingerprint"] = fingerprint_hex(fingerprint);
+  header["fingerprint"] = util::hex64(fingerprint);
   return header.dump();
 }
 
-/// The journal's record codec — the only code that knows its field layout.
-/// Optional fields are written only when set, so pass records stay short and
-/// journals from before crash isolation and storage plans stay loadable.
+/// A record is the pair's plan, ordinal and interleaving key plus the outcome
+/// codec's fields (core/replay.hpp).
 std::string journal_record_line(const RunJournal::Record& record) {
-  const InterleavingOutcome& outcome = record.outcome;
   util::Json j = util::Json::object();
   j["plan"] = record.plan;
   j["il"] = static_cast<int64_t>(record.interleaving);
   j["key"] = record.key;
-  j["timed_out"] = outcome.timed_out;
-  // Presence means crashed: a child that exited cleanly mid-replay is a crash
-  // with signal 0.
-  if (outcome.crashed) j["crash_signal"] = static_cast<int64_t>(outcome.term_signal);
-  if (outcome.oom) j["oom"] = true;
-  if (outcome.recovery) {
-    j["recovery"] = std::string(recovery_status_name(outcome.recovery->status));
-    if (outcome.recovery->first_missing != 0) {
-      j["recovery_first"] = static_cast<int64_t>(outcome.recovery->first_missing);
-    }
-    if (outcome.recovery->missing_count != 0) {
-      j["recovery_count"] = static_cast<int64_t>(outcome.recovery->missing_count);
-    }
-  }
-  util::Json violations = util::Json::array();
-  for (const auto& violation : outcome.violations) {
-    util::Json v = util::Json::object();
-    v["assertion"] = violation.assertion;
-    v["message"] = violation.message;
-    violations.push_back(std::move(v));
-  }
-  j["violations"] = std::move(violations);
+  outcome_to_json(j, record.outcome);
   return j.dump();
-}
-
-/// Reads an optional non-negative count field into `out`; false when present
-/// but malformed.
-bool read_count(const util::Json& j, const char* field, uint64_t& out) {
-  if (!j.contains(field)) return true;
-  if (!j[field].is_int() || j[field].as_int() < 0) return false;
-  out = static_cast<uint64_t>(j[field].as_int());
-  return true;
 }
 
 std::optional<RunJournal::Record> parse_record_line(const std::string& line) {
@@ -199,49 +161,14 @@ std::optional<RunJournal::Record> parse_record_line(const std::string& line) {
   const util::Json& j = parsed.value();
   if (!j.is_object()) return std::nullopt;
   if (!j.contains("plan") || !j["plan"].is_string()) return std::nullopt;
-  if (!j.contains("il") || !j["il"].is_int()) return std::nullopt;
+  if (!j.contains("il") || !j["il"].is_int() || j["il"].as_int() < 1) return std::nullopt;
   if (!j.contains("key") || !j["key"].is_string()) return std::nullopt;
-  if (!j.contains("timed_out") || !j["timed_out"].is_bool()) return std::nullopt;
-  if (!j.contains("violations") || !j["violations"].is_array()) return std::nullopt;
-  RunJournal::Record record;
-  record.plan = j["plan"].as_string();
-  const int64_t ordinal = j["il"].as_int();
-  if (ordinal < 1) return std::nullopt;
-  record.interleaving = static_cast<uint64_t>(ordinal);
-  record.key = j["key"].as_string();
-  // The resumed run rebuilds the interleaving from its key.
-  if (!Interleaving::parse_key(record.key)) return std::nullopt;
-  InterleavingOutcome& outcome = record.outcome;
-  outcome.timed_out = j["timed_out"].as_bool();
-  if (j.contains("crash_signal")) {
-    if (!j["crash_signal"].is_int()) return std::nullopt;
-    outcome.crashed = true;
-    outcome.term_signal = static_cast<int>(j["crash_signal"].as_int());
-  }
-  if (j.contains("oom")) {
-    if (!j["oom"].is_bool()) return std::nullopt;
-    outcome.oom = j["oom"].as_bool();
-  }
-  if (j.contains("recovery")) {
-    if (!j["recovery"].is_string()) return std::nullopt;
-    const auto status = recovery_status_from_name(j["recovery"].as_string());
-    if (!status) return std::nullopt;
-    RecoveryVerdict verdict;
-    verdict.status = *status;
-    if (!read_count(j, "recovery_first", verdict.first_missing) ||
-        !read_count(j, "recovery_count", verdict.missing_count)) {
-      return std::nullopt;
-    }
-    outcome.recovery = verdict;
-  }
-  for (const auto& v : j["violations"].as_array()) {
-    if (!v.is_object() || !v.contains("assertion") || !v["assertion"].is_string() ||
-        !v.contains("message") || !v["message"].is_string()) {
-      return std::nullopt;
-    }
-    outcome.violations.push_back({v["assertion"].as_string(), v["message"].as_string()});
-  }
-  return record;
+  // A damaged key marks a damaged line: it ends the valid prefix.
+  if (!Interleaving::parse_key(j["key"].as_string())) return std::nullopt;
+  auto outcome = outcome_from_json(j);
+  if (!outcome) return std::nullopt;
+  return RunJournal::Record{j["plan"].as_string(), static_cast<uint64_t>(j["il"].as_int()),
+                            j["key"].as_string(), std::move(*outcome)};
 }
 
 std::unique_ptr<std::ostream> open_stream(const RunJournal::StreamFactory& factory,
@@ -306,12 +233,10 @@ std::optional<RunJournal::Loaded> RunJournal::load(const std::string& path) {
       !h.contains("fingerprint") || !h["fingerprint"].is_string()) {
     return std::nullopt;
   }
+  const auto fingerprint = util::parse_hex64(h["fingerprint"].as_string());
+  if (!fingerprint) return std::nullopt;
   Loaded loaded;
-  try {
-    loaded.fingerprint = std::stoull(h["fingerprint"].as_string(), nullptr, 16);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  loaded.fingerprint = *fingerprint;
   // Accept the longest valid prefix: stop at the first malformed line (a
   // torn tail from a SIGKILL) or the first record that breaks a plan's
   // ascending 1..m ordinal sequence (only possible via corruption — the

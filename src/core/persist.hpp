@@ -71,7 +71,9 @@ class InterleavingStore {
 ///
 /// File layout (JSONL):
 ///   line 1   — header: {"erpi_run_journal":1,"fingerprint":"<16 hex digits>"}
-///   line 2.. — one record per completed pair, in commit order
+///   line 2.. — one record per completed pair, in commit order: "plan",
+///              "il" (the ordinal), "key", plus the outcome codec's fields
+///              (core::outcome_to_json — the corpus writes the same ones)
 ///
 /// Durability model: create() writes the header and the resumed prefix to
 /// `path.tmp` in one pass and atomically renames it over `path`, so a torn
@@ -81,9 +83,9 @@ class InterleavingStore {
 /// the first malformed or out-of-order record — everything before it is a
 /// valid prefix of the run. Because the parallel committer commits pairs in
 /// order, the journaled records for each plan always form an ascending 1..m
-/// prefix of that plan's sweep; resuming means skipping the first m
-/// interleavings of each journaled plan and merging the recorded outcomes
-/// back into the report.
+/// prefix of that plan's sweep; a resumed run serves them back as the
+/// outcomes of that plan's first m pulls, through the explorer's outcome
+/// cache, the way corpus hits are served.
 ///
 /// The fingerprint (FNV-1a over the run configuration: mode, order, seeds,
 /// caps, events, plan catalog — but not parallelism, so a resume may use a

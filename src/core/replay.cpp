@@ -1,5 +1,6 @@
 #include "core/replay.hpp"
 
+#include <limits>
 #include <thread>
 
 #include "core/dpor.hpp"
@@ -14,23 +15,6 @@ const char* isolation_name(Isolation isolation) noexcept {
     case Isolation::Process: return "process";
   }
   return "?";
-}
-
-const char* recovery_status_name(RecoveryVerdict::Status status) noexcept {
-  switch (status) {
-    case RecoveryVerdict::Status::Recovered: return "recovered";
-    case RecoveryVerdict::Status::MissingEntries: return "missing_entries";
-    case RecoveryVerdict::Status::Diverged: return "diverged";
-  }
-  return "?";
-}
-
-std::optional<RecoveryVerdict::Status> recovery_status_from_name(
-    std::string_view name) noexcept {
-  if (name == "recovered") return RecoveryVerdict::Status::Recovered;
-  if (name == "missing_entries") return RecoveryVerdict::Status::MissingEntries;
-  if (name == "diverged") return RecoveryVerdict::Status::Diverged;
-  return std::nullopt;
 }
 
 const char* search_strategy_name(SearchStrategy strategy) noexcept {
@@ -127,6 +111,131 @@ util::Json ReplayReport::to_json() const {
   return j;
 }
 
+// ---------------------------------------------------------------------------
+// The outcome codec
+
+namespace {
+
+const char* recovery_status_name(RecoveryVerdict::Status status) noexcept {
+  switch (status) {
+    case RecoveryVerdict::Status::Recovered: return "recovered";
+    case RecoveryVerdict::Status::MissingEntries: return "missing_entries";
+    case RecoveryVerdict::Status::Diverged: return "diverged";
+  }
+  return "?";
+}
+
+std::optional<RecoveryVerdict::Status> recovery_status_from_name(
+    std::string_view name) noexcept {
+  if (name == "recovered") return RecoveryVerdict::Status::Recovered;
+  if (name == "missing_entries") return RecoveryVerdict::Status::MissingEntries;
+  if (name == "diverged") return RecoveryVerdict::Status::Diverged;
+  return std::nullopt;
+}
+
+/// An optional non-negative count field; false when present but malformed.
+bool read_count(const util::Json& j, const char* field, uint64_t& out) {
+  if (!j.contains(field)) return true;
+  if (!j[field].is_int() || j[field].as_int() < 0) return false;
+  out = static_cast<uint64_t>(j[field].as_int());
+  return true;
+}
+
+}  // namespace
+
+const char* outcome_kind_name(const InterleavingOutcome& outcome) noexcept {
+  if (outcome.timed_out) return "timed_out";
+  if (outcome.crashed) return "crashed";
+  if (outcome.oom) return "oom";
+  return outcome.violations.empty() ? "pass" : "violation";
+}
+
+void outcome_to_json(util::Json& object, const InterleavingOutcome& outcome) {
+  const std::string_view kind = outcome_kind_name(outcome);
+  object["o"] = std::string(kind);
+  if (outcome.quarantine()) {
+    // A crash with signal 0 is a child that exited cleanly mid-replay.
+    if (kind == "crashed" && outcome.term_signal > 0) {
+      object["sig"] = static_cast<int64_t>(outcome.term_signal);
+    }
+    return;
+  }
+  if (!outcome.violations.empty()) {
+    util::Json violations = util::Json::array();
+    for (const auto& violation : outcome.violations) {
+      util::Json v = util::Json::object();
+      v["a"] = violation.assertion;
+      v["m"] = violation.message;
+      violations.push_back(std::move(v));
+    }
+    object["v"] = std::move(violations);
+  }
+  if (outcome.recovery) {
+    object["rk"] = std::string(recovery_status_name(outcome.recovery->status));
+    if (outcome.recovery->first_missing != 0) {
+      object["rf"] = static_cast<int64_t>(outcome.recovery->first_missing);
+    }
+    if (outcome.recovery->missing_count != 0) {
+      object["rc"] = static_cast<int64_t>(outcome.recovery->missing_count);
+    }
+  }
+}
+
+std::optional<InterleavingOutcome> outcome_from_json(const util::Json& object) {
+  if (!object.is_object() || !object.contains("o") || !object["o"].is_string()) {
+    return std::nullopt;
+  }
+  const std::string& kind = object["o"].as_string();
+  InterleavingOutcome outcome;
+  if (kind == "timed_out") {
+    outcome.timed_out = true;
+  } else if (kind == "crashed") {
+    outcome.crashed = true;
+  } else if (kind == "oom") {
+    outcome.oom = true;
+  } else if (kind != "pass" && kind != "violation") {
+    return std::nullopt;
+  }
+  if (object.contains("sig")) {
+    const util::Json& sig = object["sig"];
+    if (!outcome.crashed || !sig.is_int() || sig.as_int() <= 0 ||
+        sig.as_int() > std::numeric_limits<int>::max()) {
+      return std::nullopt;
+    }
+    outcome.term_signal = static_cast<int>(sig.as_int());
+  }
+  if (object.contains("v") != (kind == "violation")) return std::nullopt;
+  if (object.contains("v")) {
+    const util::Json& violations = object["v"];
+    if (!violations.is_array() || violations.as_array().empty()) return std::nullopt;
+    for (const auto& v : violations.as_array()) {
+      if (!v.is_object() || !v.contains("a") || !v["a"].is_string() || !v.contains("m") ||
+          !v["m"].is_string()) {
+        return std::nullopt;
+      }
+      outcome.violations.push_back({v["a"].as_string(), v["m"].as_string()});
+    }
+  }
+  if (!object.contains("rk")) {
+    if (object.contains("rf") || object.contains("rc")) return std::nullopt;
+    return outcome;
+  }
+  if (outcome.quarantine() || !object["rk"].is_string()) return std::nullopt;
+  const auto status = recovery_status_from_name(object["rk"].as_string());
+  if (!status) return std::nullopt;
+  RecoveryVerdict verdict;
+  verdict.status = *status;
+  if (!read_count(object, "rf", verdict.first_missing) ||
+      !read_count(object, "rc", verdict.missing_count)) {
+    return std::nullopt;
+  }
+  outcome.recovery = verdict;
+  return outcome;
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation
+
 void commit_outcome(ReplayReport& report, const Interleaving& il,
                     const InterleavingOutcome& outcome, const std::optional<PlanTag>& plan) {
   ++report.explored;
@@ -148,7 +257,7 @@ void commit_outcome(ReplayReport& report, const Interleaving& il,
     }
     il.append_key(key);
     report.quarantine_records.push_back(
-        {key, outcome.quarantine_reason(), outcome.term_signal});
+        {key, outcome_kind_name(outcome), outcome.term_signal});
     report.quarantined.push_back(std::move(key));
   }
   if (outcome.recovery) {

@@ -266,10 +266,6 @@ struct RecoveryVerdict {
   bool operator==(const RecoveryVerdict&) const = default;
 };
 
-const char* recovery_status_name(RecoveryVerdict::Status status) noexcept;
-std::optional<RecoveryVerdict::Status> recovery_status_from_name(
-    std::string_view name) noexcept;
-
 /// Observes replay execution at interleaving positions. This is the hook the
 /// fault-schedule layer (src/faults) uses to fire scheduled actions — core
 /// stays ignorant of fault plans and only promises *when* the hooks run:
@@ -523,10 +519,33 @@ struct InterleavingOutcome {
   /// Anything that pulls the item from normal aggregation (no violations are
   /// reported; the run quarantines the key and keeps exploring).
   bool quarantine() const noexcept { return timed_out || crashed || oom; }
-  const char* quarantine_reason() const noexcept {
-    return timed_out ? "timed_out" : crashed ? "crashed" : "oom";
-  }
 };
+
+/// The one JSON codec for an outcome (DESIGN.md §11.1). The run journal, the
+/// corpus, the sandbox wire and the diff report all write an outcome as these
+/// fields of an enclosing object:
+///
+///   "o"              the kind: "pass", "violation", "crashed", "oom" or
+///                    "timed_out"
+///   "sig"            crashed only, when positive: the terminating signal
+///   "v"              violation only: [{"a": assertion, "m": message}, ...]
+///   "rk", "rf", "rc" pass or violation only: the recovery verdict's status
+///                    name, first_missing and missing_count (each count only
+///                    when non-zero)
+///
+/// The kinds are exclusive, as every outcome the engine, the watchdog and
+/// the sandbox produce is.
+
+/// The kind of `outcome` as the codec names it. An outcome that sets several
+/// quarantine flags is named by the first of timed_out, crashed, oom.
+const char* outcome_kind_name(const InterleavingOutcome& outcome) noexcept;
+/// Write `outcome`'s fields into `object` (a JSON object).
+void outcome_to_json(util::Json& object, const InterleavingOutcome& outcome);
+/// Read an outcome back from `object`'s fields. Strict: nullopt for an
+/// unknown kind, a violation without violations, violations, a signal or a
+/// recovery verdict on a kind that carries none, a non-positive signal, an
+/// unknown recovery status, or a negative or non-integer count.
+std::optional<InterleavingOutcome> outcome_from_json(const util::Json& object);
 
 /// The fault plan a committed pair ran under (fault sweeps only).
 struct PlanTag {

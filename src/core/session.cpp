@@ -249,11 +249,6 @@ ReplayReport Session::end_with_factory(const AssertionFactory& assertion_factory
 
 ReplayReport Session::explore(const AssertionFactory& assertion_factory,
                               const AssertionList* borrowed) {
-  if (config_.search.strategy != SearchStrategy::LexOrder && !config_.resume_journal.empty()) {
-    throw std::invalid_argument(
-        "guided search cannot resume from a journal: journal skip-and-merge "
-        "assumes the enumerator's stream order, which a searcher reorders");
-  }
   PreparedRun prepared = prepare_run();
   sched::ExplorerOptions options;
   options.parallelism = config_.parallelism;

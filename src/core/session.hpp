@@ -108,11 +108,12 @@ class Session {
     /// Crash-free runs report identically to Isolation::None.
     Isolation isolation = Isolation::None;
     /// Crash-safe resume journal path for fault-schedule exploration
-    /// (faults::explore_with_faults). "" disables journaling. When the file
-    /// already exists and its fingerprint matches the run configuration, the
-    /// journaled (interleaving, plan) pairs are skipped and their recorded
-    /// outcomes merged into the final report — so a SIGKILLed run picks up
-    /// where it left off; otherwise a fresh journal is started at this path.
+    /// (faults::explore_with_faults; Session::end never journals). ""
+    /// disables journaling. When the file already exists and its fingerprint
+    /// matches the run configuration, the journaled (interleaving, plan)
+    /// pairs are not replayed: their recorded outcomes are committed in their
+    /// place — so a SIGKILLed run picks up where it left off; otherwise a
+    /// fresh journal is started at this path. A ranked search rejects it.
     std::string resume_journal;
     /// Directory of the cross-run persistent outcome corpus
     /// (corpus::Store; DESIGN.md §11). "" disables the corpus. Unlike

@@ -1,22 +1,11 @@
 #include "corpus/bridge.hpp"
 
-#include <cstdio>
 #include <map>
 
 #include "faults/plan.hpp"
+#include "util/hash.hpp"
 
 namespace erpi::corpus {
-
-namespace {
-
-std::string fingerprint_symbol(uint64_t fingerprint) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return std::string(buf);
-}
-
-}  // namespace
 
 DatalogBridge::DatalogBridge(datalog::Database& db) : db_(&db) {
   db_->relation("outcome", 5);
@@ -73,17 +62,17 @@ DatalogBridge::Stats DatalogBridge::export_store(
 
   store.for_each_sorted([&](const Record& record) {
     if (fingerprint && record.fingerprint != *fingerprint) return;
-    std::string fp = fingerprint_symbol(record.fingerprint);
+    std::string fp = util::hex64(record.fingerprint);
     datalog::Value fp_sym = db_->sym(fp);
     datalog::Value plan_sym = db_->sym(record.plan);
     datalog::Value il_sym = db_->sym(record.il);
     if (db_->insert_fact("outcome",
                          {fp_sym, plan_sym, il_sym,
-                          db_->sym(outcome_kind_name(record.kind)),
-                          datalog::Database::num(record.signal)})) {
+                          db_->sym(core::outcome_kind_name(record.outcome)),
+                          datalog::Database::num(record.outcome.term_signal)})) {
       ++stats.outcome_facts;
     }
-    for (const auto& violation : record.violations) {
+    for (const auto& violation : record.outcome.violations) {
       if (db_->insert_fact("violation",
                            {fp_sym, plan_sym, il_sym,
                             db_->sym(violation.assertion)})) {
@@ -99,7 +88,7 @@ DatalogBridge::Stats DatalogBridge::export_store(
     }
     Meta& m = meta[fp];
     ++m.records;
-    if (record.kind == OutcomeKind::Violation) ++m.violations;
+    if (!record.outcome.violations.empty()) ++m.violations;
     if (static_cast<int64_t>(record.seq) > m.last_seq) {
       m.last_seq = static_cast<int64_t>(record.seq);
     }

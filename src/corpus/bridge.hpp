@@ -5,10 +5,11 @@
 // violations involving replica 2 under partition plans") instead of needing
 // ad-hoc report scraping:
 //
-//   outcome(Fp, Plan, Il, Kind, Signal)   every record; Kind is one of
-//                                         "pass" / "violation" / "crashed" /
-//                                         "oom" / "timed_out" /
-//                                         "budget_exhausted", Signal is the
+//   outcome(Fp, Plan, Il, Kind, Signal)   every record; Kind is the outcome
+//                                         codec's name for it
+//                                         (core::outcome_kind_name: "pass" /
+//                                         "violation" / "crashed" / "oom" /
+//                                         "timed_out"), Signal is the
 //                                         terminating signal (0 unless
 //                                         crashed).
 //   violation(Fp, Plan, Il, Assertion)    one fact per violated assertion of

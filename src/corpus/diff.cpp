@@ -2,27 +2,6 @@
 
 namespace erpi::corpus {
 
-namespace {
-
-util::Json record_side_json(const Record& record) {
-  util::Json j = util::Json::object();
-  j["outcome"] = std::string(outcome_kind_name(record.kind));
-  if (record.signal != 0) j["signal"] = static_cast<int64_t>(record.signal);
-  if (!record.violations.empty()) {
-    util::Json violations = util::Json::array();
-    for (const auto& violation : record.violations) {
-      util::Json v = util::Json::object();
-      v["assertion"] = violation.assertion;
-      v["message"] = violation.message;
-      violations.push_back(std::move(v));
-    }
-    j["violations"] = std::move(violations);
-  }
-  return j;
-}
-
-}  // namespace
-
 util::Json OutcomeDiff::to_json() const {
   util::Json j = util::Json::object();
   j["compared"] = static_cast<int64_t>(compared);
@@ -33,8 +12,10 @@ util::Json OutcomeDiff::to_json() const {
     util::Json c = util::Json::object();
     c["plan"] = change.plan;
     c["il"] = change.il;
-    c["before"] = record_side_json(change.before);
-    c["after"] = record_side_json(change.after);
+    c["before"] = util::Json::object();
+    core::outcome_to_json(c["before"], change.before);
+    c["after"] = util::Json::object();
+    core::outcome_to_json(c["after"], change.after);
     changes.push_back(std::move(c));
   }
   j["changed"] = std::move(changes);

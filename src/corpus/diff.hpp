@@ -11,20 +11,19 @@
 #include <string>
 #include <vector>
 
-#include "corpus/store.hpp"
+#include "core/replay.hpp"
 #include "util/json.hpp"
 
 namespace erpi::corpus {
 
 struct OutcomeDiff {
-  /// One pair whose outcome differs from the corpus. `before` is the stored
-  /// record, `after` the live one (both carry kind/signal/violations; seq is
-  /// recency bookkeeping and not part of the comparison).
+  /// One pair whose outcome differs from the corpus: `before` is the stored
+  /// outcome, `after` the live one.
   struct Change {
     std::string plan;
     std::string il;
-    Record before;
-    Record after;
+    core::InterleavingOutcome before;
+    core::InterleavingOutcome after;
 
     bool operator==(const Change&) const = default;
   };
@@ -36,7 +35,8 @@ struct OutcomeDiff {
 
   bool any() const noexcept { return !changed.empty(); }
 
-  /// Serializable form (CI artifacts, corpus_query tooling).
+  /// Serializable form (CI artifacts, corpus_query tooling). Each side of a
+  /// change is an object of the outcome codec's fields (core::outcome_to_json).
   util::Json to_json() const;
 };
 

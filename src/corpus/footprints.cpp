@@ -1,22 +1,16 @@
 #include "corpus/footprints.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace erpi::corpus {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string fingerprint_hex(uint64_t fingerprint) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(fingerprint));
-  return std::string(buf);
-}
 
 util::Json keys_json(const std::vector<std::string>& keys) {
   util::Json arr = util::Json::array();
@@ -35,11 +29,9 @@ bool parse_keys(const util::Json& j, std::vector<std::string>& out) {
 
 bool parse_fingerprint(const util::Json& j, uint64_t& out) {
   if (!j.is_string()) return false;
-  try {
-    out = std::stoull(j.as_string(), nullptr, 16);
-  } catch (const std::exception&) {
-    return false;
-  }
+  const auto fingerprint = util::parse_hex64(j.as_string());
+  if (!fingerprint) return false;
+  out = *fingerprint;
   return true;
 }
 
@@ -170,7 +162,7 @@ bool FootprintBank::save(const std::string& dir) const {
     out << "{\"erpi_footprints\":1}\n";
     for (const auto& [key, entry] : entries_) {
       util::Json j = util::Json::object();
-      j["fp"] = fingerprint_hex(std::get<0>(key));
+      j["fp"] = util::hex64(std::get<0>(key));
       j["ctx"] = entry.context;
       j["ev"] = static_cast<int64_t>(entry.event);
       j["runs"] = static_cast<int64_t>(entry.runs);
@@ -181,7 +173,7 @@ bool FootprintBank::save(const std::string& dir) const {
     }
     for (const auto& [key, independent] : verdicts_) {
       util::Json j = util::Json::object();
-      j["fp"] = fingerprint_hex(std::get<0>(key));
+      j["fp"] = util::hex64(std::get<0>(key));
       j["a"] = static_cast<int64_t>(std::get<1>(key));
       j["b"] = static_cast<int64_t>(std::get<2>(key));
       j["indep"] = independent;

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <stdexcept>
 #include <unordered_set>
 
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace erpi::corpus {
@@ -17,15 +17,9 @@ namespace {
 
 constexpr char kKeySep = '/';
 
-std::string fingerprint_hex(uint64_t fingerprint) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(fingerprint));
-  return std::string(buf);
-}
-
 std::string record_map_key(uint64_t fingerprint, const std::string& plan,
                            const std::string& il) {
-  std::string key = fingerprint_hex(fingerprint);
+  std::string key = util::hex64(fingerprint);
   key += kKeySep;
   key += plan;
   key += kKeySep;
@@ -35,33 +29,11 @@ std::string record_map_key(uint64_t fingerprint, const std::string& plan,
 
 std::string record_line(const Record& record) {
   util::Json j = util::Json::object();
-  j["fp"] = fingerprint_hex(record.fingerprint);
+  j["fp"] = util::hex64(record.fingerprint);
   j["plan"] = record.plan;
   j["il"] = record.il;
-  j["o"] = std::string(outcome_kind_name(record.kind));
   j["seq"] = static_cast<int64_t>(record.seq);
-  // Kind-specific payloads are only written when set, so pass records — the
-  // overwhelming majority — stay one short line each.
-  if (record.signal != 0) j["sig"] = static_cast<int64_t>(record.signal);
-  if (!record.violations.empty()) {
-    util::Json violations = util::Json::array();
-    for (const auto& violation : record.violations) {
-      util::Json v = util::Json::object();
-      v["a"] = violation.assertion;
-      v["m"] = violation.message;
-      violations.push_back(std::move(v));
-    }
-    j["v"] = std::move(violations);
-  }
-  if (record.recovery) {
-    j["rk"] = std::string(core::recovery_status_name(record.recovery->status));
-    if (record.recovery->first_missing != 0) {
-      j["rf"] = static_cast<int64_t>(record.recovery->first_missing);
-    }
-    if (record.recovery->missing_count != 0) {
-      j["rc"] = static_cast<int64_t>(record.recovery->missing_count);
-    }
-  }
+  core::outcome_to_json(j, record.outcome);
   return j.dump();
 }
 
@@ -73,55 +45,15 @@ std::optional<Record> parse_record_line(const std::string& line) {
   if (!j.contains("fp") || !j["fp"].is_string()) return std::nullopt;
   if (!j.contains("plan") || !j["plan"].is_string()) return std::nullopt;
   if (!j.contains("il") || !j["il"].is_string()) return std::nullopt;
-  if (!j.contains("o") || !j["o"].is_string()) return std::nullopt;
-  if (!j.contains("seq") || !j["seq"].is_int()) return std::nullopt;
-  Record record;
-  try {
-    record.fingerprint = std::stoull(j["fp"].as_string(), nullptr, 16);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  record.plan = j["plan"].as_string();
-  record.il = j["il"].as_string();
+  if (!j.contains("seq") || !j["seq"].is_int() || j["seq"].as_int() < 0) return std::nullopt;
+  const auto fingerprint = util::parse_hex64(j["fp"].as_string());
+  if (!fingerprint) return std::nullopt;
   // Violation priors rebuild the interleaving from its key.
-  if (!core::Interleaving::parse_key(record.il)) return std::nullopt;
-  const auto kind = outcome_kind_from_name(j["o"].as_string());
-  if (!kind) return std::nullopt;
-  record.kind = *kind;
-  const int64_t seq = j["seq"].as_int();
-  if (seq < 0) return std::nullopt;
-  record.seq = static_cast<uint64_t>(seq);
-  if (j.contains("sig")) {
-    if (!j["sig"].is_int()) return std::nullopt;
-    record.signal = static_cast<int>(j["sig"].as_int());
-  }
-  if (j.contains("v")) {
-    if (!j["v"].is_array()) return std::nullopt;
-    for (const auto& v : j["v"].as_array()) {
-      if (!v.is_object() || !v.contains("a") || !v["a"].is_string() || !v.contains("m") ||
-          !v["m"].is_string()) {
-        return std::nullopt;
-      }
-      record.violations.push_back({v["a"].as_string(), v["m"].as_string()});
-    }
-  }
-  if (j.contains("rk")) {
-    if (!j["rk"].is_string()) return std::nullopt;
-    const auto status = core::recovery_status_from_name(j["rk"].as_string());
-    if (!status) return std::nullopt;
-    core::RecoveryVerdict verdict;
-    verdict.status = *status;
-    if (j.contains("rf")) {
-      if (!j["rf"].is_int() || j["rf"].as_int() < 0) return std::nullopt;
-      verdict.first_missing = static_cast<uint64_t>(j["rf"].as_int());
-    }
-    if (j.contains("rc")) {
-      if (!j["rc"].is_int() || j["rc"].as_int() < 0) return std::nullopt;
-      verdict.missing_count = static_cast<uint64_t>(j["rc"].as_int());
-    }
-    record.recovery = verdict;
-  }
-  return record;
+  if (!core::Interleaving::parse_key(j["il"].as_string())) return std::nullopt;
+  auto outcome = core::outcome_from_json(j);
+  if (!outcome) return std::nullopt;
+  return Record{*fingerprint, j["plan"].as_string(), j["il"].as_string(), std::move(*outcome),
+                static_cast<uint64_t>(j["seq"].as_int())};
 }
 
 std::string segment_name(uint64_t number) {
@@ -150,87 +82,6 @@ std::optional<uint64_t> segment_number(std::string_view name) {
 }
 
 }  // namespace
-
-const char* outcome_kind_name(OutcomeKind kind) noexcept {
-  switch (kind) {
-    case OutcomeKind::Pass: return "pass";
-    case OutcomeKind::Violation: return "violation";
-    case OutcomeKind::Crashed: return "crashed";
-    case OutcomeKind::Oom: return "oom";
-    case OutcomeKind::TimedOut: return "timed_out";
-    case OutcomeKind::BudgetExhausted: return "budget_exhausted";
-  }
-  return "?";
-}
-
-std::optional<OutcomeKind> outcome_kind_from_name(std::string_view name) noexcept {
-  if (name == "pass") return OutcomeKind::Pass;
-  if (name == "violation") return OutcomeKind::Violation;
-  if (name == "crashed") return OutcomeKind::Crashed;
-  if (name == "oom") return OutcomeKind::Oom;
-  if (name == "timed_out") return OutcomeKind::TimedOut;
-  if (name == "budget_exhausted") return OutcomeKind::BudgetExhausted;
-  return std::nullopt;
-}
-
-bool Record::same_outcome(const Record& other) const noexcept {
-  return kind == other.kind && signal == other.signal &&
-         violations == other.violations && recovery == other.recovery;
-}
-
-core::InterleavingOutcome Record::to_outcome() const {
-  core::InterleavingOutcome outcome;
-  switch (kind) {
-    case OutcomeKind::Pass:
-      break;
-    case OutcomeKind::Violation:
-      for (const auto& violation : violations) {
-        outcome.violations.push_back({violation.assertion, violation.message});
-      }
-      break;
-    case OutcomeKind::Crashed:
-      outcome.crashed = true;
-      outcome.term_signal = signal;
-      break;
-    case OutcomeKind::Oom:
-      outcome.oom = true;
-      break;
-    case OutcomeKind::TimedOut:
-      outcome.timed_out = true;
-      break;
-    case OutcomeKind::BudgetExhausted:
-      // A budget-abandoned pair carries no replay result; reconstructing it
-      // as an outcome is a caller error.
-      throw std::logic_error("corpus: budget_exhausted records carry no replay outcome");
-  }
-  outcome.recovery = recovery;
-  return outcome;
-}
-
-Record Record::from_outcome(uint64_t fingerprint, std::string plan, std::string il,
-                            const core::InterleavingOutcome& outcome) {
-  Record record;
-  record.fingerprint = fingerprint;
-  record.plan = std::move(plan);
-  record.il = std::move(il);
-  if (outcome.timed_out) {
-    record.kind = OutcomeKind::TimedOut;
-  } else if (outcome.crashed) {
-    record.kind = OutcomeKind::Crashed;
-    record.signal = outcome.term_signal;
-  } else if (outcome.oom) {
-    record.kind = OutcomeKind::Oom;
-  } else if (!outcome.violations.empty()) {
-    record.kind = OutcomeKind::Violation;
-    for (const auto& violation : outcome.violations) {
-      record.violations.push_back({violation.assertion, violation.message});
-    }
-  } else {
-    record.kind = OutcomeKind::Pass;
-  }
-  record.recovery = outcome.recovery;
-  return record;
-}
 
 // ---------------------------------------------------------------------------
 // Store
@@ -467,7 +318,7 @@ std::vector<core::Interleaving> violation_priors(const std::string& dir) {
   Store store = Store::open(dir);
   std::unordered_set<std::string> seen;  // dedup across fingerprints/plans
   store.for_each_sorted([&](const Record& record) {
-    if (record.kind != OutcomeKind::Violation) return;
+    if (record.outcome.violations.empty()) return;
     if (!seen.insert(record.il).second) return;
     priors.push_back(core::Interleaving::from_key(record.il));
   });

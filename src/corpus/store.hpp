@@ -2,18 +2,20 @@
 //
 // A corpus::Store remembers what prior explorations proved: one Record per
 // (run-configuration fingerprint, fault-plan key, interleaving key) class,
-// carrying the replay outcome — pass, violation (with the assertion
-// messages), crashed{signal}, oom, timed_out, or budget_exhausted. Where the
-// PR 3 RunJournal survives a single resumed run, the corpus survives across
-// runs and machines: CI fleets and nightly sweeps that re-explore the same
-// universe skip already-proven classes (reuse mode) or detect regressions as
-// outcome *diffs* against the accumulated history (diff mode) instead of
-// re-proving millions of pairs from scratch.
+// carrying the replay outcome (core::InterleavingOutcome) — pass, violation
+// (with the assertion messages), crashed{signal}, oom or timed_out, plus any
+// recovery verdict. Where the RunJournal survives a single resumed run, the
+// corpus survives across runs and machines: CI fleets and nightly sweeps
+// that re-explore the same universe skip already-proven classes (reuse mode)
+// or detect regressions as outcome *diffs* against the accumulated history
+// (diff mode) instead of re-proving millions of pairs from scratch.
 //
 // On-disk layout (a directory):
 //   seg-000001.jsonl ...  append-only segment files. Line 1 is a header
 //                         {"erpi_corpus_segment":1,"created_seq":N}; every
-//                         further line is one Record, written and flushed
+//                         further line is one Record — "fp", "plan", "il",
+//                         "seq" plus the outcome codec's fields
+//                         (core::outcome_to_json) — written and flushed
 //                         per append (a SIGKILL can at worst tear the
 //                         trailing line of the newest segment). A segment
 //                         rolls over after `segment_roll_records` appends.
@@ -45,7 +47,6 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -53,53 +54,18 @@
 
 namespace erpi::corpus {
 
-/// The outcome taxonomy persisted per (fingerprint, plan, interleaving)
-/// class. The first five mirror core::InterleavingOutcome; BudgetExhausted is
-/// the run-level sentinel for pairs a caller had to abandon when the Fig. 10
-/// budget latched mid-pair (the fault explorer never commits such pairs, so
-/// it never writes this kind — it exists for drivers that do, and round-trips
-/// through the store and the Datalog bridge like any other kind).
-enum class OutcomeKind { Pass, Violation, Crashed, Oom, TimedOut, BudgetExhausted };
-
-const char* outcome_kind_name(OutcomeKind kind) noexcept;
-std::optional<OutcomeKind> outcome_kind_from_name(std::string_view name) noexcept;
-
 /// One proven (interleaving, plan) class under one run-configuration
 /// fingerprint.
 struct Record {
-  struct Violation {
-    std::string assertion;
-    std::string message;
-
-    bool operator==(const Violation&) const = default;
-  };
-
   uint64_t fingerprint = 0;  // corpus fingerprint (faults::run_fingerprint)
   std::string plan;          // FaultPlan::key()
   std::string il;            // Interleaving::key()
-  OutcomeKind kind = OutcomeKind::Pass;
-  int signal = 0;                     // Crashed only (SIGSEGV, SIGABRT, ...)
-  std::vector<Violation> violations;  // Violation only
-  /// Storage-fault pairs: the durable-log recovery verdict (absent for
-  /// network/crash plans and for records written before the storage family).
-  std::optional<core::RecoveryVerdict> recovery;
+  core::InterleavingOutcome outcome;
   /// Sequence of the run that last proved or re-confirmed this record
   /// (eviction recency; see Store::begin_run).
   uint64_t seq = 0;
 
   bool operator==(const Record&) const = default;
-
-  /// Outcome equality, ignoring recency: kind, signal, and the violation
-  /// list. This is what diff mode compares.
-  bool same_outcome(const Record& other) const noexcept;
-
-  /// Rebuild the replay outcome a reuse-mode run commits instead of
-  /// re-executing the pair (exact inverse of from_outcome for the five
-  /// per-pair kinds).
-  core::InterleavingOutcome to_outcome() const;
-
-  static Record from_outcome(uint64_t fingerprint, std::string plan, std::string il,
-                             const core::InterleavingOutcome& outcome);
 };
 
 struct StoreOptions {

@@ -100,8 +100,8 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   const bool ranked = config.search.strategy != core::SearchStrategy::LexOrder;
   if (ranked && !config.resume_journal.empty()) {
     throw std::invalid_argument(
-        "guided search cannot resume from a journal: journal skip-and-merge "
-        "assumes the enumerator's stream order, which a searcher reorders");
+        "guided search cannot resume from a journal: journaled records are "
+        "served in the enumerator's stream order, which a searcher reorders");
   }
 
   // The catalog needs the replica count; probe one fixture for it.
@@ -143,7 +143,9 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   // ---- crash-safe journal: resume what a killed run already explored ------
   const uint64_t fingerprint = run_fingerprint(*session_, plans_, catalog_options_, replay,
                                                FingerprintPurpose::Journal);
-  std::map<std::string, std::vector<core::RunJournal::Record>> journaled;
+  // Each plan's journaled outcomes: an ascending 1..m prefix of its sweep,
+  // because the committer journals in commit order.
+  std::map<std::string, std::vector<core::InterleavingOutcome>> journaled;
   std::optional<core::RunJournal> journal;
   if (!config.resume_journal.empty()) {
     std::vector<core::RunJournal::Record> prefix;
@@ -159,7 +161,7 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     // resumes from at least this far.
     journal = core::RunJournal::create(config.resume_journal, fingerprint, prefix,
                                        journal_stream_factory_);
-    for (auto& record : prefix) journaled[record.plan].push_back(std::move(record));
+    for (auto& record : prefix) journaled[record.plan].push_back(std::move(record.outcome));
   }
 
   // ---- cross-run outcome corpus (DESIGN.md §11) ---------------------------
@@ -189,7 +191,7 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
       std::unordered_set<std::string> seen;
       for (const auto& prior : *combined) seen.insert(prior.key());
       store->for_each_sorted([&](const corpus::Record& record) {
-        if (record.kind != corpus::OutcomeKind::Violation) return;
+        if (record.outcome.violations.empty()) return;
         if (!seen.insert(record.il).second) return;
         combined->push_back(core::Interleaving::from_key(record.il));
       });
@@ -200,34 +202,33 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     coverage = std::make_shared<sched::CoverageState>();
   }
 
-  // Offer one committed outcome to the corpus — live replays, cache hits and
-  // journal-merged pairs all pass through here (on the control threads, under
-  // the explorer's enumerator mutex while a plan run is live). Reuse mode
-  // proves new classes; diff mode compares against the stored record and
-  // persists last-wins so the corpus tracks the current library behavior.
+  // Offer one committed outcome to the corpus — live replays, corpus hits and
+  // journaled pairs all pass through here (on the control threads, under the
+  // explorer's enumerator mutex while a plan run is live). Reuse mode proves
+  // new classes; diff mode compares against the stored outcome and persists
+  // last-wins so the corpus tracks the current library behavior.
   const auto offer_to_corpus = [&](const std::string& plan_key, const std::string& il_key,
                                    const core::InterleavingOutcome& outcome) {
     if (!store) return;
     const corpus::Record* prior = store->lookup(corpus_fp, plan_key, il_key);
     if (reuse) {
       if (prior != nullptr) return;  // already proven (a cache hit lands here)
-      store->append(corpus::Record::from_outcome(corpus_fp, plan_key, il_key, outcome));
+      store->append({corpus_fp, plan_key, il_key, outcome});
       ++corpus_stats_.appended;
       return;
     }
-    corpus::Record live = corpus::Record::from_outcome(corpus_fp, plan_key, il_key, outcome);
     if (prior == nullptr) {
       ++outcome_diff_.missing;
-      store->append(std::move(live));
+      store->append({corpus_fp, plan_key, il_key, outcome});
       return;
     }
     ++outcome_diff_.compared;
-    if (prior->same_outcome(live)) {
+    if (prior->outcome == outcome) {
       ++outcome_diff_.unchanged;  // the lookup above refreshed its recency
       return;
     }
-    outcome_diff_.changed.push_back({plan_key, il_key, *prior, live});
-    store->append(std::move(live));
+    outcome_diff_.changed.push_back({plan_key, il_key, prior->outcome, outcome});
+    store->append({corpus_fp, plan_key, il_key, outcome});
   };
 
   // ---- plan-major sweep ----------------------------------------------------
@@ -236,22 +237,10 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   bool any_hit_cap = false;
 
   // The caller's outcome tap survives the per-plan overwrite below: the
-  // commit lambda re-delivers every pair — live, cache-hit and
-  // journal-merged alike — with the *global* pair index, which is what a
-  // streaming consumer (the service daemon's progress deltas) wants.
+  // commit hook re-delivers every pair — replayed, corpus hit and journaled
+  // alike — with the *global* pair index, which is what a streaming consumer
+  // (the service daemon's progress deltas) wants.
   const auto user_on_outcome = replay.on_outcome;
-
-  // Commit one (interleaving, plan) pair into the run report — the single
-  // aggregation point both live outcomes and journal-merged outcomes go
-  // through, so resumed and uninterrupted runs produce identical reports.
-  const auto commit = [&](const std::string& plan_key, uint64_t plan_ordinal,
-                          const core::Interleaving& il,
-                          const core::InterleavingOutcome& outcome, bool from_journal) {
-    core::commit_outcome(report, il, outcome, core::PlanTag{plan_key, plan_ordinal});
-    if (from_journal) ++report.pairs_skipped_from_journal;
-    if (!outcome.violations.empty() && replay.stop_on_violation) stopped = true;
-    if (user_on_outcome) user_on_outcome(report.explored, il, outcome);
-  };
 
   for (const auto& plan : plans_) {
     if (stopped || budget->crashed()) break;
@@ -263,28 +252,12 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     }
     ++report.plans_explored;
     const std::string plan_key = plan.key();
+    // The journal fingerprint pins the stream and ranked runs reject a
+    // journal, so pull k of this plan's regenerated stream is its journaled
+    // record k.
+    const std::vector<core::InterleavingOutcome>& resumed = journaled[plan_key];
+    size_t served = 0;
 
-    // Merge the journaled prefix of this plan's sweep (an ascending 1..m
-    // prefix, because the committer journals in commit order).
-    uint64_t skip = 0;
-    if (const auto it = journaled.find(plan_key); it != journaled.end()) {
-      for (const auto& record : it->second) {
-        // Journal-merged pairs are proven outcomes of this configuration —
-        // the corpus learns them (or diffs against them) like live commits.
-        // Sandbox outcomes resume as recorded: a known-crashing pair is
-        // quarantined again without re-executing it.
-        offer_to_corpus(plan_key, record.key, record.outcome);
-        commit(plan_key, record.interleaving, core::Interleaving::from_key(record.key),
-               record.outcome, /*from_journal=*/true);
-        skip = record.interleaving;
-        if (stopped) break;
-      }
-    }
-    if (stopped) break;
-
-    // Rebuild the enumerator for this plan and drain the journaled prefix,
-    // charging the explored-interleaving budget exactly as the dispatcher
-    // would have — so a resumed run's budget trajectory matches.
     auto enumerator = session_->make_enumerator();
     if (plan.kind != FaultPlan::Kind::None) {
       // Footprints were learned under the unfaulted ("none") context; a fault
@@ -295,23 +268,11 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
         pruned->set_dynamic_pruning(false);
       }
     }
-    bool drained_dry = false;
-    for (uint64_t i = 0; i < skip; ++i) {
-      const auto il = enumerator->next();
-      if (!il) {
-        drained_dry = true;
-        break;
-      }
-      budget->charge(core::explored_log_entry_bytes(*il));
-    }
-    if (drained_dry) continue;  // journal covered the whole (short) stream
 
-    const uint64_t cap = replay.max_interleavings;
     sched::ExplorerOptions options;
     options.parallelism = std::max(1, config.parallelism);
     options.replay = replay;
     options.replay.budget = budget;
-    options.replay.max_interleavings = cap > skip ? cap - skip : 0;
     options.replay.extra_cache_bytes = nullptr;
     options.replay.on_interleaving_done = nullptr;
     if (session_->dpor_learner() != nullptr) {
@@ -321,14 +282,22 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     options.replay.observer_factory = [plan](proxy::Rdl& subject) {
       return std::make_shared<PlanRuntime>(plan, subject);
     };
-    options.replay.on_outcome = [&](uint64_t index, const core::Interleaving& il,
+    // Commit one pair into the run report — the single aggregation point for
+    // replayed, corpus-hit and journaled pairs, so resumed, warm and cold runs
+    // produce identical reports. A journaled pair is already on disk.
+    options.replay.on_outcome = [&](uint64_t ordinal, const core::Interleaving& il,
                                     const core::InterleavingOutcome& outcome) {
-      const uint64_t plan_ordinal = skip + index;
       std::string il_key;
       il.append_key(il_key);
-      if (journal) journal->append({plan_key, plan_ordinal, il_key, outcome});
+      if (ordinal <= resumed.size()) {
+        ++report.pairs_skipped_from_journal;
+      } else if (journal) {
+        journal->append({plan_key, ordinal, il_key, outcome});
+      }
       offer_to_corpus(plan_key, il_key, outcome);
-      commit(plan_key, plan_ordinal, il, outcome, /*from_journal=*/false);
+      core::commit_outcome(report, il, outcome, core::PlanTag{plan_key, ordinal});
+      if (!outcome.violations.empty() && replay.stop_on_violation) stopped = true;
+      if (user_on_outcome) user_on_outcome(report.explored, il, outcome);
     };
     options.subject_factory = config.subject_factory;
     options.assertion_factory = assertion_factory;
@@ -337,17 +306,20 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     options.violation_priors = priors;
     options.coverage = coverage;
     options.context_key = plan_key;
-    if (reuse) {
-      // The dispatcher resolves already-proven classes straight from the
-      // corpus; misses replay normally and are appended via offer_to_corpus.
+    if (!resumed.empty() || reuse) {
+      // The source resolves journaled pairs first — a journaled crash is
+      // quarantined again without re-executing it — then already-proven
+      // classes straight from the corpus; misses replay normally and are
+      // appended via offer_to_corpus.
       options.outcome_cache = [&](const core::Interleaving& il)
           -> std::optional<core::InterleavingOutcome> {
+        if (served < resumed.size()) return resumed[served++];
+        if (!reuse) return std::nullopt;
         std::string il_key;
         il.append_key(il_key);
-        const corpus::Record* record = store->lookup(corpus_fp, plan_key, il_key);
-        if (record != nullptr && record->kind != corpus::OutcomeKind::BudgetExhausted) {
+        if (const corpus::Record* record = store->lookup(corpus_fp, plan_key, il_key)) {
           ++corpus_stats_.hits;
-          return record->to_outcome();
+          return record->outcome;
         }
         ++corpus_stats_.misses;
         return std::nullopt;

@@ -5,16 +5,17 @@
 // full surviving stream is replayed under that plan through one
 // sched::ParallelExplorer built from the subject factory (workers =
 // max(1, Session::Config::parallelism); one worker runs inline on the
-// calling thread). Every pair, live or journal-merged, is committed through
-// core::commit_outcome in (plan, interleaving) order, so the merged report —
-// explored pairs, violations, first (interleaving, plan) violation,
-// quarantine list — is identical at any parallelism.
+// calling thread). Every pair — replayed, corpus hit or journaled — is
+// committed through core::commit_outcome in (plan, interleaving) order, so
+// the merged report — explored pairs, violations, first (interleaving, plan)
+// violation, quarantine list — is identical at any parallelism.
 //
 // Robustness mechanisms wired here:
 //  * run journal (core::RunJournal): when Session::Config::resume_journal is
 //    set, every committed pair is journaled; a killed run resumed with the
-//    same configuration skips the journaled prefix of each plan's sweep and
-//    merges the recorded outcomes, reproducing the uninterrupted report.
+//    same configuration serves each plan's journaled outcomes as the
+//    outcomes of its first pulls (sched::ExplorerOptions::outcome_cache,
+//    checked before the corpus), reproducing the uninterrupted report.
 //  * replay watchdog: ReplayOptions::watchdog_timeout_ms applies per replay
 //    via the worker pool; timed-out pairs are quarantined as "plan/il-key".
 //  * budget: one shared BudgetAccount spans all plans; exhaustion surfaces

@@ -1,39 +1,11 @@
 #include "sandbox/protocol.hpp"
 
-#include <cstring>
-
 #include "util/json.hpp"
 
 namespace erpi::sandbox {
 
 // Framing lives in src/util/frame.cpp (shared with the exploration service);
 // this file only knows the sandbox message vocabulary.
-
-// ---- work items ------------------------------------------------------------
-
-std::string encode_request(const core::Interleaving& il) {
-  util::Json j = util::Json::object();
-  util::Json order = util::Json::array();
-  for (const int event : il.order) order.push_back(static_cast<int64_t>(event));
-  j["order"] = std::move(order);
-  return j.dump();
-}
-
-std::optional<core::Interleaving> decode_request(const std::string& payload) {
-  const auto parsed = util::Json::parse(payload);
-  if (!parsed) return std::nullopt;
-  const util::Json& j = parsed.value();
-  if (!j.is_object() || !j.contains("order") || !j["order"].is_array()) {
-    return std::nullopt;
-  }
-  core::Interleaving il;
-  il.order.reserve(j["order"].size());
-  for (const auto& e : j["order"].as_array()) {
-    if (!e.is_int()) return std::nullopt;
-    il.order.push_back(static_cast<int>(e.as_int()));
-  }
-  return il;
-}
 
 // ---- outcomes --------------------------------------------------------------
 
@@ -55,33 +27,13 @@ std::optional<WorkResponse::Status> parse_status(const std::string& name) {
   return std::nullopt;
 }
 
-bool read_u64(const util::Json& j, const char* key, uint64_t& out) {
-  if (!j.contains(key) || !j[key].is_int()) return false;
-  out = static_cast<uint64_t>(j[key].as_int());
-  return true;
-}
-
 }  // namespace
 
 std::string encode_response(const WorkResponse& response) {
   util::Json j = util::Json::object();
   j["status"] = status_name(response.status);
   if (!response.error.empty()) j["message"] = response.error;
-  util::Json violations = util::Json::array();
-  for (const auto& violation : response.violations) {
-    util::Json v = util::Json::object();
-    v["assertion"] = violation.assertion;
-    v["message"] = violation.message;
-    violations.push_back(std::move(v));
-  }
-  j["violations"] = std::move(violations);
-  if (response.recovery) {
-    util::Json recovery = util::Json::object();
-    recovery["status"] = std::string(core::recovery_status_name(response.recovery->status));
-    recovery["first"] = static_cast<int64_t>(response.recovery->first_missing);
-    recovery["count"] = static_cast<int64_t>(response.recovery->missing_count);
-    j["recovery"] = std::move(recovery);
-  }
+  core::outcome_to_json(j, response.outcome);
   return j.dump();
 }
 
@@ -100,30 +52,9 @@ std::optional<WorkResponse> decode_response(const std::string& payload) {
     if (!j["message"].is_string()) return std::nullopt;
     response.error = j["message"].as_string();
   }
-  if (!j.contains("violations") || !j["violations"].is_array()) return std::nullopt;
-  for (const auto& v : j["violations"].as_array()) {
-    if (!v.is_object() || !v.contains("assertion") || !v["assertion"].is_string() ||
-        !v.contains("message") || !v["message"].is_string()) {
-      return std::nullopt;
-    }
-    response.violations.push_back({v["assertion"].as_string(), v["message"].as_string()});
-  }
-  if (j.contains("recovery")) {
-    const util::Json& recovery = j["recovery"];
-    if (!recovery.is_object() || !recovery.contains("status") ||
-        !recovery["status"].is_string()) {
-      return std::nullopt;
-    }
-    const auto status = core::recovery_status_from_name(recovery["status"].as_string());
-    if (!status) return std::nullopt;
-    core::RecoveryVerdict verdict;
-    verdict.status = *status;
-    if (!read_u64(recovery, "first", verdict.first_missing) ||
-        !read_u64(recovery, "count", verdict.missing_count)) {
-      return std::nullopt;
-    }
-    response.recovery = verdict;
-  }
+  auto outcome = core::outcome_from_json(j);
+  if (!outcome) return std::nullopt;
+  response.outcome = std::move(*outcome);
   return response;
 }
 

@@ -11,12 +11,13 @@
 //    learns a child died (the server keeps the runner end of the data socket
 //    open for future runners, so the parent never sees EOF there).
 //
-//  * data — parent <-> current runner. Framed JSON work items flow down
-//    ({"order": [event ids...]}) and framed JSON outcomes flow back
-//    ({"status": "ok" | "oom" | "error", "violations": [...]}). A runner
-//    that trips the memory cap best-effort writes the "oom" response and
-//    exits with kOomExitCode so the parent learns the reason even when the
-//    write loses the race with the exit.
+//  * data — parent <-> current runner. Framed work items flow down as the
+//    interleaving's key ("3,0,1,2", core::Interleaving::key) and framed JSON
+//    responses flow back: {"status": "ok" | "oom" | "error", "message": ...}
+//    plus the replay's outcome as the outcome codec's fields
+//    (core::outcome_to_json). A runner that trips the memory cap best-effort
+//    writes the "oom" response and exits with kOomExitCode so the parent
+//    learns the reason even when the write loses the race with the exit.
 //
 // Framing is the shared 4-byte little-endian length prefix from
 // util/frame.hpp (also used by the exploration-service daemon). All
@@ -30,7 +31,6 @@
 #include <optional>
 #include <string>
 
-#include "core/interleaving.hpp"
 #include "core/replay.hpp"
 #include "util/frame.hpp"
 
@@ -54,11 +54,6 @@ using util::wait_readable;
 using util::wait_readable2;
 using util::write_frame;
 
-// ---- work items ------------------------------------------------------------
-
-std::string encode_request(const core::Interleaving& il);
-std::optional<core::Interleaving> decode_request(const std::string& payload);
-
 // ---- outcomes --------------------------------------------------------------
 
 struct WorkResponse {
@@ -66,11 +61,7 @@ struct WorkResponse {
 
   Status status = Status::Ok;
   std::string error;  // Status::Error only
-  std::vector<core::InterleavingOutcome::Violation> violations;
-  /// Storage-fault replays: the durable-log recovery verdict the child's
-  /// observer attached to the outcome. Absent for non-storage plans, so
-  /// network/crash responses serialize exactly as before.
-  std::optional<core::RecoveryVerdict> recovery;
+  core::InterleavingOutcome outcome;  // Status::Ok only
 };
 
 std::string encode_response(const WorkResponse& response);

@@ -120,15 +120,12 @@ bool is_ready_payload(const std::string& payload) {
   for (;;) {
     const auto frame = read_frame(data_fd);
     if (!frame) ::_exit(0);  // supervisor gone
-    const auto il = decode_request(*frame);
+    const auto il = core::Interleaving::parse_key(*frame);
     if (!il) ::_exit(1);
 
     WorkResponse response;
     try {
-      const core::InterleavingOutcome outcome =
-          engine->replay_one(*il, config.events, assertions);
-      response.violations = outcome.violations;
-      response.recovery = outcome.recovery;
+      response.outcome = engine->replay_one(*il, config.events, assertions);
     } catch (const std::bad_alloc&) {
       write_frame(data_fd, oom_payload);
       ::_exit(kOomExitCode);
@@ -417,7 +414,7 @@ ForkServer::Attempt ForkServer::attempt_once(const core::Interleaving& il) {
     if (auto failed = await_ready(deadline_ms)) return *failed;
   }
 
-  if (!write_frame(data_fd_, encode_request(il))) throw_server_lost("send work item");
+  if (!write_frame(data_fd_, il.key())) throw_server_lost("send work item");
 
   for (;;) {
     bool data_ready = false;
@@ -474,10 +471,7 @@ core::InterleavingOutcome ForkServer::replay_one(const core::Interleaving& il) {
     switch (last.kind) {
       case AttemptKind::Ok: {
         if (attempt > 0) ++stats_.retry_successes;  // collateral, not deterministic
-        core::InterleavingOutcome outcome;
-        outcome.violations = std::move(last.response.violations);
-        outcome.recovery = last.response.recovery;
-        return outcome;
+        return std::move(last.response.outcome);
       }
       case AttemptKind::TimedOut: {
         // No retry: watchdog timeouts quarantine immediately, matching the

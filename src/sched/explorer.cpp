@@ -23,9 +23,9 @@ constexpr uint64_t kNoFloor = std::numeric_limits<uint64_t>::max();
 using Replayer = std::function<core::InterleavingOutcome(const core::Interleaving&)>;
 
 /// One unit of work: an interleaving at its commit ordinal, and its outcome
-/// once known. A corpus hit leaves the source resolved and a replay resolves
-/// the rest; an item early-cancelled past the violation floor (or on abort)
-/// stays unresolved and is never committed.
+/// once known. A cached outcome leaves the source resolved and a replay
+/// resolves the rest; an item early-cancelled past the violation floor (or on
+/// abort) stays unresolved and is never committed.
 struct Item {
   uint64_t ordinal = 0;  // 1-based commit position (stream order or searcher rank)
   core::Interleaving interleaving;
@@ -88,7 +88,7 @@ class Source {
 
  private:
   /// The enumerator pull: cap and floor, then cancel and budget before
-  /// next(), the charge after it, then the corpus cache. The budget counts
+  /// next(), the charge after it, then the outcome cache. The budget counts
   /// the explored log so far plus the dedup caches; both depend only on the
   /// stream pulled so far, so the crash point is the same at any worker
   /// count.
@@ -118,8 +118,9 @@ class Source {
     Item item;
     item.ordinal = next_ordinal_++;
     item.interleaving = std::move(*il);
-    // Corpus reuse: a cached outcome resolves the item without a replay. The
-    // budget was charged above exactly as for a replayed pair.
+    // A cached outcome (a journaled pair or a corpus hit) resolves the item
+    // without a replay. The budget was charged above exactly as for a
+    // replayed pair.
     if (options_.outcome_cache) {
       if (auto cached = options_.outcome_cache(item.interleaving)) {
         item.outcome = std::move(*cached);
@@ -246,7 +247,7 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
                 break;
               }
               if (item->resolved) {
-                // A corpus hit bypasses the pool and is committed at its
+                // A cached outcome bypasses the pool and is committed at its
                 // ordinal like any worker result; a cached violation lowers
                 // the floor just as a worker would.
                 if (stop_on_violation && !item->outcome.violations.empty()) {

@@ -4,7 +4,7 @@
 // One *source* hands out (ordinal, interleaving, cached outcome) items under
 // a single protocol: the interleaving cap, the violation floor, the cancel
 // token, the budget check before each pull and the charge after it, and the
-// corpus outcome cache. For LexOrder it pulls lazily from the enumerator; for
+// outcome cache. For LexOrder it pulls lazily from the enumerator; for
 // a ranked searcher it drains that same pull once, splits the stream into
 // subtrees, ranks them (DESIGN.md §12) and serves ordinals in rank order.
 // Two consumers, chosen by the worker count:
@@ -73,10 +73,11 @@ struct ExplorerOptions {
   core::SubjectFactory subject_factory;
   /// Builds one assertion set per worker (may be empty).
   core::AssertionFactory assertion_factory;
-  /// Cross-run outcome cache consulted by the dispatcher before handing an
-  /// interleaving to the worker pool (corpus reuse mode; DESIGN.md §11).
-  /// Called under the enumerator mutex, after the budget is charged exactly
-  /// as for a replayed pair. Returning an outcome resolves the pair without
+  /// Outcome cache consulted by the source before handing an interleaving to
+  /// a worker: the fault explorer serves a resumed run's journaled pairs and
+  /// corpus hits through it (DESIGN.md §8, §11.3). Called once per pull, in
+  /// pull order, under the enumerator mutex, after the budget is charged
+  /// exactly as for a replayed pair. Returning an outcome resolves the pair without
   /// replaying it: the outcome is committed at its stream position through
   /// the same in-order path as worker results, so explored counts,
   /// first_violation_index, stop_on_violation semantics and callback order

@@ -1,5 +1,7 @@
 #include "util/hash.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 
 namespace erpi::util {
@@ -129,6 +131,25 @@ std::string to_hex(std::span<const uint8_t> bytes) {
     out.push_back(kDigits[b & 0xF]);
   }
   return out;
+}
+
+std::string hex64(uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (size_t i = out.size(); i-- > 0; value >>= 4) out[i] = kDigits[value & 0xF];
+  return out;
+}
+
+std::optional<uint64_t> parse_hex64(std::string_view text) noexcept {
+  // from_chars takes upper-case digits too; the canonical form has none.
+  if (text.size() != 16 ||
+      std::any_of(text.begin(), text.end(), [](char c) { return c >= 'A' && c <= 'F'; })) {
+    return std::nullopt;
+  }
+  uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value, 16);
+  if (ec != std::errc{} || end != text.data() + text.size()) return std::nullopt;
+  return value;
 }
 
 }  // namespace erpi::util

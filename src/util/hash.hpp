@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -72,5 +73,12 @@ class Sha1 {
 
 /// Lowercase hex encoding of arbitrary bytes.
 std::string to_hex(std::span<const uint8_t> bytes);
+
+/// A 64-bit value as exactly 16 lowercase hex digits — the form run
+/// fingerprints take in the run journal, the corpus and the footprint bank.
+std::string hex64(uint64_t value);
+/// Inverse of hex64: nullopt unless `text` is exactly 16 lowercase hex
+/// digits (no sign, no "0x", no blanks).
+std::optional<uint64_t> parse_hex64(std::string_view text) noexcept;
 
 }  // namespace erpi::util

@@ -28,12 +28,12 @@ std::string tmp_dir(const char* name) {
 }
 
 Record make_record(uint64_t fp, std::string plan, std::string il,
-                   OutcomeKind kind = OutcomeKind::Pass) {
+                   core::InterleavingOutcome outcome = {}) {
   Record record;
   record.fingerprint = fp;
   record.plan = std::move(plan);
   record.il = std::move(il);
-  record.kind = kind;
+  record.outcome = std::move(outcome);
   return record;
 }
 
@@ -109,15 +109,16 @@ TEST(DatalogBridge, PlanFaultEntriesAgreeWithTheRealCatalog) {
 
 Store seeded_store(const std::string& dir) {
   Store store = Store::open(dir);
-  Record viol = make_record(1, "part:0-2@1..3", "0,1", OutcomeKind::Violation);
-  viol.violations.push_back({"replicas_converge", "diverged at 2"});
+  Record viol = make_record(1, "part:0-2@1..3", "0,1");
+  viol.outcome.violations.push_back({"replicas_converge", "diverged at 2"});
   store.append(viol);
-  Record viol2 = make_record(1, "drop:1", "1,0", OutcomeKind::Violation);
-  viol2.violations.push_back({"replicas_converge", "diverged at 1"});
+  Record viol2 = make_record(1, "drop:1", "1,0");
+  viol2.outcome.violations.push_back({"replicas_converge", "diverged at 1"});
   store.append(viol2);
   store.append(make_record(1, "none", "0,1"));
-  Record crash = make_record(1, "crash:r2@1->3", "2,0", OutcomeKind::Crashed);
-  crash.signal = 11;
+  Record crash = make_record(1, "crash:r2@1->3", "2,0");
+  crash.outcome.crashed = true;
+  crash.outcome.term_signal = 11;
   store.append(crash);
   store.append(make_record(2, "none", "0,1"));  // a second namespace
   return store;

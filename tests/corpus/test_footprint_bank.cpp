@@ -83,6 +83,12 @@ TEST(DporBank, TornTailLinesAreSkippedNotFatal) {
     std::ofstream out(FootprintBank::path_in(dir), std::ios::app);
     out << "{\"fp\":\"zz\",\"ev\":bad\n";  // torn mid-write
     out << "not json at all\n";
+    // Fingerprints are exactly 16 lowercase hex digits: a signed or prefixed
+    // one is a damaged line, not another namespace.
+    for (const char* fp : {"-1", "0x1f"}) {
+      out << R"({"ctx":"none","ev":5,"fp":")" << fp << R"(","r":[],"runs":1,"w":[]})" << '\n';
+      out << R"({"a":0,"b":5,"fp":")" << fp << R"(","indep":true})" << '\n';
+    }
     out << "{\"fp\":\"7\",\"ctx\":\"none\"";  // truncated record
   }
   const FootprintBank reloaded = FootprintBank::load(dir);

@@ -186,9 +186,10 @@ TEST(CorpusDiff, SurfacesExactlyTheInjectedOutcomeFlips) {
   // produced at least one outright pass -> violation flip.
   bool saw_pass_to_violation = false;
   for (const auto& change : flipped.diff.changed) {
-    EXPECT_FALSE(change.before.same_outcome(change.after)) << change.plan;
-    saw_pass_to_violation |= change.before.kind == corpus::OutcomeKind::Pass &&
-                             change.after.kind == corpus::OutcomeKind::Violation;
+    EXPECT_FALSE(change.before == change.after) << change.plan;
+    saw_pass_to_violation |=
+        std::string(core::outcome_kind_name(change.before)) == "pass" &&
+        std::string(core::outcome_kind_name(change.after)) == "violation";
   }
   EXPECT_TRUE(saw_pass_to_violation);
   EXPECT_GT(flipped.report.violations, cold.report.violations);
@@ -211,14 +212,28 @@ TEST(CorpusDiff, SurfacesExactlyTheInjectedOutcomeFlips) {
   for (size_t i = 0; i < reverted.diff.changed.size() && i < flipped.diff.changed.size();
        ++i) {
     // Each reverted change is the forward change with before/after swapped.
-    EXPECT_TRUE(
-        reverted.diff.changed[i].before.same_outcome(flipped.diff.changed[i].after));
-    EXPECT_TRUE(
-        reverted.diff.changed[i].after.same_outcome(flipped.diff.changed[i].before));
+    EXPECT_TRUE(reverted.diff.changed[i].before == flipped.diff.changed[i].after);
+    EXPECT_TRUE(reverted.diff.changed[i].after == flipped.diff.changed[i].before);
   }
   // The diff serializes for CI artifacts.
   const util::Json j = reverted.diff.to_json();
   EXPECT_EQ(j["changed"].as_array().size(), reverted.diff.changed.size());
+}
+
+TEST(CorpusDiff, RecoveryOnlyChangeIsVisible) {
+  // A storage pair whose recovery verdict moved while its kind stayed "pass"
+  // is a change, and the serialized diff must show what changed.
+  core::InterleavingOutcome before;
+  before.recovery = core::RecoveryVerdict{};
+  core::InterleavingOutcome after;
+  after.recovery = core::RecoveryVerdict{core::RecoveryVerdict::Status::MissingEntries, 3, 1};
+  corpus::OutcomeDiff diff;
+  diff.changed.push_back({"torn:r0@6-1", "0,1", before, after});
+  const util::Json j = diff.to_json();
+  ASSERT_EQ(j["changed"].as_array().size(), 1u);
+  const util::Json& change = j["changed"].as_array()[0];
+  EXPECT_NE(change["before"].dump(), change["after"].dump());
+  EXPECT_EQ(change["after"].dump(), R"({"o":"pass","rc":1,"rf":3,"rk":"missing_entries"})");
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// corpus::Store tests: outcome taxonomy round-trips, append/lookup/reopen
-// durability, segment rolling, last-wins overwrite, segment naming (stray
-// files left alone, numeric order), compaction (sorted index, segments
-// deleted, torn tails and malformed keys tolerated), recency-based eviction,
-// and fingerprint namespacing.
+// corpus::Store tests: append/lookup/reopen durability, byte-stable record
+// lines, segment rolling, last-wins overwrite, segment naming (stray files
+// left alone, numeric order), compaction (sorted index, segments deleted,
+// torn tails, malformed keys, fingerprints and outcomes tolerated),
+// recency-based eviction, and fingerprint namespacing.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -25,13 +26,26 @@ std::string tmp_store(const char* name) {
 }
 
 Record make_record(uint64_t fp, std::string plan, std::string il,
-                   OutcomeKind kind = OutcomeKind::Pass) {
+                   core::InterleavingOutcome outcome = {}) {
   Record record;
   record.fingerprint = fp;
   record.plan = std::move(plan);
   record.il = std::move(il);
-  record.kind = kind;
+  record.outcome = std::move(outcome);
   return record;
+}
+
+core::InterleavingOutcome violated(std::string assertion, std::string message) {
+  core::InterleavingOutcome outcome;
+  outcome.violations.push_back({std::move(assertion), std::move(message)});
+  return outcome;
+}
+
+core::InterleavingOutcome crashed(int signal) {
+  core::InterleavingOutcome outcome;
+  outcome.crashed = true;
+  outcome.term_signal = signal;
+  return outcome;
 }
 
 std::vector<std::string> file_lines(const std::string& path) {
@@ -43,68 +57,124 @@ std::vector<std::string> file_lines(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Outcome taxonomy
+// Record lines
 // ---------------------------------------------------------------------------
 
-TEST(CorpusRecord, KindNamesRoundTrip) {
-  for (const OutcomeKind kind :
-       {OutcomeKind::Pass, OutcomeKind::Violation, OutcomeKind::Crashed,
-        OutcomeKind::Oom, OutcomeKind::TimedOut, OutcomeKind::BudgetExhausted}) {
-    const auto back = outcome_kind_from_name(outcome_kind_name(kind));
-    ASSERT_TRUE(back.has_value()) << outcome_kind_name(kind);
-    EXPECT_EQ(*back, kind);
-  }
-  EXPECT_FALSE(outcome_kind_from_name("nonsense").has_value());
-  EXPECT_FALSE(outcome_kind_from_name("").has_value());
-}
-
-TEST(CorpusRecord, OutcomeRoundTripsForEveryPerPairKind) {
-  core::InterleavingOutcome pass;
+TEST(CorpusStore, RecordLinesAreByteStable) {
+  // A corpus outlives the binary that wrote it: these are the segment lines
+  // earlier builds wrote for each outcome shape, and every build must write
+  // exactly them and read each back to the outcome that wrote it.
+  using core::RecoveryVerdict;
   core::InterleavingOutcome violation;
-  violation.violations.push_back({"replicas_converge", "diverged at replica 1"});
-  violation.violations.push_back({"query_result", "lamp missing"});
-  core::InterleavingOutcome crashed;
-  crashed.crashed = true;
-  crashed.term_signal = 11;
+  violation.violations = {
+      {"replicas_converge", "replicas_converge: diverged \"lamp\" [interleaving 0,1,2]"},
+      {"all_ops_succeed", "op 3 failed"}};
   core::InterleavingOutcome oom;
   oom.oom = true;
   core::InterleavingOutcome timed_out;
   timed_out.timed_out = true;
+  core::InterleavingOutcome recovered;
+  recovered.recovery = RecoveryVerdict{};
+  core::InterleavingOutcome missing;
+  missing.recovery = RecoveryVerdict{RecoveryVerdict::Status::MissingEntries, 2, 3};
+  core::InterleavingOutcome diverged;
+  diverged.recovery = RecoveryVerdict{RecoveryVerdict::Status::Diverged, 0, 0};
+  core::InterleavingOutcome violation_diverged =
+      violated("durable-log-recovery", "replica 0 diverged");
+  violation_diverged.recovery = diverged.recovery;
 
-  for (const auto* original : {&pass, &violation, &crashed, &oom, &timed_out}) {
-    const Record record = Record::from_outcome(7, "none", "0,1,2", *original);
-    const core::InterleavingOutcome back = record.to_outcome();
-    EXPECT_EQ(back.timed_out, original->timed_out);
-    EXPECT_EQ(back.crashed, original->crashed);
-    EXPECT_EQ(back.term_signal, original->term_signal);
-    EXPECT_EQ(back.oom, original->oom);
-    ASSERT_EQ(back.violations.size(), original->violations.size());
-    for (size_t i = 0; i < back.violations.size(); ++i) {
-      EXPECT_EQ(back.violations[i].assertion, original->violations[i].assertion);
-      EXPECT_EQ(back.violations[i].message, original->violations[i].message);
+  struct Golden {
+    std::string plan;
+    core::InterleavingOutcome outcome;
+    std::string line;
+  };
+  const std::vector<Golden> golden = {
+      {"none", {}, R"({"fp":"000c0ffee0ddba11","il":"2,0,1,3","o":"pass","plan":"none","seq":1})"},
+      {"none", violation,
+       R"({"fp":"000c0ffee0ddba11","il":"2,0,1,4","o":"violation","plan":"none","seq":1,)"
+       R"("v":[{"a":"replicas_converge","m":"replicas_converge: diverged \"lamp\" )"
+       R"([interleaving 0,1,2]"},{"a":"all_ops_succeed","m":"op 3 failed"}]})"},
+      {"none", crashed(SIGSEGV),
+       R"({"fp":"000c0ffee0ddba11","il":"2,0,1,5","o":"crashed","plan":"none","seq":1,"sig":11})"},
+      {"none", crashed(0),
+       R"({"fp":"000c0ffee0ddba11","il":"2,0,1,6","o":"crashed","plan":"none","seq":1})"},
+      {"none", oom, R"({"fp":"000c0ffee0ddba11","il":"2,0,1,7","o":"oom","plan":"none","seq":1})"},
+      {"none", timed_out,
+       R"({"fp":"000c0ffee0ddba11","il":"2,0,1,8","o":"timed_out","plan":"none","seq":1})"},
+      {"torn:r0@6-1", recovered,
+       R"({"fp":"000c0ffee0ddba11","il":"2,0,1,9","o":"pass","plan":"torn:r0@6-1",)"
+       R"("rk":"recovered","seq":1})"},
+      {"torn:r0@6-1", missing,
+       R"({"fp":"000c0ffee0ddba11","il":"2,0,1,10","o":"pass","plan":"torn:r0@6-1",)"
+       R"("rc":3,"rf":2,"rk":"missing_entries","seq":1})"},
+      {"torn:r0@6-1", diverged,
+       R"({"fp":"000c0ffee0ddba11","il":"2,0,1,11","o":"pass","plan":"torn:r0@6-1",)"
+       R"("rk":"diverged","seq":1})"},
+      {"torn:r0@6-1", violation_diverged,
+       R"({"fp":"000c0ffee0ddba11","il":"2,0,1,12","o":"violation","plan":"torn:r0@6-1",)"
+       R"("rk":"diverged","seq":1,"v":[{"a":"durable-log-recovery","m":"replica 0 diverged"}]})"},
+  };
+  const uint64_t fp = 0x000c0ffee0ddba11ull;
+  const auto il = [](size_t i) { return "2,0,1," + std::to_string(i + 3); };
+  const std::string dir = tmp_store("golden");
+  StoreOptions options;
+  options.auto_compact_segments = 0;
+  {
+    Store store = Store::open(dir, options);
+    for (size_t i = 0; i < golden.size(); ++i) {
+      store.append(make_record(fp, golden[i].plan, il(i), golden[i].outcome));
     }
+  }
+  const auto lines = file_lines(dir + "/seg-000001.jsonl");
+  ASSERT_EQ(lines.size(), golden.size() + 1);
+  EXPECT_EQ(lines[0], R"({"created_seq":1,"erpi_corpus_segment":1})");
+  Store reopened = Store::open(dir, options);
+  EXPECT_EQ(reopened.stats().torn_lines, 0u);
+  for (size_t i = 0; i < golden.size(); ++i) {
+    SCOPED_TRACE(il(i));
+    EXPECT_EQ(lines[i + 1], golden[i].line);
+    const Record* loaded = reopened.lookup(fp, golden[i].plan, il(i));
+    ASSERT_NE(loaded, nullptr);
+    EXPECT_TRUE(loaded->outcome == golden[i].outcome);
   }
 }
 
-TEST(CorpusRecord, BudgetExhaustedCarriesNoReplayOutcome) {
-  Record record = make_record(1, "none", "0,1", OutcomeKind::BudgetExhausted);
-  EXPECT_THROW(record.to_outcome(), std::logic_error);
-}
-
-TEST(CorpusRecord, SameOutcomeIgnoresRecency) {
-  Record a = make_record(1, "none", "0,1", OutcomeKind::Crashed);
-  a.signal = 11;
-  Record b = a;
-  b.seq = 99;
-  EXPECT_TRUE(a.same_outcome(b));
-  b.signal = 6;
-  EXPECT_FALSE(a.same_outcome(b));
-  Record c = make_record(1, "none", "0,1", OutcomeKind::Violation);
-  c.violations.push_back({"conv", "diverged"});
-  Record d = c;
-  EXPECT_TRUE(c.same_outcome(d));
-  d.violations[0].message = "diverged differently";
-  EXPECT_FALSE(c.same_outcome(d));
+TEST(CorpusStore, StopsAtAMalformedOutcomeOrFingerprint) {
+  // A record no build writes ends the segment's valid prefix like a torn
+  // line: it is never served as a pass, a violation prior or a record under
+  // some other fingerprint.
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"violation without violations",
+       R"({"fp":"0000000000000001","il":"1,0","o":"violation","plan":"none","seq":1})"},
+      {"signal on a pass",
+       R"({"fp":"0000000000000001","il":"1,0","o":"pass","plan":"none","seq":1,"sig":9})"},
+      {"negative recovery count",
+       R"({"fp":"0000000000000001","il":"1,0","o":"pass","plan":"none","rc":-1,)"
+       R"("rk":"missing_entries","seq":1})"},
+      {"budget_exhausted kind",
+       R"({"fp":"0000000000000001","il":"1,0","o":"budget_exhausted","plan":"none","seq":1})"},
+      {"signed fingerprint", R"({"fp":"-1","il":"1,0","o":"pass","plan":"none","seq":1})"},
+      {"0x fingerprint", R"({"fp":"0x1f","il":"1,0","o":"pass","plan":"none","seq":1})"},
+  };
+  StoreOptions options;
+  options.auto_compact_segments = 0;
+  for (const auto& [name, line] : rows) {
+    SCOPED_TRACE(name);
+    const std::string dir = tmp_store("malformed");
+    {
+      Store store = Store::open(dir, options);
+      store.append(make_record(1, "none", "0,1"));
+    }
+    {
+      std::ofstream out(dir + "/seg-000001.jsonl", std::ios::app);
+      out << line << '\n'
+          << R"({"fp":"0000000000000001","il":"2,0","o":"pass","plan":"none","seq":1})" << '\n';
+    }
+    Store store = Store::open(dir, options);
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_EQ(store.stats().torn_lines, 1u);
+    EXPECT_TRUE(violation_priors(dir).empty());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -117,12 +187,8 @@ TEST(CorpusStore, AppendLookupReopen) {
     Store store = Store::open(dir);
     EXPECT_EQ(store.size(), 0u);
     store.append(make_record(1, "none", "0,1,2"));
-    Record crash = make_record(1, "drop:1", "0,1,2", OutcomeKind::Crashed);
-    crash.signal = 11;
-    store.append(crash);
-    Record viol = make_record(2, "none", "2,1,0", OutcomeKind::Violation);
-    viol.violations.push_back({"replicas_converge", "diverged"});
-    store.append(viol);
+    store.append(make_record(1, "drop:1", "0,1,2", crashed(11)));
+    store.append(make_record(2, "none", "2,1,0", violated("replicas_converge", "diverged")));
     EXPECT_EQ(store.size(), 3u);
     EXPECT_EQ(store.stats().appended, 3u);
   }
@@ -131,44 +197,40 @@ TEST(CorpusStore, AppendLookupReopen) {
   EXPECT_EQ(store.stats().loaded, 3u);
   const Record* crash = store.lookup(1, "drop:1", "0,1,2");
   ASSERT_NE(crash, nullptr);
-  EXPECT_EQ(crash->kind, OutcomeKind::Crashed);
-  EXPECT_EQ(crash->signal, 11);
+  EXPECT_TRUE(crash->outcome.crashed);
+  EXPECT_EQ(crash->outcome.term_signal, 11);
   const Record* viol = store.lookup(2, "none", "2,1,0");
   ASSERT_NE(viol, nullptr);
-  ASSERT_EQ(viol->violations.size(), 1u);
-  EXPECT_EQ(viol->violations[0].assertion, "replicas_converge");
+  ASSERT_EQ(viol->outcome.violations.size(), 1u);
+  EXPECT_EQ(viol->outcome.violations[0].assertion, "replicas_converge");
   EXPECT_EQ(store.lookup(3, "none", "0,1,2"), nullptr);
 }
 
 TEST(CorpusStore, FingerprintsNamespaceRecords) {
   const std::string dir = tmp_store("namespace");
   Store store = Store::open(dir);
-  store.append(make_record(0xaaa, "none", "0,1", OutcomeKind::Pass));
-  Record other = make_record(0xbbb, "none", "0,1", OutcomeKind::Violation);
-  other.violations.push_back({"conv", "diverged"});
-  store.append(other);
+  store.append(make_record(0xaaa, "none", "0,1"));
+  store.append(make_record(0xbbb, "none", "0,1", violated("conv", "diverged")));
   EXPECT_EQ(store.size(), 2u);
   ASSERT_NE(store.lookup(0xaaa, "none", "0,1"), nullptr);
-  EXPECT_EQ(store.lookup(0xaaa, "none", "0,1")->kind, OutcomeKind::Pass);
+  EXPECT_EQ(store.lookup(0xaaa, "none", "0,1")->outcome, core::InterleavingOutcome{});
   ASSERT_NE(store.lookup(0xbbb, "none", "0,1"), nullptr);
-  EXPECT_EQ(store.lookup(0xbbb, "none", "0,1")->kind, OutcomeKind::Violation);
+  EXPECT_EQ(store.lookup(0xbbb, "none", "0,1")->outcome, violated("conv", "diverged"));
 }
 
 TEST(CorpusStore, LastAppendWins) {
   const std::string dir = tmp_store("lastwins");
   {
     Store store = Store::open(dir);
-    store.append(make_record(1, "none", "0,1", OutcomeKind::Pass));
-    Record flipped = make_record(1, "none", "0,1", OutcomeKind::Violation);
-    flipped.violations.push_back({"conv", "diverged"});
-    store.append(flipped);
+    store.append(make_record(1, "none", "0,1"));
+    store.append(make_record(1, "none", "0,1", violated("conv", "diverged")));
     EXPECT_EQ(store.size(), 1u);
-    EXPECT_EQ(store.lookup(1, "none", "0,1")->kind, OutcomeKind::Violation);
+    EXPECT_EQ(store.lookup(1, "none", "0,1")->outcome, violated("conv", "diverged"));
   }
   // The overwrite survives reload (segments replay in order, last wins).
   Store store = Store::open(dir);
   ASSERT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.lookup(1, "none", "0,1")->kind, OutcomeKind::Violation);
+  EXPECT_EQ(store.lookup(1, "none", "0,1")->outcome, violated("conv", "diverged"));
 }
 
 TEST(CorpusStore, RollsSegmentsAtConfiguredInterval) {
@@ -216,9 +278,7 @@ TEST(CorpusStore, StopsAtAMalformedInterleavingKey) {
   options.auto_compact_segments = 0;
   {
     Store store = Store::open(dir, options);
-    Record violation = make_record(1, "none", "0,1", OutcomeKind::Violation);
-    violation.violations.push_back({"replicas_converge", "diverged"});
-    store.append(violation);
+    store.append(make_record(1, "none", "0,1", violated("replicas_converge", "diverged")));
   }
   {
     std::ofstream out(dir + "/seg-000001.jsonl", std::ios::app);
@@ -279,19 +339,17 @@ TEST(CorpusStore, OrdersSegmentsByNumberPastSixDigits) {
   options.auto_compact_segments = 0;
   {
     Store store = Store::open(dir, options);
-    store.append(make_record(1, "none", "0,1", OutcomeKind::Pass));
+    store.append(make_record(1, "none", "0,1"));
   }
   fs::rename(dir + "/seg-000001.jsonl", dir + "/seg-999999.jsonl");
   {
     Store store = Store::open(dir, options);
-    Record flipped = make_record(1, "none", "0,1", OutcomeKind::Violation);
-    flipped.violations.push_back({"conv", "diverged"});
-    store.append(flipped);
+    store.append(make_record(1, "none", "0,1", violated("conv", "diverged")));
   }
   ASSERT_TRUE(fs::exists(dir + "/seg-1000000.jsonl"));
   Store reopened = Store::open(dir, options);
   ASSERT_EQ(reopened.size(), 1u);
-  EXPECT_EQ(reopened.lookup(1, "none", "0,1")->kind, OutcomeKind::Violation);
+  EXPECT_EQ(reopened.lookup(1, "none", "0,1")->outcome, violated("conv", "diverged"));
 }
 
 // ---------------------------------------------------------------------------

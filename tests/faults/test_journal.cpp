@@ -167,8 +167,8 @@ TEST(RunJournal, TruncatesAtPerPlanOrdinalGap) {
   auto lines = file_lines(path);
   // Hand-corrupt the tail: ordinal 3 skips 2, and everything after the gap
   // is discarded even if well-formed.
-  lines.push_back(R"({"plan":"none","il":3,"key":"0,1","timed_out":false,"violations":[]})");
-  lines.push_back(R"({"plan":"none","il":4,"key":"0,1","timed_out":false,"violations":[]})");
+  lines.push_back(R"({"il":3,"key":"0,1","o":"pass","plan":"none"})");
+  lines.push_back(R"({"il":4,"key":"0,1","o":"pass","plan":"none"})");
   write_lines(path, lines);
   const auto loaded = RunJournal::load(path);
   ASSERT_TRUE(loaded.has_value());
@@ -176,7 +176,7 @@ TEST(RunJournal, TruncatesAtPerPlanOrdinalGap) {
   // Per-plan sequences are independent: a second plan restarts at 1.
   lines = file_lines(path);
   lines.resize(2);  // header + none:1
-  lines.push_back(R"({"plan":"drop:1","il":1,"key":"0,1","timed_out":false,"violations":[]})");
+  lines.push_back(R"({"il":1,"key":"0,1","o":"pass","plan":"drop:1"})");
   write_lines(path, lines);
   const auto reloaded = RunJournal::load(path);
   ASSERT_TRUE(reloaded.has_value());
@@ -252,7 +252,7 @@ ReplayReport run_journaled(const std::string& journal_path, int parallelism,
       [](proxy::Rdl&) -> core::AssertionList { return {core::replicas_converge({0, 1})}; });
 }
 
-void expect_same_outcome(const ReplayReport& resumed, const ReplayReport& full,
+void expect_same_report(const ReplayReport& resumed, const ReplayReport& full,
                          const std::string& label) {
   EXPECT_EQ(resumed.explored, full.explored) << label;
   EXPECT_EQ(resumed.violations, full.violations) << label;
@@ -286,7 +286,7 @@ TEST(RunJournal, ResumeFromTruncatedJournalReproducesUninterruptedReport) {
     std::vector<std::string> prefix(lines.begin(), lines.begin() + 1 + keep);
     write_lines(path, prefix);
     const ReplayReport resumed = run_journaled(path, 4);
-    expect_same_outcome(resumed, full, "keep=" + std::to_string(keep));
+    expect_same_report(resumed, full, "keep=" + std::to_string(keep));
     EXPECT_EQ(resumed.pairs_skipped_from_journal, keep) << "keep=" << keep;
   }
 }
@@ -300,7 +300,7 @@ TEST(RunJournal, ResumeIsParallelismIndependent) {
   std::vector<std::string> prefix(lines.begin(), lines.begin() + 1 + 9);
   write_lines(path, prefix);
   const ReplayReport resumed = run_journaled(path, 8);
-  expect_same_outcome(resumed, full, "p=1 -> p=8");
+  expect_same_report(resumed, full, "p=1 -> p=8");
   EXPECT_EQ(resumed.pairs_skipped_from_journal, 9u);
 }
 
@@ -381,7 +381,33 @@ TEST(RunJournal, DamageMatrix) {
   std::string bad_key = line(mid);
   bad_key[bad_key.find("\"key\":\"") + 7] = 'x';
   std::string bad_recovery = line(mid);
-  bad_recovery.insert(bad_recovery.find("\"timed_out\""), R"("recovery":"bogus",)");
+  bad_recovery.insert(bad_recovery.find("\"o\":"), R"("rk":"bogus",)");
+  // The town workload never crashes, so a signal is malformed on any record.
+  std::string stray_signal = line(mid);
+  stray_signal.insert(stray_signal.find("\"o\":"), R"("sig":9,)");
+  // The same records in the field names journals used before they shared
+  // the outcome codec: no "o", so the first record ends the valid prefix and
+  // the resume starts fresh.
+  std::string pre_codec = line(0);
+  for (size_t i = 1; i <= records; ++i) {
+    const util::Json record = util::Json::parse(line(i)).value();
+    util::Json old = util::Json::object();
+    old["plan"] = record["plan"];
+    old["il"] = record["il"];
+    old["key"] = record["key"];
+    old["timed_out"] = false;
+    util::Json violations = util::Json::array();
+    if (record.contains("v")) {
+      for (const auto& v : record["v"].as_array()) {
+        util::Json violation = util::Json::object();
+        violation["assertion"] = v["a"];
+        violation["message"] = v["m"];
+        violations.push_back(std::move(violation));
+      }
+    }
+    old["violations"] = std::move(violations);
+    pre_codec += old.dump() + "\n";
+  }
   std::string other_fingerprint = complete;
   char& digit = other_fingerprint[other_fingerprint.find("\"fingerprint\":\"") + 15];
   digit = digit == '0' ? '1' : '0';
@@ -393,6 +419,8 @@ TEST(RunJournal, DamageMatrix) {
       {"duplicated record", upto(mid) + line(mid) + after(mid), mid, mid},
       {"corrupted key", upto(mid - 1) + bad_key + after(mid), mid - 1, mid - 1},
       {"unknown recovery name", upto(mid - 1) + bad_recovery + after(mid), mid - 1, mid - 1},
+      {"signal on a non-crash", upto(mid - 1) + stray_signal + after(mid), mid - 1, mid - 1},
+      {"pre-codec record fields", pre_codec, 0, 0},
       {"fingerprint mismatch", other_fingerprint, records, 0},
   };
   // A torn tail at every byte offset of the last two records. A record whose
@@ -417,7 +445,7 @@ TEST(RunJournal, DamageMatrix) {
     }
     if (!damage.resume) continue;
     const ReplayReport resumed = run_journaled(path, 2);
-    expect_same_outcome(resumed, full, damage.name);
+    expect_same_report(resumed, full, damage.name);
     EXPECT_EQ(resumed.pairs_skipped_from_journal, damage.skipped);
     EXPECT_EQ(read_file(path), complete);
   }
@@ -493,7 +521,7 @@ TEST(RunJournal, WritesEveryRecordOnce) {
               lines[1 + keep].substr(0, 9));
   StreamIo resumed_io;
   const ReplayReport resumed = run_journaled(path, 2, 0, {}, counting(resumed_io));
-  expect_same_outcome(resumed, full, "resumed");
+  expect_same_report(resumed, full, "resumed");
   EXPECT_EQ(resumed.pairs_skipped_from_journal, keep);
   EXPECT_EQ(resumed_io.opens, 2u);
   EXPECT_LE(resumed_io.bytes * 10, std::filesystem::file_size(path) * 11);

@@ -400,8 +400,7 @@ TEST(StorageFaults, CorpusRecoveryFieldsRoundTrip) {
   record.fingerprint = 0xfeedull;
   record.plan = "torn:r0@6-1";
   record.il = "0,1";
-  record.kind = corpus::OutcomeKind::Pass;
-  record.recovery = verdict;
+  record.outcome.recovery = verdict;
   {
     auto store = corpus::Store::open(dir);
     store.append(record);
@@ -409,21 +408,17 @@ TEST(StorageFaults, CorpusRecoveryFieldsRoundTrip) {
   auto reopened = corpus::Store::open(dir);
   const auto* loaded = reopened.lookup(record.fingerprint, record.plan, record.il);
   ASSERT_NE(loaded, nullptr);
-  ASSERT_TRUE(loaded->recovery.has_value());
-  EXPECT_EQ(loaded->recovery->status, core::RecoveryVerdict::Status::MissingEntries);
-  EXPECT_EQ(loaded->recovery->first_missing, 2u);
-  EXPECT_EQ(loaded->recovery->missing_count, 3u);
+  ASSERT_TRUE(loaded->outcome.recovery.has_value());
+  EXPECT_EQ(loaded->outcome.recovery->status, core::RecoveryVerdict::Status::MissingEntries);
+  EXPECT_EQ(loaded->outcome.recovery->first_missing, 2u);
+  EXPECT_EQ(loaded->outcome.recovery->missing_count, 3u);
 
-  // The verdict is part of the outcome identity diff mode compares, and it
-  // survives the to_outcome/from_outcome round-trip reuse mode relies on.
-  corpus::Record other = *loaded;
+  // The verdict is part of the outcome identity diff mode compares, and the
+  // reloaded outcome is the one reuse mode commits.
+  core::InterleavingOutcome other = loaded->outcome;
   other.recovery->missing_count = 4;
-  EXPECT_FALSE(loaded->same_outcome(other));
-  const auto outcome = loaded->to_outcome();
-  ASSERT_TRUE(outcome.recovery.has_value());
-  const auto rebuilt = corpus::Record::from_outcome(record.fingerprint, record.plan,
-                                                    record.il, outcome);
-  EXPECT_TRUE(loaded->same_outcome(rebuilt));
+  EXPECT_FALSE(loaded->outcome == other);
+  EXPECT_TRUE(loaded->outcome == record.outcome);
   std::filesystem::remove_all(dir);
 }
 

@@ -358,8 +358,10 @@ TEST(GuidedSearch, GuardsRejectSharedAssertionsAndJournalResume) {
     Session session(proxy, std::move(config));
     session.start();
     stress_workload(proxy);
-    // Journal skip-and-merge assumes stream order; a searcher reorders it.
-    EXPECT_THROW(session.end(planted_assertions()), std::invalid_argument);
+    // A resumed run serves journaled record k as pull k of the stream; a
+    // searcher reorders the stream, so the fault explorer rejects the pair.
+    EXPECT_THROW(faults::explore_with_faults(session, planted_assertions()),
+                 std::invalid_argument);
   }
 }
 
@@ -431,8 +433,7 @@ TEST(CorpusPriors, LoadsDistinctViolationsAcrossFingerprintsAndPlans) {
     violation.fingerprint = 1;
     violation.plan = "none";
     violation.il = "2,1,0";
-    violation.kind = corpus::OutcomeKind::Violation;
-    violation.violations = {{"planted", "boom"}};
+    violation.outcome.violations = {{"planted", "boom"}};
     store.append(violation);
 
     violation.fingerprint = 2;  // same interleaving, other fingerprint: dedup
@@ -443,8 +444,7 @@ TEST(CorpusPriors, LoadsDistinctViolationsAcrossFingerprintsAndPlans) {
 
     corpus::Record pass = violation;
     pass.il = "0,1,2";
-    pass.kind = corpus::OutcomeKind::Pass;
-    pass.violations.clear();
+    pass.outcome.violations.clear();
     store.append(pass);
 
     corpus::Record other = violation;

@@ -157,6 +157,21 @@ TEST(Sha1, LongInputCrossesBlockBoundaries) {
   EXPECT_EQ(Sha1::hex(block), "291e9a6c66994949b57ba5e650361e98fc36b1ba");
 }
 
+TEST(Hex64, RoundTripsAndRejectsNonCanonicalText) {
+  for (const uint64_t value : {uint64_t{0}, uint64_t{1}, uint64_t{0x000c0ffee0ddba11},
+                               ~uint64_t{0}}) {
+    const std::string text = hex64(value);
+    EXPECT_EQ(text.size(), 16u);
+    EXPECT_EQ(parse_hex64(text), std::optional<uint64_t>(value)) << text;
+  }
+  EXPECT_EQ(hex64(0xabcdef0123456789ull), "abcdef0123456789");
+  for (const char* text : {"", "1", "-1", "0x1f", "0x000000000000001", "-000000000000001",
+                           " 000000000000001", "000000000000001 ", "00000000000000001",
+                           "ABCDEF0123456789", "000000000000000g"}) {
+    EXPECT_FALSE(parse_hex64(text).has_value()) << '"' << text << '"';
+  }
+}
+
 // ---------------------------------------------------------------------------
 // strings
 // ---------------------------------------------------------------------------
