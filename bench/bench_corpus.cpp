@@ -49,16 +49,17 @@ util::Json problem(const char* name) {
 }
 
 /// TownApp with an injectable integration bug (smoke mode's diff target):
-/// sync payloads carrying problem "p1" are acknowledged but never applied.
+/// sync bodies whose text carries problem "p1" are acknowledged but never
+/// applied.
 class BuggyTown : public subjects::TownApp {
  public:
   explicit BuggyTown(int replica_count) : TownApp(replica_count) {}
 
  protected:
-  util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                  const std::string& payload) override {
-    if (payload.find("p1") != std::string::npos) return util::Status::ok();
-    return TownApp::apply_sync_payload(from, to, payload);
+  util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                          const net::Payload& payload) override {
+    if (payload.render().find("p1") != std::string::npos) return util::Status::ok();
+    return TownApp::apply_sync(from, to, payload);
   }
 };
 

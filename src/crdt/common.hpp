@@ -3,9 +3,12 @@
 // tagging in observed-remove designs.
 #pragma once
 
+#include <charconv>
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "util/json.hpp"
@@ -13,6 +16,13 @@
 namespace erpi::crdt {
 
 using ReplicaId = int32_t;
+
+/// `j` is an int that fits a ReplicaId. The strict parse() decoders below
+/// use it so a hostile replica id fails instead of being truncated.
+inline bool is_replica_id(const util::Json& j) {
+  return j.is_int() && j.as_int() >= std::numeric_limits<ReplicaId>::min() &&
+         j.as_int() <= std::numeric_limits<ReplicaId>::max();
+}
 
 /// Lamport logical clock (paper §4.2: replay order is defined by Lamport
 /// timestamps assigned to each event).
@@ -53,6 +63,14 @@ struct Timestamp {
   static Timestamp from_json(const util::Json& j) {
     return Timestamp{j["t"].as_int(), static_cast<ReplicaId>(j["r"].as_int())};
   }
+  /// Strict inverse of to_json(): nullopt unless `j` is exactly
+  /// {"r": replica id, "t": int}. Never throws.
+  static std::optional<Timestamp> parse(const util::Json& j) {
+    if (!j.is_object() || j.size() != 2 || !j["t"].is_int() || !is_replica_id(j["r"])) {
+      return std::nullopt;
+    }
+    return from_json(j);
+  }
 
   std::string str() const {
     return std::to_string(time) + "@" + std::to_string(replica);
@@ -77,6 +95,14 @@ struct Dot {
   }
   static Dot from_json(const util::Json& j) {
     return Dot{static_cast<ReplicaId>(j["r"].as_int()), j["c"].as_int()};
+  }
+  /// Strict inverse of to_json(): nullopt unless `j` is exactly
+  /// {"c": int, "r": replica id}. Never throws.
+  static std::optional<Dot> parse(const util::Json& j) {
+    if (!j.is_object() || j.size() != 2 || !j["c"].is_int() || !is_replica_id(j["r"])) {
+      return std::nullopt;
+    }
+    return from_json(j);
   }
 };
 
@@ -134,6 +160,22 @@ class VectorClock {
     VectorClock vc;
     for (const auto& [key, value] : j.as_object()) {
       vc.entries_[static_cast<ReplicaId>(std::stoi(key))] = value.as_int();
+    }
+    return vc;
+  }
+  /// Strict inverse of to_json(): nullopt unless `j` is an object mapping
+  /// canonical replica-id strings to ints. Never throws.
+  static std::optional<VectorClock> parse(const util::Json& j) {
+    if (!j.is_object()) return std::nullopt;
+    VectorClock vc;
+    for (const auto& [key, value] : j.as_object()) {
+      ReplicaId replica = 0;
+      const auto [end, ec] = std::from_chars(key.data(), key.data() + key.size(), replica);
+      if (ec != std::errc() || end != key.data() + key.size() || std::to_string(replica) != key ||
+          !value.is_int()) {
+        return std::nullopt;
+      }
+      vc.entries_[replica] = value.as_int();
     }
     return vc;
   }

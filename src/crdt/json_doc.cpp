@@ -13,10 +13,6 @@ util::Json id_to_json(const Rga::Id& id) {
   return j;
 }
 
-Rga::Id id_from_json(const util::Json& j) {
-  return Rga::Id{static_cast<ReplicaId>(j["r"].as_int()), j["c"].as_int()};
-}
-
 const char* kind_name(JsonDoc::Op::Kind kind) {
   switch (kind) {
     case JsonDoc::Op::Kind::Set: return "set";
@@ -78,29 +74,54 @@ util::Json JsonDoc::Op::to_json() const {
 }
 
 util::Result<JsonDoc::Op> JsonDoc::Op::from_json(const util::Json& j) {
+  // Strict: exactly the members to_json() writes, each of its type, checked
+  // before anything is read, so a malformed op fails instead of throwing.
+  const auto malformed = [] { return util::Error{"malformed json-doc op"}; };
+  if (!j.is_object() || !j["kind"].is_string()) return malformed();
   Op op;
   auto kind = kind_from_name(j["kind"].as_string());
   if (!kind) return util::Error{kind.error()};
   op.kind = kind.value();
-  for (const auto& component : j["path"].as_array()) op.path.push_back(component.as_string());
+  const bool has_list_member = op.kind != Kind::Set && op.kind != Kind::Delete;
+  const auto stamp = Timestamp::parse(j["stamp"]);
+  if (j.size() != (has_list_member ? 6u : 5u) || !j["path"].is_array() ||
+      !j["key"].is_string() || !j.contains("value") || !stamp) {
+    return malformed();
+  }
+  for (const auto& component : j["path"].as_array()) {
+    if (!component.is_string()) return malformed();
+    op.path.push_back(component.as_string());
+  }
   op.key = j["key"].as_string();
   op.value = j["value"];
-  op.stamp = Timestamp::from_json(j["stamp"]);
+  op.stamp = *stamp;
   switch (op.kind) {
     case Kind::ListPush:
-    case Kind::ListInsert:
-      op.list_insert.id = id_from_json(j["list_insert"]["id"]);
-      op.list_insert.after = id_from_json(j["list_insert"]["after"]);
-      op.list_insert.value = j["list_insert"]["value"].as_string();
+    case Kind::ListInsert: {
+      const auto& li = j["list_insert"];
+      if (!li.is_object() || li.size() != 3 || !li["value"].is_string()) return malformed();
+      const auto id = Rga::Id::parse(li["id"]);
+      const auto after = Rga::Id::parse(li["after"]);
+      if (!id || !after) return malformed();
+      op.list_insert = Rga::InsertOp{*id, *after, li["value"].as_string()};
       break;
-    case Kind::ListRemove:
-      op.list_remove.target = id_from_json(j["list_remove_target"]);
+    }
+    case Kind::ListRemove: {
+      const auto target = Rga::Id::parse(j["list_remove_target"]);
+      if (!target) return malformed();
+      op.list_remove.target = *target;
       break;
-    case Kind::ListMove:
-      op.list_move.target = id_from_json(j["list_move"]["target"]);
-      op.list_move.after = id_from_json(j["list_move"]["after"]);
-      op.list_move.stamp = Timestamp::from_json(j["list_move"]["stamp"]);
+    }
+    case Kind::ListMove: {
+      const auto& lm = j["list_move"];
+      if (!lm.is_object() || lm.size() != 3) return malformed();
+      const auto target = Rga::Id::parse(lm["target"]);
+      const auto after = Rga::Id::parse(lm["after"]);
+      const auto move_stamp = Timestamp::parse(lm["stamp"]);
+      if (!target || !after || !move_stamp) return malformed();
+      op.list_move = Rga::MoveOp{*target, *after, *move_stamp};
       break;
+    }
     default: break;
   }
   return op;

@@ -51,6 +51,8 @@ class JsonDoc {
     Rga::MoveOp list_move;
 
     util::Json to_json() const;
+    /// Strict inverse of to_json(): fails, never throws, on any shape
+    /// to_json() does not write.
     static util::Result<Op> from_json(const util::Json& j);
   };
 

@@ -5,7 +5,7 @@
 namespace erpi::net {
 
 SimNetwork::SimNetwork(int replica_count, uint64_t seed)
-    : replica_count_(replica_count), rng_(seed), handlers_(static_cast<size_t>(replica_count)) {
+    : replica_count_(replica_count), rng_(seed) {
   if (replica_count <= 0) throw std::invalid_argument("replica_count must be positive");
 }
 
@@ -54,7 +54,7 @@ bool SimNetwork::partitioned(ReplicaId a, ReplicaId b) const {
 }
 
 std::optional<uint64_t> SimNetwork::send(ReplicaId from, ReplicaId to, std::string topic,
-                                         std::string payload) {
+                                         PayloadPtr payload) {
   check_replica(from);
   check_replica(to);
   std::lock_guard lock(mu_);
@@ -78,9 +78,9 @@ std::optional<uint64_t> SimNetwork::send(ReplicaId from, ReplicaId to, std::stri
   }
   Message m{from, to, std::move(topic), std::move(payload), next_seq_++};
   auto& channel = channels_[{from, to}];
-  channel.push_back(m);
+  channel.push_back(std::move(m));
   if (fault_dup || script_dup) {
-    Message dup = channel.back();
+    Message dup = channel.back();  // shares the body
     dup.seq = next_seq_++;
     channel.push_back(std::move(dup));
     ++stats_.duplicated;
@@ -98,69 +98,37 @@ std::optional<Message> SimNetwork::pop_locked(ReplicaId from, ReplicaId to) {
   return m;
 }
 
-void SimNetwork::dispatch(const Message& message) {
-  std::function<void(const Message&)> handler;
-  {
-    std::lock_guard lock(mu_);
-    handler = handlers_[static_cast<size_t>(message.to)];
-  }
-  if (handler) handler(message);
-}
-
 std::optional<Message> SimNetwork::deliver_next(ReplicaId from, ReplicaId to) {
   check_replica(from);
   check_replica(to);
-  std::optional<Message> m;
-  {
-    std::lock_guard lock(mu_);
-    m = pop_locked(from, to);
-  }
-  if (m) dispatch(*m);
-  return m;
+  std::lock_guard lock(mu_);
+  return pop_locked(from, to);
 }
 
 std::optional<Message> SimNetwork::deliver_any(ReplicaId to) {
   check_replica(to);
-  std::optional<Message> m;
-  {
-    std::lock_guard lock(mu_);
-    // lowest global seq among channels destined to `to`
-    const std::pair<ReplicaId, ReplicaId>* best = nullptr;
-    uint64_t best_seq = 0;
-    for (const auto& [key, queue] : channels_) {
-      if (key.second != to || queue.empty()) continue;
-      if (best == nullptr || queue.front().seq < best_seq) {
-        best = &key;
-        best_seq = queue.front().seq;
-      }
+  std::lock_guard lock(mu_);
+  // lowest global seq among channels destined to `to`
+  const std::pair<ReplicaId, ReplicaId>* best = nullptr;
+  uint64_t best_seq = 0;
+  for (const auto& [key, queue] : channels_) {
+    if (key.second != to || queue.empty()) continue;
+    if (best == nullptr || queue.front().seq < best_seq) {
+      best = &key;
+      best_seq = queue.front().seq;
     }
-    if (best != nullptr) m = pop_locked(best->first, best->second);
   }
-  if (m) dispatch(*m);
-  return m;
+  if (best == nullptr) return std::nullopt;
+  return pop_locked(best->first, best->second);
 }
 
 size_t SimNetwork::deliver_all() {
+  std::lock_guard lock(mu_);
   size_t count = 0;
-  while (true) {
-    std::optional<Message> m;
-    {
-      std::lock_guard lock(mu_);
-      const std::pair<ReplicaId, ReplicaId>* best = nullptr;
-      uint64_t best_seq = 0;
-      for (const auto& [key, queue] : channels_) {
-        if (queue.empty()) continue;
-        if (best == nullptr || queue.front().seq < best_seq) {
-          best = &key;
-          best_seq = queue.front().seq;
-        }
-      }
-      if (best != nullptr) m = pop_locked(best->first, best->second);
-    }
-    if (!m) return count;
-    dispatch(*m);
-    ++count;
-  }
+  for (const auto& [key, queue] : channels_) count += queue.size();
+  stats_.delivered += count;
+  channels_.clear();
+  return count;
 }
 
 size_t SimNetwork::pending(ReplicaId from, ReplicaId to) const {
@@ -174,12 +142,6 @@ size_t SimNetwork::total_pending() const {
   size_t n = 0;
   for (const auto& [key, queue] : channels_) n += queue.size();
   return n;
-}
-
-void SimNetwork::set_handler(ReplicaId replica, std::function<void(const Message&)> handler) {
-  check_replica(replica);
-  std::lock_guard lock(mu_);
-  handlers_[static_cast<size_t>(replica)] = std::move(handler);
 }
 
 NetworkStats SimNetwork::stats() const {
@@ -215,7 +177,7 @@ uint64_t SimNetwork::State::bytes() const noexcept {
   uint64_t total = sizeof(State);
   for (const auto& [key, queue] : channels) {
     for (const auto& message : queue) {
-      total += sizeof(Message) + message.topic.size() + message.payload.size();
+      total += sizeof(Message) + message.topic.size();
     }
   }
   total += partitions.size() * sizeof(std::pair<ReplicaId, ReplicaId>);

@@ -6,17 +6,21 @@
 // is exactly the control ER-pi's replay engine needs: a sync_req event maps
 // to send(), the paired exec_sync event maps to deliver_next(). Fault
 // injection (drop / duplicate / partition) is available for robustness tests.
+//
+// A message body is an immutable, shared Payload object, not text: the
+// sending subject builds it, only that subject reads it, and the network
+// stores and forwards the pointer. Faults key on send ordinals, never on
+// bytes, so they behave the same whatever the body holds.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -24,12 +28,24 @@ namespace erpi::net {
 
 using ReplicaId = int32_t;
 
+/// A message body. It never changes after send(), so a duplicated message
+/// shares its body with the original, and rendering a body at delivery gives
+/// the bytes its sender would have put on the wire.
+class Payload {
+ public:
+  virtual ~Payload() = default;
+  /// The body's wire text. Replay never needs it; the durable log does.
+  virtual std::string render() const = 0;
+};
+
+using PayloadPtr = std::shared_ptr<const Payload>;
+
 struct Message {
   ReplicaId from = -1;
   ReplicaId to = -1;
-  std::string topic;    // e.g. "sync", "op", subject-specific kinds
-  std::string payload;  // serialized body (JSON or subject-specific)
-  uint64_t seq = 0;     // global send sequence, unique per send
+  std::string topic;   // e.g. "sync", "op", subject-specific kinds
+  PayloadPtr payload;  // immutable body, shared by every copy of the message
+  uint64_t seq = 0;    // global send sequence, unique per send
 };
 
 struct NetworkStats {
@@ -85,25 +101,21 @@ class SimNetwork {
   /// Queue a message. Returns the send sequence number, or nullopt if the
   /// message was dropped (fault or partition).
   std::optional<uint64_t> send(ReplicaId from, ReplicaId to, std::string topic,
-                               std::string payload);
+                               PayloadPtr payload);
 
-  /// Deliver the oldest message on channel (from -> to), invoking the
-  /// receiver's handler if one is registered. FIFO per channel.
+  /// Deliver the oldest message on channel (from -> to). FIFO per channel.
   std::optional<Message> deliver_next(ReplicaId from, ReplicaId to);
 
   /// Deliver the oldest message destined to `to` from any sender
   /// (lowest-seq first, i.e. global send order).
   std::optional<Message> deliver_any(ReplicaId to);
 
-  /// Deliver everything currently queued (in global send order).
+  /// Deliver everything currently queued, discarding the messages. Returns
+  /// how many were delivered.
   size_t deliver_all();
 
   size_t pending(ReplicaId from, ReplicaId to) const;
   size_t total_pending() const;
-
-  /// Handler invoked (outside the network lock) when a message is delivered
-  /// to this replica.
-  void set_handler(ReplicaId replica, std::function<void(const Message&)> handler);
 
   NetworkStats stats() const;
 
@@ -119,9 +131,9 @@ class SimNetwork {
 
   /// Value-semantic checkpoint of the network: queued messages, partitions,
   /// fault configuration, the fault RNG stream, sequence counter and stats.
-  /// Handlers are wiring, not state, and are excluded. Subjects embed this in
-  /// their proxy::Snapshot so a restore brings back in-flight sync traffic
-  /// along with replica state.
+  /// Subjects embed this in their proxy::Snapshot so a restore brings back
+  /// in-flight sync traffic along with replica state. Queued bodies are
+  /// immutable, so the checkpoint shares them.
   struct State {
     util::Rng rng;
     Faults faults;
@@ -132,7 +144,8 @@ class SimNetwork {
     std::set<std::pair<ReplicaId, ReplicaId>> partitions;
     NetworkStats stats;
 
-    /// Approximate heap bytes (payloads + per-message overhead).
+    /// Approximate heap bytes: per-message overhead and topics. Bodies are
+    /// shared with the live network, so they are not counted.
     uint64_t bytes() const noexcept;
   };
 
@@ -142,7 +155,6 @@ class SimNetwork {
  private:
   void check_replica(ReplicaId id) const;
   std::optional<Message> pop_locked(ReplicaId from, ReplicaId to);
-  void dispatch(const Message& message);
 
   const int replica_count_;
   mutable std::mutex mu_;
@@ -153,7 +165,6 @@ class SimNetwork {
   uint64_t next_seq_ = 1;
   std::map<std::pair<ReplicaId, ReplicaId>, std::deque<Message>> channels_;
   std::set<std::pair<ReplicaId, ReplicaId>> partitions_;  // normalized (min,max)
-  std::vector<std::function<void(const Message&)>> handlers_;
   NetworkStats stats_;
 };
 

@@ -53,12 +53,6 @@ bool CrdtCollection::adopt_replica(net::ReplicaId replica, const void* saved) {
   return adopt_ctx_at(replicas_, replica, saved);
 }
 
-void CrdtCollection::record(ReplicaCtx& ctx, net::ReplicaId origin, util::Json op_json) {
-  StampedOp stamped{origin, ctx.next_local_seq++, std::move(op_json)};
-  ctx.applied.insert({stamped.origin, stamped.seq});
-  ctx.known_ops.push_back(std::move(stamped));
-}
-
 util::Result<util::Json> CrdtCollection::apply_op(ReplicaCtx& ctx, net::ReplicaId replica,
                                                   const std::string& op, util::Json args,
                                                   bool remote) {
@@ -268,41 +262,71 @@ util::Result<util::Json> CrdtCollection::do_invoke(net::ReplicaId replica,
   util::Json op_json = util::Json::object();
   op_json["op"] = op;
   op_json["args"] = produced.value();
-  record(ctx, replica, std::move(op_json));
+  ctx.ops.record_local(replica, std::move(op_json));
   return util::Json(true);
 }
 
-util::Result<std::string> CrdtCollection::make_sync_payload(net::ReplicaId from,
-                                                             net::ReplicaId,
-                                                             const util::Json&) {
-  auto& ctx = replicas_[static_cast<size_t>(from)];
-  util::Json ops = util::Json::array();
-  for (const auto& stamped : ctx.known_ops) {
-    util::Json row = util::Json::object();
-    row["origin"] = static_cast<int64_t>(stamped.origin);
-    row["seq"] = stamped.seq;
-    row["op"] = stamped.op_json;
-    ops.push_back(std::move(row));
+util::Result<util::Json> CrdtCollection::OpCodec::from_json(const util::Json& j) {
+  // Strict: the op must carry every argument its remote apply reads, each of
+  // its type (the origin's own arguments may ride along).
+  if (!codec::object_with(j, 2) || !j["op"].is_string() || !j["args"].is_object()) {
+    return util::Error{"malformed op"};
   }
-  return ops.dump();
+  const auto& op = j["op"].as_string();
+  const auto& args = j["args"];
+  const auto text = [&](const char* key) { return args[key].is_string(); };
+  const auto dot = [&](const char* key) { return crdt::Dot::parse(args[key]).has_value(); };
+  bool ok = false;
+  if (op == "set_add") {
+    ok = text("element") && dot("tag");
+  } else if (op == "set_remove") {
+    ok = text("element") && args["tags"].is_array() &&
+         std::all_of(args["tags"].as_array().begin(), args["tags"].as_array().end(),
+                     [](const util::Json& tag) { return crdt::Dot::parse(tag).has_value(); });
+  } else if (op == "twopset_add" || op == "twopset_remove") {
+    ok = text("element");
+  } else if (op == "counter_inc" || op == "counter_dec") {
+    ok = crdt::is_replica_id(args["origin"]) && (!args.contains("by") || args["by"].is_int());
+  } else if (op == "list_insert") {
+    ok = dot("id") && dot("after") && text("value");
+  } else if (op == "list_remove") {
+    ok = dot("target");
+  } else if (op == "list_move") {
+    ok = dot("target") && dot("after") && crdt::Timestamp::parse(args["stamp"]).has_value();
+  } else if (op == "list_naive_move") {
+    ok = dot("target") && dot("id") && dot("after") && text("value");
+  } else if (op == "naive_append") {
+    ok = text("value");
+  } else if (op == "reg_set") {
+    ok = text("value") && args["ts"].is_int() && crdt::is_replica_id(args["origin"]);
+  } else if (op == "mv_set") {
+    ok = text("value") && crdt::VectorClock::parse(args["clock"]).has_value();
+  } else if (op == "todo_create") {
+    ok = args["id"].is_int() && text("text");
+  }
+  if (!ok) return util::Error{"malformed " + op + " op"};
+  return j;
 }
 
-util::Status CrdtCollection::apply_sync_payload(net::ReplicaId, net::ReplicaId to,
-                                                const std::string& payload) {
-  auto doc = util::Json::parse(payload);
-  if (!doc) return util::Status::fail("crdts sync payload: " + doc.error().message);
+uint64_t CrdtCollection::OpCodec::digest(const Op& op) { return util::fnv1a64(op.dump()); }
+
+util::Result<net::PayloadPtr> CrdtCollection::make_sync(net::ReplicaId from, net::ReplicaId,
+                                                        const util::Json&) {
+  return replicas_[static_cast<size_t>(from)].ops.body();
+}
+
+util::Status CrdtCollection::apply_sync(net::ReplicaId, net::ReplicaId to,
+                                        const net::Payload& payload) {
   auto& ctx = replicas_[static_cast<size_t>(to)];
-  for (const auto& row : doc.value().as_array()) {
-    const auto origin = static_cast<net::ReplicaId>(row["origin"].as_int());
-    const int64_t seq = row["seq"].as_int();
-    if (!ctx.applied.insert({origin, seq}).second) continue;
-    const auto& op_json = row["op"];
-    auto applied = apply_op(ctx, origin, op_json["op"].as_string(), op_json["args"],
-                            /*remote=*/true);
-    if (!applied) return util::Status::fail(applied.error().message);
-    ctx.known_ops.push_back(StampedOp{origin, seq, op_json});
-  }
-  return util::Status::ok();
+  return ctx.ops.merge(payload, [&](const OpHistory<OpCodec>::Stamped& stamped) {
+    auto applied = apply_op(ctx, stamped.origin, stamped.op["op"].as_string(),
+                            stamped.op["args"], /*remote=*/true);
+    return applied ? util::Status::ok() : util::Status(applied.error());
+  });
+}
+
+util::Result<net::PayloadPtr> CrdtCollection::decode_sync(const std::string& text) const {
+  return OpHistory<OpCodec>::decode(text);
 }
 
 util::Json CrdtCollection::replica_state(net::ReplicaId replica) const {
@@ -323,15 +347,7 @@ util::Json CrdtCollection::replica_state(net::ReplicaId replica) const {
   }
   out["todos"] = std::move(todos);
   out["todo_ids"] = std::move(todo_ids);
-  std::vector<std::string> seen_list;
-  for (const auto& stamped : ctx.known_ops) {
-    seen_list.push_back(std::to_string(stamped.origin) + ":" + std::to_string(stamped.seq) +
-                        ":" + std::to_string(util::fnv1a64(stamped.op_json.dump())));
-  }
-  std::sort(seen_list.begin(), seen_list.end());
-  util::Json seen = util::Json::array();
-  for (const auto& entry : seen_list) seen.push_back(entry);
-  out["seen"] = std::move(seen);
+  out["seen"] = ctx.ops.seen();
   return out;
 }
 

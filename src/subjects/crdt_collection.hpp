@@ -11,7 +11,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "crdt/counters.hpp"
@@ -19,6 +18,7 @@
 #include "crdt/rga.hpp"
 #include "crdt/sets.hpp"
 #include "subjects/subject_base.hpp"
+#include "subjects/sync_codec.hpp"
 #include "util/rng.hpp"
 
 namespace erpi::subjects {
@@ -34,15 +34,18 @@ class CrdtCollection : public SubjectBase {
   explicit CrdtCollection(int replica_count) : CrdtCollection(replica_count, Flags()) {}
   CrdtCollection(int replica_count, Flags flags);
 
+  const Flags& flags() const noexcept { return flags_; }
+
   util::Json replica_state(net::ReplicaId replica) const override;
 
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                      const util::Json& args) override;
-  util::Result<std::string> make_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                                                const util::Json& args) override;
-  util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                  const std::string& payload) override;
+  util::Result<net::PayloadPtr> make_sync(net::ReplicaId from, net::ReplicaId to,
+                                          const util::Json& args) override;
+  util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                          const net::Payload& payload) override;
+  util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -50,10 +53,14 @@ class CrdtCollection : public SubjectBase {
   bool adopt_replica(net::ReplicaId replica, const void* saved) override;
 
  private:
-  struct StampedOp {
-    net::ReplicaId origin;
-    int64_t seq;
-    util::Json op_json;
+  /// An op as replicas exchange it: {"args": args as the origin augmented
+  /// them (minted tags, ids, clocks), "op": name}.
+  struct OpCodec {
+    using Op = util::Json;
+    static constexpr const char* kSubject = "crdts";
+    static util::Json to_json(const Op& op) { return op; }
+    static util::Result<Op> from_json(const util::Json& j);
+    static uint64_t digest(const Op& op);
   };
   struct ReplicaCtx {
     crdt::OrSet orset;
@@ -66,9 +73,7 @@ class CrdtCollection : public SubjectBase {
     std::map<int64_t, std::string> todos;
     util::Rng rng{0xfeedULL};
 
-    std::vector<StampedOp> known_ops;
-    std::set<std::pair<int32_t, int64_t>> applied;
-    int64_t next_local_seq = 0;
+    OpHistory<OpCodec> ops;
   };
 
   void init_replicas();
@@ -76,7 +81,6 @@ class CrdtCollection : public SubjectBase {
   /// of minting new ones. Returns the (possibly augmented) op json to relay.
   util::Result<util::Json> apply_op(ReplicaCtx& ctx, net::ReplicaId replica,
                                     const std::string& op, util::Json args, bool remote);
-  void record(ReplicaCtx& ctx, net::ReplicaId origin, util::Json op_json);
 
   Flags flags_;
   std::vector<ReplicaCtx> replicas_;

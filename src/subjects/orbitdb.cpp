@@ -1,5 +1,7 @@
 #include "subjects/orbitdb.hpp"
 
+#include "subjects/sync_codec.hpp"
+
 namespace erpi::subjects {
 
 std::string OrbitDb::identity_of(net::ReplicaId replica) {
@@ -179,53 +181,54 @@ util::Result<util::Json> OrbitDb::do_invoke(net::ReplicaId replica, const std::s
   return util::Error{"orbitdb: unknown op " + op};
 }
 
-util::Result<std::string> OrbitDb::make_sync_payload(net::ReplicaId from, net::ReplicaId,
-                                                      const util::Json& args) {
+/// Text form: {"entries": [LogEntry::to_json()...], "from", "heads": [...],
+/// "mode"}; "heads" and "entries" are present per mode.
+struct OrbitDb::SyncBody final : net::Payload {
+  std::string mode;
+  net::ReplicaId from = 0;
+  std::optional<std::vector<std::string>> heads;
+  std::optional<std::vector<crdt::LogEntry>> entries;
+
+  std::string render() const override {
+    util::Json payload = util::Json::object();
+    payload["mode"] = mode;
+    payload["from"] = static_cast<int64_t>(from);
+    if (heads) {
+      util::Json heads_json = util::Json::array();
+      for (const auto& head : *heads) heads_json.push_back(head);
+      payload["heads"] = std::move(heads_json);
+    }
+    if (entries) {
+      util::Json entries_json = util::Json::array();
+      for (const auto& entry : *entries) entries_json.push_back(entry.to_json());
+      payload["entries"] = std::move(entries_json);
+    }
+    return payload.dump();
+  }
+};
+
+util::Result<net::PayloadPtr> OrbitDb::make_sync(net::ReplicaId from, net::ReplicaId,
+                                                 const util::Json& args) {
   auto& ctx = replicas_[static_cast<size_t>(from)];
-  const std::string mode =
-      args.contains("mode") ? args["mode"].as_string() : std::string("full");
-  util::Json payload = util::Json::object();
-  payload["mode"] = mode;
-  payload["from"] = static_cast<int64_t>(from);
-  if (mode == "heads" || mode == "full") {
-    util::Json heads = util::Json::array();
-    for (const auto& head : ctx.log->heads()) heads.push_back(head);
-    payload["heads"] = std::move(heads);
-  }
-  if (mode == "entries" || mode == "full") {
-    util::Json entries = util::Json::array();
-    for (const auto& entry : ctx.log->traverse()) entries.push_back(entry.to_json());
-    payload["entries"] = std::move(entries);
-  }
-  return payload.dump();
+  auto body = std::make_shared<SyncBody>();
+  body->mode = args.contains("mode") ? args["mode"].as_string() : std::string("full");
+  body->from = from;
+  if (body->mode == "heads" || body->mode == "full") body->heads = ctx.log->heads();
+  if (body->mode == "entries" || body->mode == "full") body->entries = ctx.log->traverse();
+  return net::PayloadPtr(std::move(body));
 }
 
-util::Status OrbitDb::apply_sync_payload(net::ReplicaId, net::ReplicaId to,
-                                         const std::string& payload) {
-  auto doc = util::Json::parse(payload);
-  if (!doc) return util::Status::fail("orbitdb sync payload: " + doc.error().message);
+util::Status OrbitDb::apply_sync(net::ReplicaId, net::ReplicaId to, const net::Payload& payload) {
+  const auto* body = dynamic_cast<const SyncBody*>(&payload);
+  if (body == nullptr) return codec::malformed("orbitdb", "foreign body");
   auto& ctx = replicas_[static_cast<size_t>(to)];
   const size_t entries_before = ctx.log->length();
 
-  const auto& body = doc.value();
-  if (body.contains("heads") && body["heads"].is_array()) {
-    std::vector<std::string> heads;
-    for (const auto& head : body["heads"].as_array()) heads.push_back(head.as_string());
-    ctx.announced_heads[static_cast<net::ReplicaId>(body["from"].as_int())] =
-        std::move(heads);
-  }
-  if (!body.contains("entries")) return util::Status::ok();  // heads-only sync
+  if (body->heads) ctx.announced_heads[body->from] = *body->heads;
+  if (!body->entries) return util::Status::ok();  // heads-only sync
 
   std::string first_error;
-  for (const auto& entry_json : body["entries"].as_array()) {
-    crdt::LogEntry entry;
-    entry.hash = entry_json["hash"].as_string();
-    entry.clock = entry_json["clock"].as_int();
-    entry.identity = entry_json["id"].as_string();
-    entry.payload = entry_json["payload"].as_string();
-    for (const auto& parent : entry_json["parents"].as_array()) {
-      entry.parents.push_back(parent.as_string());
-    }
+  for (const auto& entry : *body->entries) {
     if (const auto st = apply_entry(ctx, entry); !st && first_error.empty()) {
       first_error = st.error().message;
     }
@@ -235,6 +238,48 @@ util::Status OrbitDb::apply_sync_payload(net::ReplicaId, net::ReplicaId to,
   if (ctx.is_open && ctx.log->length() > entries_before) ++ctx.synced_while_open_count;
   if (!first_error.empty()) return util::Status::fail(first_error);
   return util::Status::ok();
+}
+
+util::Result<net::PayloadPtr> OrbitDb::decode_sync(const std::string& text) const {
+  auto doc = util::Json::parse(text);
+  if (!doc) return codec::malformed("orbitdb", doc.error().message);
+  const auto& payload = doc.value();
+  if (!payload.is_object() || !payload["mode"].is_string() ||
+      !crdt::is_replica_id(payload["from"]) ||
+      payload.size() != 2u + (payload.contains("heads") ? 1u : 0u) +
+                            (payload.contains("entries") ? 1u : 0u)) {
+    return codec::malformed("orbitdb", "expected {mode, from[, heads][, entries]}");
+  }
+  auto body = std::make_shared<SyncBody>();
+  body->mode = payload["mode"].as_string();
+  body->from = static_cast<net::ReplicaId>(payload["from"].as_int());
+  if (payload.contains("heads")) {
+    body->heads = codec::strings(payload["heads"]);
+    if (!body->heads) return codec::malformed("orbitdb", "heads is not an array of strings");
+  }
+  if (payload.contains("entries")) {
+    if (!payload["entries"].is_array()) {
+      return codec::malformed("orbitdb", "entries is not an array");
+    }
+    body->entries.emplace();
+    for (const auto& entry_json : payload["entries"].as_array()) {
+      if (!codec::object_with(entry_json, 5) || !entry_json["hash"].is_string() ||
+          !entry_json["clock"].is_int() || !entry_json["id"].is_string() ||
+          !entry_json["payload"].is_string()) {
+        return codec::malformed("orbitdb", "bad log entry");
+      }
+      auto parents = codec::strings(entry_json["parents"]);
+      if (!parents) return codec::malformed("orbitdb", "bad log entry parents");
+      crdt::LogEntry entry;
+      entry.hash = entry_json["hash"].as_string();
+      entry.clock = entry_json["clock"].as_int();
+      entry.identity = entry_json["id"].as_string();
+      entry.payload = entry_json["payload"].as_string();
+      entry.parents = std::move(*parents);
+      body->entries->push_back(std::move(entry));
+    }
+  }
+  return net::PayloadPtr(std::move(body));
 }
 
 util::Json OrbitDb::replica_state(net::ReplicaId replica) const {

@@ -44,6 +44,8 @@ class OrbitDb : public SubjectBase {
   explicit OrbitDb(int replica_count) : OrbitDb(replica_count, Flags()) {}
   OrbitDb(int replica_count, Flags flags);
 
+  const Flags& flags() const noexcept { return flags_; }
+
   util::Json replica_state(net::ReplicaId replica) const override;
 
   /// Identity string used by replica r ("id<r>").
@@ -52,10 +54,11 @@ class OrbitDb : public SubjectBase {
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                      const util::Json& args) override;
-  util::Result<std::string> make_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                                                const util::Json& args) override;
-  util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                  const std::string& payload) override;
+  util::Result<net::PayloadPtr> make_sync(net::ReplicaId from, net::ReplicaId to,
+                                          const util::Json& args) override;
+  util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                          const net::Payload& payload) override;
+  util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -80,6 +83,8 @@ class OrbitDb : public SubjectBase {
     int synced_while_open_count = 0;
     bool is_open = false;
   };
+
+  struct SyncBody;  // head announcement and/or the full DAG, per sync mode
 
   void init_replicas();
   util::Status apply_entry(ReplicaCtx& ctx, const crdt::LogEntry& entry);

@@ -1,5 +1,7 @@
 #include "subjects/replicadb.hpp"
 
+#include "subjects/sync_codec.hpp"
+
 namespace erpi::subjects {
 
 ReplicaDb::ReplicaDb(int replica_count, Flags flags)
@@ -132,41 +134,67 @@ util::Result<util::Json> ReplicaDb::do_invoke(net::ReplicaId replica, const std:
   return util::Error{"replicadb: unknown op " + op};
 }
 
-util::Result<std::string> ReplicaDb::make_sync_payload(net::ReplicaId from, net::ReplicaId,
-                                                        const util::Json&) {
-  auto& ctx = replicas_[static_cast<size_t>(from)];
-  util::Json payload = util::Json::object();
-  util::Json rows = util::Json::object();
-  for (const auto& [id, row] : ctx.source) {
-    util::Json r = util::Json::object();
-    r["v"] = row.value;
-    r["ver"] = row.version;
-    r["del"] = row.deleted;
-    rows[id] = std::move(r);
+/// Text form: {"history": [...], "rows": {id: {"del", "v", "ver"}}}.
+struct ReplicaDb::SyncBody final : net::Payload {
+  std::vector<std::pair<std::string, Row>> rows;  // the source table, in id order
+  std::vector<std::string> history;                // sorted
+
+  std::string render() const override {
+    util::Json rows_json = util::Json::object();
+    for (const auto& [id, row] : rows) {
+      util::Json r = util::Json::object();
+      r["v"] = row.value;
+      r["ver"] = row.version;
+      r["del"] = row.deleted;
+      rows_json[id] = std::move(r);
+    }
+    util::Json payload = util::Json::object();
+    payload["rows"] = std::move(rows_json);
+    util::Json history_json = util::Json::array();
+    for (const auto& h : history) history_json.push_back(h);
+    payload["history"] = std::move(history_json);
+    return payload.dump();
   }
-  payload["rows"] = std::move(rows);
-  util::Json history = util::Json::array();
-  for (const auto& h : ctx.history) history.push_back(h);
-  payload["history"] = std::move(history);
-  return payload.dump();
+};
+
+util::Result<net::PayloadPtr> ReplicaDb::make_sync(net::ReplicaId from, net::ReplicaId,
+                                                   const util::Json&) {
+  const auto& ctx = replicas_[static_cast<size_t>(from)];
+  auto body = std::make_shared<SyncBody>();
+  body->rows.assign(ctx.source.begin(), ctx.source.end());
+  body->history.assign(ctx.history.begin(), ctx.history.end());
+  return net::PayloadPtr(std::move(body));
 }
 
-util::Status ReplicaDb::apply_sync_payload(net::ReplicaId, net::ReplicaId to,
-                                           const std::string& payload) {
-  auto doc = util::Json::parse(payload);
-  if (!doc) return util::Status::fail("replicadb sync payload: " + doc.error().message);
+util::Status ReplicaDb::apply_sync(net::ReplicaId, net::ReplicaId to,
+                                   const net::Payload& payload) {
+  const auto* body = dynamic_cast<const SyncBody*>(&payload);
+  if (body == nullptr) return codec::malformed("replicadb", "foreign body");
   auto& ctx = replicas_[static_cast<size_t>(to)];
-  for (const auto& [id, r] : doc.value()["rows"].as_object()) {
-    Row row;
-    row.value = r["v"].as_string();
-    row.version = r["ver"].as_int();
-    row.deleted = r["del"].as_bool();
-    upsert(ctx.source, id, std::move(row));
-  }
-  for (const auto& h : doc.value()["history"].as_array()) {
-    ctx.history.insert(h.as_string());
-  }
+  for (const auto& [id, row] : body->rows) upsert(ctx.source, id, row);
+  ctx.history.insert(body->history.begin(), body->history.end());
   return util::Status::ok();
+}
+
+util::Result<net::PayloadPtr> ReplicaDb::decode_sync(const std::string& text) const {
+  auto doc = util::Json::parse(text);
+  if (!doc) return codec::malformed("replicadb", doc.error().message);
+  const auto& payload = doc.value();
+  if (!codec::object_with(payload, 2) || !payload["rows"].is_object()) {
+    return codec::malformed("replicadb", "expected {history, rows}");
+  }
+  auto history = codec::strings(payload["history"]);
+  if (!history) return codec::malformed("replicadb", "history is not an array of strings");
+  auto body = std::make_shared<SyncBody>();
+  for (const auto& [id, r] : payload["rows"].as_object()) {
+    if (!codec::object_with(r, 3) || !r["v"].is_string() || !r["ver"].is_int() ||
+        !r["del"].is_bool()) {
+      return codec::malformed("replicadb", "bad row " + id);
+    }
+    body->rows.emplace_back(id, Row{r["v"].as_string(), r["ver"].as_int(), r["del"].as_bool()});
+  }
+  body->history = std::move(*history);
+  return net::PayloadPtr(std::move(body));
 }
 
 util::Json ReplicaDb::replica_state(net::ReplicaId replica) const {

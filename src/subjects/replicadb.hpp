@@ -38,15 +38,18 @@ class ReplicaDb : public SubjectBase {
   explicit ReplicaDb(int replica_count) : ReplicaDb(replica_count, Flags()) {}
   ReplicaDb(int replica_count, Flags flags);
 
+  const Flags& flags() const noexcept { return flags_; }
+
   util::Json replica_state(net::ReplicaId replica) const override;
 
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                      const util::Json& args) override;
-  util::Result<std::string> make_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                                                const util::Json& args) override;
-  util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                  const std::string& payload) override;
+  util::Result<net::PayloadPtr> make_sync(net::ReplicaId from, net::ReplicaId to,
+                                          const util::Json& args) override;
+  util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                          const net::Payload& payload) override;
+  util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -70,6 +73,8 @@ class ReplicaDb : public SubjectBase {
     // causal-knowledge witness for conditional convergence assertions
     std::set<std::string> history;
   };
+
+  struct SyncBody;  // state-based sync: the source table and its history
 
   void upsert(std::map<std::string, Row>& table, const std::string& id, Row row);
   util::Result<util::Json> transfer(ReplicaCtx& ctx, const std::string& mode,

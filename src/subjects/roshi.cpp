@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "subjects/sync_codec.hpp"
 #include "util/hash.hpp"
 
 namespace erpi::subjects {
@@ -181,57 +182,120 @@ util::Result<util::Json> Roshi::do_invoke(net::ReplicaId replica, const std::str
   return util::Error{"roshi: unknown op " + op};
 }
 
-util::Result<std::string> Roshi::make_sync_payload(net::ReplicaId from, net::ReplicaId,
-                                                    const util::Json&) {
+/// Text form: {"history": [...], "streams": {key: {"adds": [{"m", "ts"}],
+/// "dels": [...]}}}, members in zrange order.
+struct Roshi::SyncBody final : net::Payload {
+  struct Write {
+    std::string member;
+    double ts = 0;
+  };
+  struct Stream {
+    std::string key;
+    std::vector<Write> adds;
+    std::vector<Write> dels;
+  };
+  std::vector<Stream> streams;       // sorted by key
+  std::vector<std::string> history;  // sorted
+
+  std::string render() const override {
+    const auto rows = [](const std::vector<Write>& writes) {
+      util::Json out = util::Json::array();
+      for (const auto& write : writes) {
+        util::Json row = util::Json::object();
+        row["m"] = write.member;
+        row["ts"] = write.ts;
+        out.push_back(std::move(row));
+      }
+      return out;
+    };
+    util::Json by_key = util::Json::object();
+    for (const auto& stream : streams) {
+      util::Json entry = util::Json::object();
+      entry["adds"] = rows(stream.adds);
+      entry["dels"] = rows(stream.dels);
+      by_key[stream.key] = std::move(entry);
+    }
+    util::Json payload = util::Json::object();
+    payload["streams"] = std::move(by_key);
+    util::Json history_json = util::Json::array();
+    for (const auto& h : history) history_json.push_back(h);
+    payload["history"] = std::move(history_json);
+    return payload.dump();
+  }
+};
+
+util::Result<net::PayloadPtr> Roshi::make_sync(net::ReplicaId from, net::ReplicaId,
+                                               const util::Json&) {
   // State-based sync: ship every key's add/delete sets.
   auto& ctx = replicas_[static_cast<size_t>(from)];
-  util::Json payload = util::Json::object();
-  util::Json streams = util::Json::object();
+  auto body = std::make_shared<SyncBody>();
+  const auto writes = [&](const std::string& set) {
+    std::vector<SyncBody::Write> out;
+    for (const auto& member : ctx.store.zrange(set, 0, -1)) {
+      out.push_back({member, ctx.store.zscore(set, member).value_or(0)});
+    }
+    return out;
+  };
   for (const auto& key : ctx.key_arrival) {
-    util::Json adds = util::Json::array();
-    for (const auto& member : ctx.store.zrange(add_set(key), 0, -1)) {
-      util::Json row = util::Json::object();
-      row["m"] = member;
-      row["ts"] = ctx.store.zscore(add_set(key), member).value_or(0);
-      adds.push_back(std::move(row));
-    }
-    util::Json dels = util::Json::array();
-    for (const auto& member : ctx.store.zrange(del_set(key), 0, -1)) {
-      util::Json row = util::Json::object();
-      row["m"] = member;
-      row["ts"] = ctx.store.zscore(del_set(key), member).value_or(0);
-      dels.push_back(std::move(row));
-    }
-    util::Json entry = util::Json::object();
-    entry["adds"] = std::move(adds);
-    entry["dels"] = std::move(dels);
-    streams[key] = std::move(entry);
+    body->streams.push_back({key, writes(add_set(key)), writes(del_set(key))});
   }
-  payload["streams"] = std::move(streams);
-  util::Json history = util::Json::array();
-  for (const auto& h : ctx.history) history.push_back(h);
-  payload["history"] = std::move(history);
-  return payload.dump();
+  // Apply order is behaviour: the receiver's lww_write appends first-seen
+  // keys to its key_arrival, which drives issue #40's response order, and the
+  // text form's "streams" object iterates in sorted key order. The body keeps
+  // that order, not this replica's arrival order.
+  std::sort(body->streams.begin(), body->streams.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
+  body->history.assign(ctx.history.begin(), ctx.history.end());
+  return net::PayloadPtr(std::move(body));
 }
 
-util::Status Roshi::apply_sync_payload(net::ReplicaId, net::ReplicaId to,
-                                       const std::string& payload) {
-  auto doc = util::Json::parse(payload);
-  if (!doc) return util::Status::fail("roshi sync payload: " + doc.error().message);
+util::Status Roshi::apply_sync(net::ReplicaId, net::ReplicaId to, const net::Payload& payload) {
+  const auto* body = dynamic_cast<const SyncBody*>(&payload);
+  if (body == nullptr) return codec::malformed("roshi", "foreign body");
   auto& ctx = replicas_[static_cast<size_t>(to)];
   ctx.received_any = true;
-  for (const auto& [key, entry] : doc.value()["streams"].as_object()) {
-    for (const auto& row : entry["adds"].as_array()) {
-      lww_write(ctx, key, row["m"].as_string(), row["ts"].as_double(), false, true);
+  for (const auto& stream : body->streams) {
+    for (const auto& write : stream.adds) {
+      lww_write(ctx, stream.key, write.member, write.ts, false, true);
     }
-    for (const auto& row : entry["dels"].as_array()) {
-      lww_write(ctx, key, row["m"].as_string(), row["ts"].as_double(), true, true);
+    for (const auto& write : stream.dels) {
+      lww_write(ctx, stream.key, write.member, write.ts, true, true);
     }
   }
-  for (const auto& h : doc.value()["history"].as_array()) {
-    ctx.history.insert(h.as_string());
-  }
+  ctx.history.insert(body->history.begin(), body->history.end());
   return util::Status::ok();
+}
+
+util::Result<net::PayloadPtr> Roshi::decode_sync(const std::string& text) const {
+  auto doc = util::Json::parse(text);
+  if (!doc) return codec::malformed("roshi", doc.error().message);
+  const auto& payload = doc.value();
+  if (!codec::object_with(payload, 2) || !payload["streams"].is_object()) {
+    return codec::malformed("roshi", "expected {history, streams}");
+  }
+  auto history = codec::strings(payload["history"]);
+  if (!history) return codec::malformed("roshi", "history is not an array of strings");
+  const auto writes = [](const util::Json& rows) -> std::optional<std::vector<SyncBody::Write>> {
+    if (!rows.is_array()) return std::nullopt;
+    std::vector<SyncBody::Write> out;
+    for (const auto& row : rows.as_array()) {
+      if (!codec::object_with(row, 2) || !row["m"].is_string() || !row["ts"].is_number()) {
+        return std::nullopt;
+      }
+      out.push_back({row["m"].as_string(), row["ts"].as_double()});
+    }
+    return out;
+  };
+  auto body = std::make_shared<SyncBody>();
+  for (const auto& [key, entry] : payload["streams"].as_object()) {
+    if (!codec::object_with(entry, 2)) return codec::malformed("roshi", "bad stream " + key);
+    auto adds = writes(entry["adds"]);
+    auto dels = writes(entry["dels"]);
+    if (!adds || !dels) return codec::malformed("roshi", "bad stream " + key);
+    body->streams.push_back({key, std::move(*adds), std::move(*dels)});
+  }
+  body->history = std::move(*history);
+  return net::PayloadPtr(std::move(body));
 }
 
 util::Json Roshi::replica_state(net::ReplicaId replica) const {

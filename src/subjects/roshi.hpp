@@ -45,15 +45,18 @@ class Roshi : public SubjectBase {
   explicit Roshi(int replica_count) : Roshi(replica_count, Flags()) {}
   Roshi(int replica_count, Flags flags);
 
+  const Flags& flags() const noexcept { return flags_; }
+
   util::Json replica_state(net::ReplicaId replica) const override;
 
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                      const util::Json& args) override;
-  util::Result<std::string> make_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                                                const util::Json& args) override;
-  util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                  const std::string& payload) override;
+  util::Result<net::PayloadPtr> make_sync(net::ReplicaId from, net::ReplicaId to,
+                                          const util::Json& args) override;
+  util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                          const net::Payload& payload) override;
+  util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -78,6 +81,8 @@ class Roshi : public SubjectBase {
 
     explicit ReplicaCtx() : store([] { return int64_t{0}; }) {}
   };
+
+  struct SyncBody;  // state-based sync: every stream's add/delete sets
 
   /// Apply one LWW write (add or delete) at a replica; returns whether the
   /// write won.

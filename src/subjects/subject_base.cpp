@@ -28,14 +28,14 @@ util::Result<util::Json> SubjectBase::invoke(net::ReplicaId replica, const std::
     const auto to = static_cast<net::ReplicaId>(args["peer"].as_int());
     check_replica(to);
     if (recorder_ != nullptr) {
-      // The payload is composed from the sender's full state and serialized
-      // onto the from->to channel; the channel key also carries FIFO
+      // The payload is composed from the sender's full state and queued on
+      // the from->to channel; the channel key also carries FIFO
       // happens-before (two ops on one channel never commute).
       recorder_->note_sync();
       recorder_->note_read(static_cast<int>(replica), "*");
       recorder_->note_channel_write(static_cast<int>(replica), static_cast<int>(to));
     }
-    auto payload = make_sync_payload(replica, to, args);
+    auto payload = make_sync(replica, to, args);
     if (!payload) return util::Error{payload.error()};
     if (!network_->send(replica, to, "sync", std::move(payload).take())) {
       return util::Error{"sync request dropped by network (partition or fault)"};
@@ -58,15 +58,16 @@ util::Result<util::Json> SubjectBase::invoke(net::ReplicaId replica, const std::
     if (!message) {
       return util::Error{"no pending sync request from replica " + std::to_string(from)};
     }
-    auto st = apply_sync_payload(from, replica, message->payload);
+    auto st = apply_sync(from, replica, *message->payload);
     if (durable_logging_) {
       // Logged whether or not the apply succeeded: a real WAL records the
       // received update before the outcome is known, and a deterministic
-      // apply fails the same way on recovery replay.
+      // apply fails the same way on recovery replay. The body never changed
+      // after send, so its rendering is the bytes the sender shipped.
       util::Json::Object record;
       record["t"] = "sync";
       record["f"] = static_cast<int64_t>(from);
-      record["p"] = message->payload;
+      record["p"] = message->payload->render();
       append_log(replica, util::Json(std::move(record)).dump());
       note_write(replica, "log");
     }
@@ -91,6 +92,20 @@ util::Result<util::Json> SubjectBase::invoke(net::ReplicaId replica, const std::
     note_write(replica, "log");
   }
   return result;
+}
+
+util::Result<std::string> SubjectBase::make_sync_payload(net::ReplicaId from, net::ReplicaId to,
+                                                         const util::Json& args) {
+  auto payload = make_sync(from, to, args);
+  if (!payload) return util::Error{payload.error()};
+  return payload.value()->render();
+}
+
+util::Status SubjectBase::apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
+                                             const std::string& payload) {
+  auto decoded = decode_sync(payload);
+  if (!decoded) return util::Status(decoded.error());
+  return apply_sync(from, to, *decoded.value());
 }
 
 void SubjectBase::set_footprint_recorder(core::FootprintRecorder* recorder) {
@@ -254,8 +269,11 @@ void SubjectBase::replay_log_record(net::ReplicaId replica, const std::string& r
   if (type == "op" && doc["op"].is_string()) {
     (void)do_invoke(replica, doc["op"].as_string(), doc["a"]);
   } else if (type == "sync" && doc["f"].is_int() && doc["p"].is_string()) {
-    (void)apply_sync_payload(static_cast<net::ReplicaId>(doc["f"].as_int()), replica,
-                             doc["p"].as_string());
+    // A body that does not decode replays as nothing: the decode fails
+    // before the replica is touched.
+    const auto payload = decode_sync(doc["p"].as_string());
+    if (!payload) return;
+    (void)apply_sync(static_cast<net::ReplicaId>(doc["f"].as_int()), replica, *payload.value());
   }
 }
 

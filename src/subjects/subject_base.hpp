@@ -3,9 +3,10 @@
 // Every subject models one third-party replicated data system re-implemented
 // in C++: N replica contexts attached to a SimNetwork, with synchronization
 // expressed as the reserved "sync_req"/"exec_sync" operations. A sync_req
-// serializes the sender's sync payload onto the network channel; the paired
-// exec_sync pops it at the receiver and applies it — so the interleaving
-// fully controls when replication happens, which is what ER-pi replays.
+// puts the sender's immutable, typed sync body on the network channel; the
+// paired exec_sync pops it at the receiver and applies it — so the
+// interleaving fully controls when replication happens, which is what ER-pi
+// replays. The body's text form is rendered only for the durable log.
 #pragma once
 
 #include <cstdint>
@@ -146,15 +147,33 @@ class SubjectBase : public proxy::Rdl {
   virtual util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                              const util::Json& args) = 0;
 
-  /// Produce the payload a sync_req from -> to puts on the wire. `args` are
-  /// the sync_req's arguments (subjects may support modes, e.g. OrbitDB's
-  /// separate head announcement vs entry shipment).
-  virtual util::Result<std::string> make_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                                      const util::Json& args) = 0;
+  // ---- sync hooks (see subjects/sync_codec.hpp) ---------------------------
 
-  /// Apply a delivered payload at the receiver.
+  /// Build the immutable body a sync_req from -> to puts on the wire. `args`
+  /// are the sync_req's arguments (subjects may support modes, e.g.
+  /// OrbitDB's separate head announcement vs entry shipment).
+  virtual util::Result<net::PayloadPtr> make_sync(net::ReplicaId from, net::ReplicaId to,
+                                                  const util::Json& args) = 0;
+
+  /// Apply a delivered body at the receiver. The body came from this
+  /// subject's make_sync() or decode_sync(). Apply order is behaviour: a
+  /// typed apply visits data in the order its text form's decode would
+  /// (JSON objects iterate in sorted key order).
+  virtual util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                                  const net::Payload& payload) = 0;
+
+  /// Strict decode of a body's render() text: a failed Result on malformed
+  /// text or a wrong shape, never an exception, and nothing is mutated.
+  virtual util::Result<net::PayloadPtr> decode_sync(const std::string& text) const = 0;
+
+  /// Text form of make_sync(): the body, rendered. Not on the sync path.
+  virtual util::Result<std::string> make_sync_payload(net::ReplicaId from, net::ReplicaId to,
+                                                      const util::Json& args);
+
+  /// Text form of apply_sync(): decode_sync(), then apply_sync(). Not on the
+  /// sync path.
   virtual util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                          const std::string& payload) = 0;
+                                          const std::string& payload);
 
   /// Rebuild all replica state from scratch.
   virtual void do_reset() = 0;

@@ -4,17 +4,46 @@
 
 namespace erpi::subjects {
 
-namespace {
-util::Json dot_json(const crdt::Dot& dot) {
+util::Json TownApp::OpCodec::to_json(const Op& op) {
   util::Json j = util::Json::object();
-  j["r"] = static_cast<int64_t>(dot.replica);
-  j["c"] = dot.counter;
+  if (const auto* add = std::get_if<crdt::OrSet::AddOp>(&op)) {
+    j["op"] = "add";
+    j["element"] = add->element;
+    j["tag"] = add->tag.to_json();
+    return j;
+  }
+  const auto& removal = std::get<crdt::OrSet::RemoveOp>(op);
+  j["op"] = "remove";
+  j["element"] = removal.element;
+  util::Json tags = util::Json::array();
+  for (const auto& tag : removal.observed_tags) tags.push_back(tag.to_json());
+  j["tags"] = std::move(tags);
   return j;
 }
-crdt::Dot dot_from(const util::Json& j) {
-  return crdt::Dot{static_cast<crdt::ReplicaId>(j["r"].as_int()), j["c"].as_int()};
+
+util::Result<TownApp::OpCodec::Op> TownApp::OpCodec::from_json(const util::Json& j) {
+  if (!codec::object_with(j, 3) || !j["op"].is_string() || !j["element"].is_string()) {
+    return util::Error{"malformed op"};
+  }
+  if (j["op"].as_string() == "add") {
+    const auto tag = crdt::Dot::parse(j["tag"]);
+    if (!tag) return util::Error{"malformed add op"};
+    return Op{crdt::OrSet::AddOp{j["element"].as_string(), *tag}};
+  }
+  if (j["op"].as_string() != "remove" || !j["tags"].is_array()) {
+    return util::Error{"malformed op"};
+  }
+  crdt::OrSet::RemoveOp removal;
+  removal.element = j["element"].as_string();
+  for (const auto& tag_json : j["tags"].as_array()) {
+    const auto tag = crdt::Dot::parse(tag_json);
+    if (!tag) return util::Error{"malformed remove op"};
+    removal.observed_tags.push_back(*tag);
+  }
+  return Op{std::move(removal)};
 }
-}  // namespace
+
+uint64_t TownApp::OpCodec::digest(const Op& op) { return util::fnv1a64(to_json(op).dump()); }
 
 TownApp::TownApp(int replica_count) : SubjectBase("town", replica_count) {
   replicas_.resize(static_cast<size_t>(replica_count));
@@ -47,33 +76,21 @@ util::Result<util::Json> TownApp::do_invoke(net::ReplicaId replica, const std::s
   if (op == "report") {
     note_write(replica, "problems");
     note_write(replica, "oplog");
-    const auto produced =
+    auto produced =
         ctx.problems.add(static_cast<crdt::ReplicaId>(replica), args["problem"].as_string());
-    util::Json op_json = util::Json::object();
-    op_json["op"] = "add";
-    op_json["element"] = produced.element;
-    op_json["tag"] = dot_json(produced.tag);
-    ctx.applied.insert({replica, ctx.next_local_seq});
-    ctx.known_ops.push_back(StampedOp{replica, ctx.next_local_seq++, std::move(op_json)});
+    ctx.ops.record_local(replica, std::move(produced));
     return util::Json(true);
   }
   if (op == "resolve") {
     note_read(replica, "problems");
     note_write(replica, "problems");
     note_write(replica, "oplog");
-    const auto produced = ctx.problems.remove(args["problem"].as_string());
+    auto produced = ctx.problems.remove(args["problem"].as_string());
     if (!produced) {
       // resolving an issue this replica has not (yet) seen is a no-op
       return util::Json(false);
     }
-    util::Json op_json = util::Json::object();
-    op_json["op"] = "remove";
-    op_json["element"] = produced->element;
-    util::Json tags = util::Json::array();
-    for (const auto& tag : produced->observed_tags) tags.push_back(dot_json(tag));
-    op_json["tags"] = std::move(tags);
-    ctx.applied.insert({replica, ctx.next_local_seq});
-    ctx.known_ops.push_back(StampedOp{replica, ctx.next_local_seq++, std::move(op_json)});
+    ctx.ops.record_local(replica, std::move(*produced));
     return util::Json(true);
   }
   if (op == "transmit") {
@@ -86,44 +103,21 @@ util::Result<util::Json> TownApp::do_invoke(net::ReplicaId replica, const std::s
   return util::Error{"town: unknown op " + op};
 }
 
-util::Result<std::string> TownApp::make_sync_payload(net::ReplicaId from, net::ReplicaId,
-                                                      const util::Json&) {
-  auto& ctx = replicas_[static_cast<size_t>(from)];
-  util::Json ops = util::Json::array();
-  for (const auto& stamped : ctx.known_ops) {
-    util::Json row = util::Json::object();
-    row["origin"] = static_cast<int64_t>(stamped.origin);
-    row["seq"] = stamped.seq;
-    row["op"] = stamped.op_json;
-    ops.push_back(std::move(row));
-  }
-  return ops.dump();
+util::Result<net::PayloadPtr> TownApp::make_sync(net::ReplicaId from, net::ReplicaId,
+                                                 const util::Json&) {
+  return replicas_[static_cast<size_t>(from)].ops.body();
 }
 
-util::Status TownApp::apply_sync_payload(net::ReplicaId, net::ReplicaId to,
-                                         const std::string& payload) {
-  auto doc = util::Json::parse(payload);
-  if (!doc) return util::Status::fail("town sync payload: " + doc.error().message);
+util::Status TownApp::apply_sync(net::ReplicaId, net::ReplicaId to, const net::Payload& payload) {
   auto& ctx = replicas_[static_cast<size_t>(to)];
-  for (const auto& row : doc.value().as_array()) {
-    const auto origin = static_cast<net::ReplicaId>(row["origin"].as_int());
-    const int64_t seq = row["seq"].as_int();
-    if (!ctx.applied.insert({origin, seq}).second) continue;
-    const auto& op_json = row["op"];
-    if (op_json["op"].as_string() == "add") {
-      ctx.problems.apply(
-          crdt::OrSet::AddOp{op_json["element"].as_string(), dot_from(op_json["tag"])});
-    } else {
-      crdt::OrSet::RemoveOp removal;
-      removal.element = op_json["element"].as_string();
-      for (const auto& tag : op_json["tags"].as_array()) {
-        removal.observed_tags.push_back(dot_from(tag));
-      }
-      ctx.problems.apply(removal);
-    }
-    ctx.known_ops.push_back(StampedOp{origin, seq, op_json});
-  }
-  return util::Status::ok();
+  return ctx.ops.merge(payload, [&](const OpHistory<OpCodec>::Stamped& stamped) {
+    std::visit([&](const auto& op) { ctx.problems.apply(op); }, stamped.op);
+    return util::Status::ok();
+  });
+}
+
+util::Result<net::PayloadPtr> TownApp::decode_sync(const std::string& text) const {
+  return OpHistory<OpCodec>::decode(text);
 }
 
 util::Json TownApp::replica_state(net::ReplicaId replica) const {
@@ -132,15 +126,7 @@ util::Json TownApp::replica_state(net::ReplicaId replica) const {
   util::Json problems = util::Json::array();
   for (const auto& problem : ctx.problems.elements()) problems.push_back(problem);
   out["problems"] = std::move(problems);
-  std::vector<std::string> seen_list;
-  for (const auto& stamped : ctx.known_ops) {
-    seen_list.push_back(std::to_string(stamped.origin) + ":" + std::to_string(stamped.seq) +
-                        ":" + std::to_string(util::fnv1a64(stamped.op_json.dump())));
-  }
-  std::sort(seen_list.begin(), seen_list.end());
-  util::Json seen = util::Json::array();
-  for (const auto& entry : seen_list) seen.push_back(entry);
-  out["seen"] = std::move(seen);
+  out["seen"] = ctx.ops.seen();
   return out;
 }
 

@@ -7,11 +7,12 @@
 // Sync is op-based (add/remove ops with OR-Set tags).
 #pragma once
 
-#include <set>
+#include <variant>
 #include <vector>
 
 #include "crdt/sets.hpp"
 #include "subjects/subject_base.hpp"
+#include "subjects/sync_codec.hpp"
 
 namespace erpi::subjects {
 
@@ -24,10 +25,11 @@ class TownApp : public SubjectBase {
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                      const util::Json& args) override;
-  util::Result<std::string> make_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                                                const util::Json& args) override;
-  util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                  const std::string& payload) override;
+  util::Result<net::PayloadPtr> make_sync(net::ReplicaId from, net::ReplicaId to,
+                                          const util::Json& args) override;
+  util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                          const net::Payload& payload) override;
+  util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -35,16 +37,18 @@ class TownApp : public SubjectBase {
   bool adopt_replica(net::ReplicaId replica, const void* saved) override;
 
  private:
-  struct StampedOp {
-    net::ReplicaId origin;
-    int64_t seq;
-    util::Json op_json;
+  /// An OR-Set op as replicas exchange it. Text form:
+  /// {"element", "op": "add", "tag"} or {"element", "op": "remove", "tags"}.
+  struct OpCodec {
+    using Op = std::variant<crdt::OrSet::AddOp, crdt::OrSet::RemoveOp>;
+    static constexpr const char* kSubject = "town";
+    static util::Json to_json(const Op& op);
+    static util::Result<Op> from_json(const util::Json& j);
+    static uint64_t digest(const Op& op);
   };
   struct ReplicaCtx {
     crdt::OrSet problems;
-    std::vector<StampedOp> known_ops;
-    std::set<std::pair<int32_t, int64_t>> applied;
-    int64_t next_local_seq = 0;
+    OpHistory<OpCodec> ops;
   };
 
   std::vector<ReplicaCtx> replicas_;

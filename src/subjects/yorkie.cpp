@@ -23,59 +23,28 @@ void Yorkie::init_replicas() {
 
 void Yorkie::do_reset() { init_replicas(); }
 
+Yorkie::ReplicaCtx::ReplicaCtx(const ReplicaCtx& other)
+    : doc(std::make_unique<crdt::JsonDoc>(other.doc->clone())), ops(other.ops) {}
+
+Yorkie::ReplicaCtx& Yorkie::ReplicaCtx::operator=(const ReplicaCtx& other) {
+  if (this != &other) *this = ReplicaCtx(other);
+  return *this;
+}
+
 std::shared_ptr<const void> Yorkie::clone_replicas() const {
-  // ReplicaCtx is not copyable (unique_ptr<JsonDoc>), so build the deep copy
-  // by hand via JsonDoc::clone.
-  auto copy = std::make_shared<std::vector<ReplicaCtx>>();
-  copy->reserve(replicas_.size());
-  for (const auto& src : replicas_) {
-    ReplicaCtx ctx;
-    ctx.doc = std::make_unique<crdt::JsonDoc>(src.doc->clone());
-    ctx.known_ops = src.known_ops;
-    ctx.applied = src.applied;
-    ctx.next_local_seq = src.next_local_seq;
-    copy->push_back(std::move(ctx));
-  }
-  return copy;
+  return clone_ctx_vector(replicas_);
 }
 
 bool Yorkie::adopt_replicas(const void* saved) {
-  // Deep-copy back out of the snapshot: the same snapshot may be restored
-  // multiple times, so the saved contexts must stay untouched.
-  const auto& contexts = *static_cast<const std::vector<ReplicaCtx>*>(saved);
-  std::vector<ReplicaCtx> fresh;
-  fresh.reserve(contexts.size());
-  for (const auto& src : contexts) {
-    ReplicaCtx ctx;
-    ctx.doc = std::make_unique<crdt::JsonDoc>(src.doc->clone());
-    ctx.known_ops = src.known_ops;
-    ctx.applied = src.applied;
-    ctx.next_local_seq = src.next_local_seq;
-    fresh.push_back(std::move(ctx));
-  }
-  replicas_ = std::move(fresh);
-  return true;
+  return adopt_ctx_vector(replicas_, saved);
 }
 
 std::shared_ptr<const void> Yorkie::clone_replica(net::ReplicaId replica) const {
-  const auto& src = replicas_.at(static_cast<size_t>(replica));
-  auto copy = std::make_shared<ReplicaCtx>();
-  copy->doc = std::make_unique<crdt::JsonDoc>(src.doc->clone());
-  copy->known_ops = src.known_ops;
-  copy->applied = src.applied;
-  copy->next_local_seq = src.next_local_seq;
-  return copy;
+  return clone_ctx_at(replicas_, replica);
 }
 
 bool Yorkie::adopt_replica(net::ReplicaId replica, const void* saved) {
-  const auto& src = *static_cast<const ReplicaCtx*>(saved);
-  ReplicaCtx fresh;
-  fresh.doc = std::make_unique<crdt::JsonDoc>(src.doc->clone());
-  fresh.known_ops = src.known_ops;
-  fresh.applied = src.applied;
-  fresh.next_local_seq = src.next_local_seq;
-  replicas_.at(static_cast<size_t>(replica)) = std::move(fresh);
-  return true;
+  return adopt_ctx_at(replicas_, replica, saved);
 }
 
 crdt::DocPath Yorkie::parse_path(const util::Json& args) {
@@ -86,13 +55,6 @@ crdt::DocPath Yorkie::parse_path(const util::Json& args) {
     }
   }
   return path;
-}
-
-void Yorkie::record_local(ReplicaCtx& ctx, net::ReplicaId replica,
-                          const crdt::JsonDoc::Op& op) {
-  StampedOp stamped{replica, ctx.next_local_seq++, op.to_json()};
-  ctx.applied.insert({stamped.origin, stamped.seq});
-  ctx.known_ops.push_back(std::move(stamped));
 }
 
 util::Result<util::Json> Yorkie::do_invoke(net::ReplicaId replica, const std::string& op,
@@ -113,17 +75,17 @@ util::Result<util::Json> Yorkie::do_invoke(net::ReplicaId replica, const std::st
 
   if (op == "set") {
     const auto produced = ctx.doc->set(path, args["key"].as_string(), args["value"]);
-    record_local(ctx, replica, produced);
+    ctx.ops.record_local(replica, produced);
     return util::Json(true);
   }
   if (op == "delete") {
     const auto produced = ctx.doc->erase(path, args["key"].as_string());
-    record_local(ctx, replica, produced);
+    ctx.ops.record_local(replica, produced);
     return util::Json(true);
   }
   if (op == "list_push") {
     const auto produced = ctx.doc->list_push(path, args["key"].as_string(), args["value"]);
-    record_local(ctx, replica, produced);
+    ctx.ops.record_local(replica, produced);
     return util::Json(true);
   }
   if (op == "list_insert") {
@@ -133,14 +95,14 @@ util::Result<util::Json> Yorkie::do_invoke(net::ReplicaId replica, const std::st
     }
     const auto produced =
         ctx.doc->list_insert(path, args["key"].as_string(), index, args["value"]);
-    record_local(ctx, replica, produced);
+    ctx.ops.record_local(replica, produced);
     return util::Json(true);
   }
   if (op == "list_remove") {
     const auto produced = ctx.doc->list_remove(path, args["key"].as_string(),
                                                static_cast<size_t>(args["index"].as_int()));
     if (!produced) return util::Error{"yorkie: list_remove index out of range"};
-    record_local(ctx, replica, *produced);
+    ctx.ops.record_local(replica, *produced);
     return util::Json(true);
   }
   if (op == "move_after") {
@@ -148,7 +110,7 @@ util::Result<util::Json> Yorkie::do_invoke(net::ReplicaId replica, const std::st
                                              static_cast<size_t>(args["from"].as_int()),
                                              static_cast<size_t>(args["to"].as_int()));
     if (!produced) return util::Error{"yorkie: move_after index out of range"};
-    record_local(ctx, replica, *produced);
+    ctx.ops.record_local(replica, *produced);
     return util::Json(true);
   }
   if (op == "get") {
@@ -161,55 +123,35 @@ util::Result<util::Json> Yorkie::do_invoke(net::ReplicaId replica, const std::st
   return util::Error{"yorkie: unknown op " + op};
 }
 
-util::Result<std::string> Yorkie::make_sync_payload(net::ReplicaId from, net::ReplicaId,
-                                                     const util::Json&) {
-  auto& ctx = replicas_[static_cast<size_t>(from)];
-  util::Json ops = util::Json::array();
-  for (const auto& stamped : ctx.known_ops) {
-    util::Json row = util::Json::object();
-    row["origin"] = static_cast<int64_t>(stamped.origin);
-    row["seq"] = stamped.seq;
-    row["op"] = stamped.op_json;
-    ops.push_back(std::move(row));
-  }
-  return ops.dump();
+uint64_t Yorkie::OpCodec::digest(const Op& op) {
+  // Over kind, key and value only, so two different local ops that happen to
+  // receive the same (origin, seq) at replay never alias.
+  const auto j = op.to_json();
+  return util::fnv1a64(j["kind"].as_string() + j["key"].as_string() + j["value"].dump());
 }
 
-util::Status Yorkie::apply_sync_payload(net::ReplicaId, net::ReplicaId to,
-                                        const std::string& payload) {
-  auto doc = util::Json::parse(payload);
-  if (!doc) return util::Status::fail("yorkie sync payload: " + doc.error().message);
+util::Result<net::PayloadPtr> Yorkie::make_sync(net::ReplicaId from, net::ReplicaId,
+                                                const util::Json&) {
+  return replicas_[static_cast<size_t>(from)].ops.body();
+}
+
+util::Status Yorkie::apply_sync(net::ReplicaId, net::ReplicaId to, const net::Payload& payload) {
   auto& ctx = replicas_[static_cast<size_t>(to)];
-  for (const auto& row : doc.value().as_array()) {
-    const auto origin = static_cast<net::ReplicaId>(row["origin"].as_int());
-    const int64_t seq = row["seq"].as_int();
-    if (!ctx.applied.insert({origin, seq}).second) continue;  // already applied
-    auto op = crdt::JsonDoc::Op::from_json(row["op"]);
-    if (!op) return util::Status::fail("yorkie op decode: " + op.error().message);
-    ctx.doc->apply(op.value());
-    ctx.known_ops.push_back(StampedOp{origin, seq, row["op"]});
-  }
-  return util::Status::ok();
+  return ctx.ops.merge(payload, [&](const OpHistory<OpCodec>::Stamped& stamped) {
+    ctx.doc->apply(stamped.op);
+    return util::Status::ok();
+  });
+}
+
+util::Result<net::PayloadPtr> Yorkie::decode_sync(const std::string& text) const {
+  return OpHistory<OpCodec>::decode(text);
 }
 
 util::Json Yorkie::replica_state(net::ReplicaId replica) const {
   const auto& ctx = replicas_[static_cast<size_t>(replica)];
   util::Json out = util::Json::object();
   out["doc"] = ctx.doc->snapshot();
-  // witness entries carry a content digest so two different local ops that
-  // happen to receive the same (origin, seq) at replay never alias
-  std::vector<std::string> seen_list;
-  for (const auto& stamped : ctx.known_ops) {
-    seen_list.push_back(std::to_string(stamped.origin) + ":" + std::to_string(stamped.seq) +
-                        ":" +
-                        std::to_string(util::fnv1a64(stamped.op_json["kind"].as_string() +
-                                                     stamped.op_json["key"].as_string() +
-                                                     stamped.op_json["value"].dump())));
-  }
-  std::sort(seen_list.begin(), seen_list.end());
-  util::Json seen = util::Json::array();
-  for (const auto& entry : seen_list) seen.push_back(entry);
-  out["seen"] = std::move(seen);
+  out["seen"] = ctx.ops.seen();
   return out;
 }
 

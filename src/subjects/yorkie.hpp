@@ -12,11 +12,11 @@
 //    replace semantics.
 #pragma once
 
-#include <set>
 #include <vector>
 
 #include "crdt/json_doc.hpp"
 #include "subjects/subject_base.hpp"
+#include "subjects/sync_codec.hpp"
 
 namespace erpi::subjects {
 
@@ -30,15 +30,18 @@ class Yorkie : public SubjectBase {
   explicit Yorkie(int replica_count) : Yorkie(replica_count, Flags()) {}
   Yorkie(int replica_count, Flags flags);
 
+  const Flags& flags() const noexcept { return flags_; }
+
   util::Json replica_state(net::ReplicaId replica) const override;
 
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                      const util::Json& args) override;
-  util::Result<std::string> make_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                                                const util::Json& args) override;
-  util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                  const std::string& payload) override;
+  util::Result<net::PayloadPtr> make_sync(net::ReplicaId from, net::ReplicaId to,
+                                          const util::Json& args) override;
+  util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                          const net::Payload& payload) override;
+  util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -46,20 +49,27 @@ class Yorkie : public SubjectBase {
   bool adopt_replica(net::ReplicaId replica, const void* saved) override;
 
  private:
-  struct StampedOp {
-    net::ReplicaId origin;
-    int64_t seq;  // per-origin sequence
-    util::Json op_json;
+  /// A document op as replicas exchange it; text form JsonDoc::Op::to_json().
+  struct OpCodec {
+    using Op = crdt::JsonDoc::Op;
+    static constexpr const char* kSubject = "yorkie";
+    static util::Json to_json(const Op& op) { return op.to_json(); }
+    static util::Result<Op> from_json(const util::Json& j) { return Op::from_json(j); }
+    static uint64_t digest(const Op& op);
   };
   struct ReplicaCtx {
     std::unique_ptr<crdt::JsonDoc> doc;
-    std::vector<StampedOp> known_ops;       // everything seen, any origin
-    std::set<std::pair<int32_t, int64_t>> applied;  // (origin, seq)
-    int64_t next_local_seq = 0;
+    OpHistory<OpCodec> ops;  // everything seen, any origin
+
+    ReplicaCtx() = default;
+    /// Deep copy: JsonDoc is move-only, so the copy goes through clone().
+    ReplicaCtx(const ReplicaCtx& other);
+    ReplicaCtx& operator=(const ReplicaCtx& other);
+    ReplicaCtx(ReplicaCtx&&) = default;
+    ReplicaCtx& operator=(ReplicaCtx&&) = default;
   };
 
   void init_replicas();
-  void record_local(ReplicaCtx& ctx, net::ReplicaId replica, const crdt::JsonDoc::Op& op);
   static crdt::DocPath parse_path(const util::Json& args);
 
   Flags flags_;

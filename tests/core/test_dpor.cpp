@@ -7,10 +7,7 @@
 // allocation regression on the oracle hot path.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <numeric>
 #include <set>
 #include <string>
@@ -23,49 +20,8 @@
 #include "faults/explorer.hpp"
 #include "proxy/proxy.hpp"
 #include "subjects/town.hpp"
+#include "support/alloc_counter.hpp"
 #include "util/rng.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation counter (the PR's reserve()d-buffers regression). Counting-only
-// global overrides — skipped under sanitizers, whose runtimes own new/delete.
-// ---------------------------------------------------------------------------
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define ERPI_ALLOC_COUNTER 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define ERPI_ALLOC_COUNTER 0
-#else
-#define ERPI_ALLOC_COUNTER 1
-#endif
-#else
-#define ERPI_ALLOC_COUNTER 1
-#endif
-
-#if ERPI_ALLOC_COUNTER
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-// The counting overrides forward to malloc/free as a pair; GCC cannot see
-// that operator new is malloc-based and flags the free() as mismatched.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-#endif
 
 namespace erpi::core {
 namespace {
@@ -439,9 +395,9 @@ TEST(Dpor, OracleHotPathDoesNotAllocateAfterWarmup) {
   oracle->reset();
   walk(0);  // warmup: frames and marker storage reach steady state
   oracle->reset();
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t before = test_support::allocations();
   walk(0);
-  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t after = test_support::allocations();
   EXPECT_EQ(after, before) << "oracle push/pop allocated on the hot path";
 #endif
 }

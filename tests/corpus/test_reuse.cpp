@@ -44,8 +44,8 @@ void fault_workload(proxy::RdlProxy& proxy) {
   (void)proxy.exec_sync(0, 1);
 }
 
-/// TownApp with an injectable integration bug: sync payloads carrying problem
-/// "ph" are acknowledged but never applied, so interleavings that relied on
+/// TownApp with an injectable integration bug: sync bodies whose text carries
+/// problem "ph" are acknowledged but never applied, so interleavings that relied on
 /// that sync now diverge. Capture always runs on a clean TownApp — only the
 /// replay fixtures change — so the captured events (and the corpus
 /// fingerprint) are identical with the bug on or off.
@@ -54,10 +54,10 @@ class BuggyTown : public subjects::TownApp {
   explicit BuggyTown(int replica_count) : TownApp(replica_count) {}
 
  protected:
-  util::Status apply_sync_payload(net::ReplicaId from, net::ReplicaId to,
-                                  const std::string& payload) override {
-    if (payload.find("ph") != std::string::npos) return util::Status::ok();
-    return TownApp::apply_sync_payload(from, to, payload);
+  util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
+                          const net::Payload& payload) override {
+    if (payload.render().find("ph") != std::string::npos) return util::Status::ok();
+    return TownApp::apply_sync(from, to, payload);
   }
 };
 
