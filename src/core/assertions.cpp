@@ -1,6 +1,7 @@
 #include "core/assertions.hpp"
 
 #include <set>
+#include <unordered_map>
 
 namespace erpi::core {
 
@@ -31,6 +32,19 @@ class FnAssertion : public Assertion {
   std::function<util::Status(const TestContext&)> fn_;
 };
 
+/// Digest of what json_at(state, path) reads. state_digest() names the whole
+/// state and one top-level member; any other path (deeper, or a "" key, which
+/// an empty field cannot name) hashes the rendered value's text, so every
+/// path compares by the same text.
+uint64_t digest_at(const proxy::Rdl& rdl, net::ReplicaId replica,
+                   const std::vector<std::string>& path) {
+  if (path.empty()) return rdl.state_digest(replica, {});
+  if (path.size() == 1 && !path.front().empty()) {
+    return rdl.state_digest(replica, path.front());
+  }
+  return util::fnv1a64(json_at(rdl.replica_state(replica), path).dump());
+}
+
 class ConvergenceAssertion : public Assertion {
  public:
   explicit ConvergenceAssertion(std::vector<net::ReplicaId> replicas)
@@ -38,13 +52,16 @@ class ConvergenceAssertion : public Assertion {
   std::string name() const override { return "replicas_converge"; }
   util::Status check(const TestContext& ctx) override {
     if (replicas_.size() < 2) return util::Status::ok();
-    const util::Json first = ctx.rdl.replica_state(replicas_.front());
+    const uint64_t first_digest = ctx.rdl.state_digest(replicas_.front(), {});
+    std::optional<util::Json> first;  // rendered only to confirm a mismatch
     for (size_t i = 1; i < replicas_.size(); ++i) {
+      if (ctx.rdl.state_digest(replicas_[i], {}) == first_digest) continue;
+      if (!first) first = ctx.rdl.replica_state(replicas_.front());
       const util::Json other = ctx.rdl.replica_state(replicas_[i]);
-      if (!(other == first)) {
+      if (!(other == *first)) {
         return util::Status::fail(
             "replica " + std::to_string(replicas_[i]) + " state " + other.dump() +
-            " != replica " + std::to_string(replicas_.front()) + " state " + first.dump());
+            " != replica " + std::to_string(replicas_.front()) + " state " + first->dump());
       }
     }
     return util::Status::ok();
@@ -60,22 +77,28 @@ class CrossInterleavingAssertion : public Assertion {
   std::string name() const override { return "state_consistent_across_interleavings"; }
   void on_run_start() override { baseline_.reset(); }
   util::Status check(const TestContext& ctx) override {
-    util::Json state = ctx.rdl.replica_state(replica_);
+    const uint64_t digest = ctx.rdl.state_digest(replica_, {});
     if (!baseline_) {
-      baseline_ = std::move(state);
+      baseline_ = Baseline{digest, ctx.rdl.replica_state(replica_)};
       return util::Status::ok();
     }
-    if (!(state == *baseline_)) {
+    if (digest == baseline_->digest) return util::Status::ok();
+    const util::Json state = ctx.rdl.replica_state(replica_);
+    if (!(state == baseline_->state)) {
       return util::Status::fail("replica " + std::to_string(replica_) +
                                 " state diverges across interleavings: " + state.dump() +
-                                " vs baseline " + baseline_->dump());
+                                " vs baseline " + baseline_->state.dump());
     }
     return util::Status::ok();
   }
 
  private:
+  struct Baseline {
+    uint64_t digest;
+    util::Json state;  // the first interleaving's, for the message
+  };
   net::ReplicaId replica_;
-  std::optional<util::Json> baseline_;
+  std::optional<Baseline> baseline_;
 };
 
 class WitnessConvergenceAssertion : public Assertion {
@@ -88,20 +111,21 @@ class WitnessConvergenceAssertion : public Assertion {
         compare_path_(std::move(compare_path)) {}
   std::string name() const override { return "converge_if_same_witness"; }
   util::Status check(const TestContext& ctx) override {
+    witnesses_.clear();
+    compared_.clear();
+    for (const auto replica : replicas_) {
+      witnesses_.push_back(digest_at(ctx.rdl, replica, witness_path_));
+      compared_.push_back(digest_at(ctx.rdl, replica, compare_path_));
+    }
     for (size_t i = 0; i < replicas_.size(); ++i) {
-      const util::Json state_i = ctx.rdl.replica_state(replicas_[i]);
       for (size_t j = i + 1; j < replicas_.size(); ++j) {
+        if (witnesses_[i] != witnesses_[j] || compared_[i] == compared_[j]) continue;
+        const util::Json state_i = ctx.rdl.replica_state(replicas_[i]);
         const util::Json state_j = ctx.rdl.replica_state(replicas_[j]);
-        if (!(json_at(state_i, witness_path_) == json_at(state_j, witness_path_))) {
-          continue;  // different causal histories — nothing to compare
-        }
-        const util::Json& a = json_at(state_i, compare_path_);
-        const util::Json& b = json_at(state_j, compare_path_);
-        if (!(a == b)) {
-          return util::Status::fail(
-              "replicas " + std::to_string(replicas_[i]) + " and " +
-              std::to_string(replicas_[j]) + " saw the same operations but diverge: " +
-              a.dump() + " vs " + b.dump());
+        if (auto st = diverge(i, j, json_at(state_i, compare_path_),
+                              json_at(state_j, compare_path_));
+            !st) {
+          return st;
         }
       }
     }
@@ -109,9 +133,20 @@ class WitnessConvergenceAssertion : public Assertion {
   }
 
  private:
+  /// The tree check that confirms a digest mismatch before it is reported.
+  util::Status diverge(size_t i, size_t j, const util::Json& a, const util::Json& b) const {
+    if (a == b) return util::Status::ok();
+    return util::Status::fail("replicas " + std::to_string(replicas_[i]) + " and " +
+                              std::to_string(replicas_[j]) +
+                              " saw the same operations but diverge: " + a.dump() + " vs " +
+                              b.dump());
+  }
+
   std::vector<net::ReplicaId> replicas_;
   std::vector<std::string> witness_path_;
   std::vector<std::string> compare_path_;
+  std::vector<uint64_t> witnesses_;  // per replica, reused across checks
+  std::vector<uint64_t> compared_;
 };
 
 class WitnessCrossInterleavingAssertion : public Assertion {
@@ -127,24 +162,38 @@ class WitnessCrossInterleavingAssertion : public Assertion {
   }
   void on_run_start() override { baselines_.clear(); }
   util::Status check(const TestContext& ctx) override {
-    const util::Json state = ctx.rdl.replica_state(replica_);
-    const std::string witness = json_at(state, witness_path_).dump();
-    const std::string compared = json_at(state, compare_path_).dump();
-    const auto [it, inserted] = baselines_.emplace(witness, compared);
-    if (!inserted && it->second != compared) {
-      return util::Status::fail("replica " + std::to_string(replica_) +
-                                " reached two different states from the same delivered "
-                                "operations across interleavings: " +
-                                compared + " vs " + it->second);
+    const uint64_t witness = digest_at(ctx.rdl, replica_, witness_path_);
+    const uint64_t compared = digest_at(ctx.rdl, replica_, compare_path_);
+    const auto it = baselines_.find(witness);
+    if (it == baselines_.end()) {
+      baselines_.emplace(witness, Baseline{compared, compared_text(ctx)});
+      return util::Status::ok();
     }
-    return util::Status::ok();
+    if (it->second.digest == compared) return util::Status::ok();
+    return diverge(compared_text(ctx), it->second.text);
   }
 
  private:
+  struct Baseline {
+    uint64_t digest;
+    std::string text;  // for the message
+  };
+
+  std::string compared_text(const TestContext& ctx) const {
+    return json_at(ctx.rdl.replica_state(replica_), compare_path_).dump();
+  }
+
+  util::Status diverge(const std::string& compared, const std::string& baseline) const {
+    return util::Status::fail("replica " + std::to_string(replica_) +
+                              " reached two different states from the same delivered "
+                              "operations across interleavings: " +
+                              compared + " vs " + baseline);
+  }
+
   net::ReplicaId replica_;
   std::vector<std::string> witness_path_;
   std::vector<std::string> compare_path_;
-  std::map<std::string, std::string> baselines_;
+  std::unordered_map<uint64_t, Baseline> baselines_;  // by witness digest
 };
 
 class ListOrderAssertion : public Assertion {
@@ -154,12 +203,15 @@ class ListOrderAssertion : public Assertion {
   std::string name() const override { return "list_order_consistent"; }
   util::Status check(const TestContext& ctx) override {
     if (replicas_.size() < 2) return util::Status::ok();
-    const util::Json first = json_at(ctx.rdl.replica_state(replicas_.front()), path_);
+    const uint64_t first_digest = digest_at(ctx.rdl, replicas_.front(), path_);
+    std::optional<util::Json> first;  // rendered only to confirm a mismatch
     for (size_t i = 1; i < replicas_.size(); ++i) {
+      if (digest_at(ctx.rdl, replicas_[i], path_) == first_digest) continue;
+      if (!first) first = json_at(ctx.rdl.replica_state(replicas_.front()), path_);
       const util::Json other = json_at(ctx.rdl.replica_state(replicas_[i]), path_);
-      if (!(other == first)) {
+      if (!(other == *first)) {
         return util::Status::fail("list order differs: replica " +
-                                  std::to_string(replicas_.front()) + " has " + first.dump() +
+                                  std::to_string(replicas_.front()) + " has " + first->dump() +
                                   ", replica " + std::to_string(replicas_[i]) + " has " +
                                   other.dump());
       }

@@ -539,25 +539,23 @@ std::unique_ptr<PrefixOracle> make_dpor_oracle(
 
 namespace {
 
-/// Execute `order` on a fresh fixture and return every replica's final state
-/// serialized into one string (errors from individual ops are tolerated, as
-/// in a normal replay).
-std::string run_order(const proxy::EventSet& order,
-                      const std::function<std::unique_ptr<proxy::Rdl>()>& factory) {
+/// Execute `order` on a fresh fixture and return a digest of which ops
+/// succeeded and of every replica's final state digest (errors from
+/// individual ops are tolerated, as in a normal replay).
+uint64_t run_order(const proxy::EventSet& order,
+                   const std::function<std::unique_ptr<proxy::Rdl>()>& factory) {
   auto subject = factory();
-  if (subject == nullptr) return {};
+  if (subject == nullptr) return 0;
   subject->reset();
-  std::string out;
-  out.reserve(256);
+  util::Fnv1aHasher outcome;
   for (const auto& event : order) {
     auto result = subject->invoke(event.replica, event.op, event.args);
-    out += result.has_value() ? '+' : '-';
+    outcome.bytes(result.has_value() ? "+" : "-");
   }
   for (int r = 0; r < subject->replica_count(); ++r) {
-    out += subject->replica_state(r).dump();
-    out += '|';
+    outcome.u64(subject->state_digest(r, {}));
   }
-  return out;
+  return outcome.digest();
 }
 
 }  // namespace

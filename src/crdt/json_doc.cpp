@@ -13,18 +13,6 @@ util::Json id_to_json(const Rga::Id& id) {
   return j;
 }
 
-const char* kind_name(JsonDoc::Op::Kind kind) {
-  switch (kind) {
-    case JsonDoc::Op::Kind::Set: return "set";
-    case JsonDoc::Op::Kind::Delete: return "delete";
-    case JsonDoc::Op::Kind::ListPush: return "list_push";
-    case JsonDoc::Op::Kind::ListInsert: return "list_insert";
-    case JsonDoc::Op::Kind::ListRemove: return "list_remove";
-    case JsonDoc::Op::Kind::ListMove: return "list_move";
-  }
-  return "?";
-}
-
 util::Result<JsonDoc::Op::Kind> kind_from_name(const std::string& name) {
   using Kind = JsonDoc::Op::Kind;
   if (name == "set") return Kind::Set;
@@ -37,6 +25,18 @@ util::Result<JsonDoc::Op::Kind> kind_from_name(const std::string& name) {
 }
 
 }  // namespace
+
+const char* JsonDoc::Op::kind_name(Kind kind) {
+  switch (kind) {
+    case JsonDoc::Op::Kind::Set: return "set";
+    case JsonDoc::Op::Kind::Delete: return "delete";
+    case JsonDoc::Op::Kind::ListPush: return "list_push";
+    case JsonDoc::Op::Kind::ListInsert: return "list_insert";
+    case JsonDoc::Op::Kind::ListRemove: return "list_remove";
+    case JsonDoc::Op::Kind::ListMove: return "list_move";
+  }
+  return "?";
+}
 
 util::Json JsonDoc::Op::to_json() const {
   util::Json j = util::Json::object();

@@ -54,6 +54,8 @@ class JsonDoc {
     /// Strict inverse of to_json(): fails, never throws, on any shape
     /// to_json() does not write.
     static util::Result<Op> from_json(const util::Json& j);
+    /// The "kind" member's text ("set", "list_push", ...).
+    static const char* kind_name(Kind kind);
   };
 
   explicit JsonDoc(ReplicaId replica) : JsonDoc(replica, Flags()) {}

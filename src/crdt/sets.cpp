@@ -138,9 +138,7 @@ bool OrSet::contains(const std::string& element) const {
 
 std::vector<std::string> OrSet::elements() const {
   std::vector<std::string> out;
-  for (const auto& [element, tags] : live_) {
-    if (!tags.empty()) out.push_back(element);
-  }
+  for_each([&](const std::string& element) { out.push_back(element); });
   return out;
 }
 
@@ -172,7 +170,7 @@ void OrSet::merge(const OrSet& other) {
 
 util::Json OrSet::to_json() const {
   util::Json arr = util::Json::array();
-  for (const auto& e : elements()) arr.push_back(e);
+  for_each([&](const std::string& element) { arr.push_back(element); });
   return arr;
 }
 

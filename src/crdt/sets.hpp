@@ -81,6 +81,14 @@ class OrSet {
 
   bool contains(const std::string& element) const;
   std::vector<std::string> elements() const;  // sorted
+  /// Visit the live elements (those with a visible tag) in sorted order
+  /// without copying them; elements() and to_json() are built on it.
+  template <typename F>
+  void for_each(F&& visit) const {
+    for (const auto& [element, tags] : live_) {
+      if (!tags.empty()) visit(element);
+    }
+  }
   size_t size() const;
 
   /// State-based merge (union of live tags, union of tombstones).

@@ -88,8 +88,8 @@ void PlanRuntime::damage_and_recover() {
   }
   const auto replica = plan_.replica_a;
   // Reference state captured before damage: a recovery that claims full
-  // success must reproduce it bit-for-bit, else it silently diverged.
-  const std::string reference = base_->replica_state(replica).dump();
+  // success must reproduce its text exactly, else it silently diverged.
+  const uint64_t reference = base_->state_digest(replica, {});
 
   switch (plan_.kind) {
     case FaultPlan::Kind::TornTail:
@@ -126,7 +126,7 @@ void PlanRuntime::damage_and_recover() {
     case subjects::SubjectBase::RecoveryResult::Status::Ok:
       // The subject claims a complete recovery: hold it to that. Anything
       // short of the exact pre-damage state is a silent divergence.
-      verdict.status = base_->replica_state(replica).dump() == reference
+      verdict.status = base_->state_digest(replica, {}) == reference
                            ? core::RecoveryVerdict::Status::Recovered
                            : core::RecoveryVerdict::Status::Diverged;
       break;

@@ -149,6 +149,11 @@ int64_t Store::zcard(const std::string& key) {
   return zit == zsets_.end() ? 0 : static_cast<int64_t>(zit->second.scores.size());
 }
 
+const std::unordered_map<std::string, double>* Store::zscores(const std::string& key) const {
+  const auto zit = zsets_.find(key);
+  return zit == zsets_.end() ? nullptr : &zit->second.scores;
+}
+
 void Store::flush_all() {
   strings_.clear();
   zsets_.clear();

@@ -74,6 +74,8 @@ class Store {
   /// negative ranks count from the end, Redis-style.
   std::vector<std::string> zrange(const std::string& key, int64_t start, int64_t stop);
   int64_t zcard(const std::string& key);
+  /// Every member's score, unordered; nullptr when the set does not exist.
+  const std::unordered_map<std::string, double>* zscores(const std::string& key) const;
 
   void flush_all();
   size_t key_count();

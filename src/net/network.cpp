@@ -92,8 +92,7 @@ std::optional<Message> SimNetwork::pop_locked(ReplicaId from, ReplicaId to) {
   const auto it = channels_.find({from, to});
   if (it == channels_.end() || it->second.empty()) return std::nullopt;
   Message m = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) channels_.erase(it);
+  it->second.pop_front();  // a drained channel stays, so its next send reuses it
   ++stats_.delivered;
   return m;
 }
@@ -125,9 +124,11 @@ std::optional<Message> SimNetwork::deliver_any(ReplicaId to) {
 size_t SimNetwork::deliver_all() {
   std::lock_guard lock(mu_);
   size_t count = 0;
-  for (const auto& [key, queue] : channels_) count += queue.size();
+  for (auto& [key, queue] : channels_) {
+    count += queue.size();
+    queue.clear();
+  }
   stats_.delivered += count;
-  channels_.clear();
   return count;
 }
 
@@ -151,7 +152,7 @@ NetworkStats SimNetwork::stats() const {
 
 void SimNetwork::reset() {
   std::lock_guard lock(mu_);
-  channels_.clear();
+  for (auto& [key, queue] : channels_) queue.clear();  // keep the channels' storage
   stats_ = NetworkStats{};
   next_seq_ = 1;
   script_sends_seen_ = 0;  // the script itself survives across interleavings

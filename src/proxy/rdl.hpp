@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "net/network.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/result.hpp"
 
@@ -49,9 +51,21 @@ class Rdl {
   virtual util::Result<util::Json> invoke(net::ReplicaId replica, const std::string& op,
                                           const util::Json& args) = 0;
 
-  /// Serializable view of one replica's current state; assertions compare
-  /// these across replicas and across interleavings.
+  /// Serializable view of one replica's current state. Assertions compare
+  /// state_digest()s and render this only to report a violation.
   virtual util::Json replica_state(net::ReplicaId replica) const = 0;
+
+  /// util::fnv1a64 of replica_state(replica)'s compact text or, with a
+  /// non-empty `field`, of its top-level member `field` ("null" when there
+  /// is none). Equal digests mean equal text, up to 64-bit collisions
+  /// (DESIGN.md §17). Default: renders replica_state(); subjects stream the
+  /// same text into the hash without building a tree.
+  virtual uint64_t state_digest(net::ReplicaId replica, std::string_view field) const {
+    const util::Json state = replica_state(replica);
+    if (field.empty()) return util::fnv1a64(state.dump());
+    const std::string member(field);
+    return util::fnv1a64(state.contains(member) ? state[member].dump() : "null");
+  }
 
   /// Return every replica (and any in-flight messages) to the initial state.
   /// Called before each interleaving so replays cannot affect each other.

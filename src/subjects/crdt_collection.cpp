@@ -308,7 +308,9 @@ util::Result<util::Json> CrdtCollection::OpCodec::from_json(const util::Json& j)
   return j;
 }
 
-uint64_t CrdtCollection::OpCodec::digest(const Op& op) { return util::fnv1a64(op.dump()); }
+uint64_t CrdtCollection::OpCodec::digest(const Op& op) {
+  return util::JsonWriter::fnv().value(op).digest();
+}
 
 util::Result<net::PayloadPtr> CrdtCollection::make_sync(net::ReplicaId from, net::ReplicaId,
                                                         const util::Json&) {
@@ -329,26 +331,37 @@ util::Result<net::PayloadPtr> CrdtCollection::decode_sync(const std::string& tex
   return OpHistory<OpCodec>::decode(text);
 }
 
-util::Json CrdtCollection::replica_state(net::ReplicaId replica) const {
+void CrdtCollection::write_state(net::ReplicaId replica, util::JsonWriter& out) const {
   const auto& ctx = replicas_[static_cast<size_t>(replica)];
-  util::Json out = util::Json::object();
-  out["set"] = ctx.orset.to_json();
-  out["twopset"] = ctx.twopset.to_json();
-  out["counter"] = ctx.counter.value();
-  out["list"] = ctx.list.to_json();
-  out["naive_list"] = ctx.naive_list.to_json();
-  out["reg"] = ctx.reg.empty() ? util::Json() : util::Json(ctx.reg.value());
-  out["mvreg"] = ctx.mvreg.to_json();
-  util::Json todos = util::Json::object();
-  util::Json todo_ids = util::Json::array();
-  for (const auto& [id, text] : ctx.todos) {
-    todos[std::to_string(id)] = text;
-    todo_ids.push_back(id);
+  out.begin_object();
+  out.key("counter").int64(ctx.counter.value());
+  out.key("list").value(ctx.list.to_json());
+  out.key("mvreg").value(ctx.mvreg.to_json());
+  out.key("naive_list").value(ctx.naive_list.to_json());
+  out.key("reg");
+  if (ctx.reg.empty()) {
+    out.null();
+  } else {
+    out.string(ctx.reg.value());
   }
-  out["todos"] = std::move(todos);
-  out["todo_ids"] = std::move(todo_ids);
-  out["seen"] = ctx.ops.seen();
-  return out;
+  out.key("seen");
+  ctx.ops.write_seen(out);
+  out.key("set").begin_array();
+  ctx.orset.for_each([&](const std::string& element) { out.string(element); });
+  out.end_array();
+  out.key("todo_ids").begin_array();
+  for (const auto& [id, text] : ctx.todos) out.int64(id);
+  out.end_array();
+  // Keyed by the id's decimal text, so in string order ("10" < "9").
+  std::vector<std::pair<std::string, const std::string*>> todos;
+  todos.reserve(ctx.todos.size());
+  for (const auto& [id, text] : ctx.todos) todos.emplace_back(std::to_string(id), &text);
+  std::sort(todos.begin(), todos.end());
+  out.key("todos").begin_object();
+  for (const auto& [id, text] : todos) out.key(id).string(*text);
+  out.end_object();
+  out.key("twopset").value(ctx.twopset.to_json());
+  out.end_object();
 }
 
 }  // namespace erpi::subjects

@@ -36,7 +36,16 @@ class CrdtCollection : public SubjectBase {
 
   const Flags& flags() const noexcept { return flags_; }
 
-  util::Json replica_state(net::ReplicaId replica) const override;
+  /// An op as replicas exchange it: {"args": args as the origin augmented
+  /// them (minted tags, ids, clocks), "op": name}.
+  /// Public so tests can hold digest() to the text it folds.
+  struct OpCodec {
+    using Op = util::Json;
+    static constexpr const char* kSubject = "crdts";
+    static void write(const Op& op, util::JsonWriter& out) { out.value(op); }
+    static util::Result<Op> from_json(const util::Json& j);
+    static uint64_t digest(const Op& op);
+  };
 
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
@@ -46,6 +55,8 @@ class CrdtCollection : public SubjectBase {
   util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
                           const net::Payload& payload) override;
   util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
+  /// Every structure's value under its name, plus "todo_ids" and "seen".
+  void write_state(net::ReplicaId replica, util::JsonWriter& out) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -53,15 +64,6 @@ class CrdtCollection : public SubjectBase {
   bool adopt_replica(net::ReplicaId replica, const void* saved) override;
 
  private:
-  /// An op as replicas exchange it: {"args": args as the origin augmented
-  /// them (minted tags, ids, clocks), "op": name}.
-  struct OpCodec {
-    using Op = util::Json;
-    static constexpr const char* kSubject = "crdts";
-    static util::Json to_json(const Op& op) { return op; }
-    static util::Result<Op> from_json(const util::Json& j);
-    static uint64_t digest(const Op& op);
-  };
   struct ReplicaCtx {
     crdt::OrSet orset;
     crdt::TwoPSet twopset;

@@ -282,30 +282,45 @@ util::Result<net::PayloadPtr> OrbitDb::decode_sync(const std::string& text) cons
   return net::PayloadPtr(std::move(body));
 }
 
-util::Json OrbitDb::replica_state(net::ReplicaId replica) const {
+void OrbitDb::write_state(net::ReplicaId replica, util::JsonWriter& out) const {
   const auto& ctx = replicas_[static_cast<size_t>(replica)];
-  util::Json out = util::Json::object();
-  util::Json payloads = util::Json::array();
-  for (const auto& entry : ctx.log->traverse()) payloads.push_back(entry.payload);
-  out["log"] = std::move(payloads);
-  out["clock"] = ctx.log->clock();
-  out["verified"] = ctx.log->verify();
-  out["locked"] = ctx.repo_locked;
-  out["pending"] = static_cast<int64_t>(ctx.pending.size());
-  util::Json seen = util::Json::array();
-  for (const auto& hash : ctx.seen_hashes) seen.push_back(hash);
-  out["seen"] = std::move(seen);
-  util::Json hashes = util::Json::array();
-  for (const auto& entry : ctx.log->traverse()) hashes.push_back(entry.hash);
-  out["hashes"] = std::move(hashes);
-  util::Json announced = util::Json::object();
-  for (const auto& [peer, heads] : ctx.announced_heads) {
-    util::Json arr = util::Json::array();
-    for (const auto& head : heads) arr.push_back(head);
-    announced[std::to_string(peer)] = std::move(arr);
+  const auto write_strings = [&](std::string_view name, const auto& strings) {
+    if (!out.wants(name)) return;
+    out.key(name).begin_array();
+    for (const auto& s : strings) out.string(s);
+    out.end_array();
+  };
+  out.begin_object();
+  if (out.wants("announced")) {
+    // Keyed by the peer id's decimal text, so in string order ("10" < "9").
+    std::vector<std::pair<std::string, const std::vector<std::string>*>> announced;
+    for (const auto& [peer, heads] : ctx.announced_heads) {
+      announced.emplace_back(std::to_string(peer), &heads);
+    }
+    std::sort(announced.begin(), announced.end());
+    out.key("announced").begin_object();
+    for (const auto& [peer, heads] : announced) write_strings(peer, *heads);
+    out.end_object();
   }
-  out["announced"] = std::move(announced);
-  return out;
+  if (out.wants("clock")) out.key("clock").int64(ctx.log->clock());
+  // One walk of the log serves "hashes" and "log".
+  std::vector<crdt::LogEntry> entries;
+  if (out.wants("hashes") || out.wants("log")) entries = ctx.log->traverse();
+  if (out.wants("hashes")) {
+    out.key("hashes").begin_array();
+    for (const auto& entry : entries) out.string(entry.hash);
+    out.end_array();
+  }
+  if (out.wants("locked")) out.key("locked").boolean(ctx.repo_locked);
+  if (out.wants("log")) {
+    out.key("log").begin_array();
+    for (const auto& entry : entries) out.string(entry.payload);
+    out.end_array();
+  }
+  if (out.wants("pending")) out.key("pending").int64(static_cast<int64_t>(ctx.pending.size()));
+  write_strings("seen", ctx.seen_hashes);
+  if (out.wants("verified")) out.key("verified").boolean(ctx.log->verify());
+  out.end_object();
 }
 
 }  // namespace erpi::subjects

@@ -46,8 +46,6 @@ class OrbitDb : public SubjectBase {
 
   const Flags& flags() const noexcept { return flags_; }
 
-  util::Json replica_state(net::ReplicaId replica) const override;
-
   /// Identity string used by replica r ("id<r>").
   static std::string identity_of(net::ReplicaId replica);
 
@@ -59,6 +57,9 @@ class OrbitDb : public SubjectBase {
   util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
                           const net::Payload& payload) override;
   util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
+  /// {"announced": peer -> heads, "clock", "hashes" and "log" in traversal
+  /// order, "locked", "pending", "seen", "verified"}.
+  void write_state(net::ReplicaId replica, util::JsonWriter& out) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;

@@ -197,29 +197,29 @@ util::Result<net::PayloadPtr> ReplicaDb::decode_sync(const std::string& text) co
   return net::PayloadPtr(std::move(body));
 }
 
-util::Json ReplicaDb::replica_state(net::ReplicaId replica) const {
+void ReplicaDb::write_state(net::ReplicaId replica, util::JsonWriter& out) const {
   const auto& ctx = replicas_[static_cast<size_t>(replica)];
-  util::Json out = util::Json::object();
-  util::Json source = util::Json::object();
+  out.begin_object();
+  // the causal-knowledge witness (all row versions ever observed) ...
+  out.key("history").begin_array();
+  for (const auto& h : ctx.history) out.string(h);
+  out.end_array();
+  out.key("last_transfer").int64(ctx.last_transfer_version);
+  // ... and the versioned source table (used by the ReplicaDB-2 detector)
+  out.key("seen").begin_object();
   for (const auto& [id, row] : ctx.source) {
-    if (!row.deleted) source[id] = row.value;
+    out.key(id).string(std::to_string(row.version) + (row.deleted ? "|del" : ""));
   }
-  util::Json sink = util::Json::object();
-  for (const auto& [id, row] : ctx.sink) sink[id] = row.value;
-  out["source"] = std::move(source);
-  out["sink"] = std::move(sink);
-  out["last_transfer"] = ctx.last_transfer_version;
-  // the versioned source table (used by the ReplicaDB-2 detector) ...
-  util::Json seen = util::Json::object();
+  out.end_object();
+  out.key("sink").begin_object();
+  for (const auto& [id, row] : ctx.sink) out.key(id).string(row.value);
+  out.end_object();
+  out.key("source").begin_object();
   for (const auto& [id, row] : ctx.source) {
-    seen[id] = std::to_string(row.version) + (row.deleted ? "|del" : "");
+    if (!row.deleted) out.key(id).string(row.value);
   }
-  out["seen"] = std::move(seen);
-  // ... and the causal-knowledge witness (all row versions ever observed)
-  util::Json history = util::Json::array();
-  for (const auto& h : ctx.history) history.push_back(h);
-  out["history"] = std::move(history);
-  return out;
+  out.end_object();
+  out.end_object();
 }
 
 }  // namespace erpi::subjects

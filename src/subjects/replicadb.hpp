@@ -40,8 +40,6 @@ class ReplicaDb : public SubjectBase {
 
   const Flags& flags() const noexcept { return flags_; }
 
-  util::Json replica_state(net::ReplicaId replica) const override;
-
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                      const util::Json& args) override;
@@ -50,6 +48,9 @@ class ReplicaDb : public SubjectBase {
   util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
                           const net::Payload& payload) override;
   util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
+  /// {"history", "last_transfer", "seen": id -> version[|del], "sink",
+  /// "source": live rows}.
+  void write_state(net::ReplicaId replica, util::JsonWriter& out) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;

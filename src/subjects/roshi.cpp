@@ -51,7 +51,9 @@ bool Roshi::lww_write(ReplicaCtx& ctx, const std::string& key, const std::string
                       double ts, bool is_delete, bool from_sync) {
   ctx.history.insert(key + "|" + member + "|" + std::to_string(ts) + "|" +
                      (is_delete ? "d" : "a"));
-  if (!ctx.store.exists(add_set(key)) && !ctx.store.exists(del_set(key)) &&
+  const std::string adds = add_set(key);
+  const std::string dels = del_set(key);
+  if (!ctx.store.exists(adds) && !ctx.store.exists(dels) &&
       std::find(ctx.key_arrival.begin(), ctx.key_arrival.end(), key) ==
           ctx.key_arrival.end()) {
     ctx.key_arrival.push_back(key);
@@ -60,8 +62,8 @@ bool Roshi::lww_write(ReplicaCtx& ctx, const std::string& key, const std::string
     // the arrival-history sensitivity behind issue #40.
     if (!from_sync && ctx.received_any) ctx.flagged_keys.insert(key);
   }
-  const auto add_score = ctx.store.zscore(add_set(key), member);
-  const auto del_score = ctx.store.zscore(del_set(key), member);
+  const auto add_score = ctx.store.zscore(adds, member);
+  const auto del_score = ctx.store.zscore(dels, member);
   const double current = std::max(add_score.value_or(-1.0), del_score.value_or(-1.0));
   const bool currently_deleted = del_score.value_or(-1.0) >= add_score.value_or(-1.0) &&
                                  del_score.has_value();
@@ -87,9 +89,9 @@ bool Roshi::lww_write(ReplicaCtx& ctx, const std::string& key, const std::string
   }
   if (!wins) return false;
 
-  ctx.store.zrem(add_set(key), member);
-  ctx.store.zrem(del_set(key), member);
-  ctx.store.zadd(is_delete ? del_set(key) : add_set(key), ts, member);
+  ctx.store.zrem(adds, member);
+  ctx.store.zrem(dels, member);
+  ctx.store.zadd(is_delete ? dels : adds, ts, member);
   return true;
 }
 
@@ -154,8 +156,11 @@ util::Result<util::Json> Roshi::do_invoke(net::ReplicaId replica, const std::str
     const double ts = args["ts"].as_double();
     // Writes touch the per-key stream plus the replica-wide arrival history
     // (key_arrival / flagged_keys feed the issue-#40 response order).
-    note_read(replica, "stream/" + key);
-    note_write(replica, "stream/" + key);
+    if (footprint_recorder() != nullptr) {
+      const std::string stream = "stream/" + key;
+      note_read(replica, stream);
+      note_write(replica, stream);
+    }
     note_read(replica, "arrival");
     note_write(replica, "arrival");
     const bool won = lww_write(ctx, key, member, ts, op == "delete", false);
@@ -165,7 +170,7 @@ util::Result<util::Json> Roshi::do_invoke(net::ReplicaId replica, const std::str
     const auto& key = args["key"].as_string();
     const int64_t offset = args.contains("offset") ? args["offset"].as_int() : 0;
     const int64_t limit = args.contains("limit") ? args["limit"].as_int() : -1;
-    note_read(replica, "stream/" + key);
+    if (footprint_recorder() != nullptr) note_read(replica, "stream/" + key);
     return select(ctx, key, offset, limit);
   }
   if (op == "select_all") {
@@ -298,33 +303,61 @@ util::Result<net::PayloadPtr> Roshi::decode_sync(const std::string& text) const 
   return net::PayloadPtr(std::move(body));
 }
 
-util::Json Roshi::replica_state(net::ReplicaId replica) const {
+void Roshi::write_state(net::ReplicaId replica, util::JsonWriter& out) const {
   const auto& ctx = replicas_[static_cast<size_t>(replica)];
-  auto& store = const_cast<kv::Store&>(ctx.store);
-  util::Json out = util::Json::object();
-  util::Json history = util::Json::array();
-  for (const auto& h : ctx.history) history.push_back(h);
-  out["history"] = std::move(history);
-  util::Json order = util::Json::array();
-  for (const auto& key : ordered_keys(ctx)) order.push_back(key);
-  out["order"] = std::move(order);
-  std::vector<std::string> keys = ctx.key_arrival;
-  std::sort(keys.begin(), keys.end());
-  for (const auto& key : keys) {
-    util::Json entry = util::Json::object();
-    util::Json adds = util::Json::object();
-    for (const auto& member : store.zrange(add_set(key), 0, -1)) {
-      adds[member] = store.zscore(add_set(key), member).value_or(0);
+  const auto write_strings = [&](std::string_view name, const auto& strings) {
+    if (!out.wants(name)) return;
+    out.key(name).begin_array();
+    for (const auto& s : strings) out.string(s);
+    out.end_array();
+  };
+  // A sorted set as {member: score}, in member order, not zrange's.
+  const auto write_scores = [&](const std::string& set) {
+    std::vector<std::pair<std::string_view, double>> rows;
+    if (const auto* scores = ctx.store.zscores(set)) {
+      rows.assign(scores->begin(), scores->end());
+      std::sort(rows.begin(), rows.end());
     }
-    util::Json dels = util::Json::object();
-    for (const auto& member : store.zrange(del_set(key), 0, -1)) {
-      dels[member] = store.zscore(del_set(key), member).value_or(0);
+    out.begin_object();
+    for (const auto& [member, score] : rows) out.key(member).number(score);
+    out.end_object();
+  };
+  const auto write_stream = [&](const std::string& key) {
+    if (!out.wants(key)) return;
+    out.key(key).begin_object();
+    out.key("adds");
+    write_scores(add_set(key));
+    out.key("dels");
+    write_scores(del_set(key));
+    out.end_object();
+  };
+  const auto write_member = [&](std::string_view name) {
+    if (name == "history") {
+      write_strings(name, ctx.history);
+    } else {
+      write_strings(name, ordered_keys(ctx));
     }
-    entry["adds"] = std::move(adds);
-    entry["dels"] = std::move(dels);
-    out[key] = std::move(entry);
+  };
+
+  std::vector<const std::string*> keys;
+  keys.reserve(ctx.key_arrival.size());
+  for (const auto& key : ctx.key_arrival) keys.push_back(&key);
+  std::sort(keys.begin(), keys.end(), [](const auto* a, const auto* b) { return *a < *b; });
+  // "history", "order" and the stream keys share the root object, in one
+  // sorted order, and a stream named "history" or "order" takes that
+  // member's place.
+  static constexpr std::string_view kMembers[] = {"history", "order"};
+  size_t next = 0;
+  out.begin_object();
+  for (const std::string* key : keys) {
+    for (; next < std::size(kMembers) && kMembers[next] < *key; ++next) {
+      write_member(kMembers[next]);
+    }
+    if (next < std::size(kMembers) && kMembers[next] == *key) ++next;
+    write_stream(*key);
   }
-  return out;
+  for (; next < std::size(kMembers); ++next) write_member(kMembers[next]);
+  out.end_object();
 }
 
 }  // namespace erpi::subjects

@@ -47,8 +47,6 @@ class Roshi : public SubjectBase {
 
   const Flags& flags() const noexcept { return flags_; }
 
-  util::Json replica_state(net::ReplicaId replica) const override;
-
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                      const util::Json& args) override;
@@ -57,6 +55,9 @@ class Roshi : public SubjectBase {
   util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
                           const net::Payload& payload) override;
   util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
+  /// {"history", "order": the select_all stream order, and per stream key
+  /// {"adds": member -> ts, "dels": member -> ts}}, in one sorted order.
+  void write_state(net::ReplicaId replica, util::JsonWriter& out) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;

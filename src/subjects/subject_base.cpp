@@ -21,6 +21,22 @@ void SubjectBase::check_replica(net::ReplicaId replica) const {
   }
 }
 
+util::Json SubjectBase::replica_state(net::ReplicaId replica) const {
+  check_replica(replica);
+  util::Json state;
+  auto out = util::JsonWriter::tree(state);
+  write_state(replica, out);
+  return state;
+}
+
+uint64_t SubjectBase::state_digest(net::ReplicaId replica, std::string_view field) const {
+  check_replica(replica);
+  auto out = util::JsonWriter::fnv();
+  if (!field.empty()) out.only(field);
+  write_state(replica, out);
+  return out.digest();
+}
+
 util::Result<util::Json> SubjectBase::invoke(net::ReplicaId replica, const std::string& op,
                                              const util::Json& args) {
   check_replica(replica);

@@ -27,6 +27,12 @@ class SubjectBase : public proxy::Rdl {
   std::string name() const override { return name_; }
   int replica_count() const override { return replica_count_; }
 
+  /// write_state() through a tree sink. Virtual so a decorator subclass can
+  /// wrap it; state_digest() never calls it.
+  util::Json replica_state(net::ReplicaId replica) const override;
+  /// write_state() folded into FNV-1a; with a `field`, only that member.
+  uint64_t state_digest(net::ReplicaId replica, std::string_view field) const override;
+
   util::Result<util::Json> invoke(net::ReplicaId replica, const std::string& op,
                                   const util::Json& args) final;
 
@@ -146,6 +152,12 @@ class SubjectBase : public proxy::Rdl {
   /// Subject-specific operation dispatch (sync ops are handled by the base).
   virtual util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
                                              const util::Json& args) = 0;
+
+  /// The replica's state document, described once: replica_state() and
+  /// state_digest() both come from it. Keys go in strictly increasing order
+  /// (util::JsonWriter throws otherwise); a member the writer does not
+  /// wants() may be skipped.
+  virtual void write_state(net::ReplicaId replica, util::JsonWriter& out) const = 0;
 
   // ---- sync hooks (see subjects/sync_codec.hpp) ---------------------------
 

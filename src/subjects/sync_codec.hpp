@@ -14,11 +14,13 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -62,15 +64,16 @@ inline util::Error malformed(const char* subject, const std::string& what) {
 ///
 /// A stamped op is immutable once recorded. The sender's log, every body
 /// built from it and every receiver's log share one copy, so a sync copies
-/// pointers, and each op's content digest (the replica_state() "seen"
-/// witness) is computed once, when the op is recorded or decoded.
+/// pointers, and each op's content digest and its entry in the
+/// replica_state() "seen" witness are computed once, when the op is
+/// recorded or decoded.
 ///
 /// `Codec` supplies the op type and its text form:
 ///   using Op = ...;
 ///   static constexpr const char* kSubject;   // error-message prefix
-///   static util::Json to_json(const Op&);
+///   static void write(const Op&, util::JsonWriter&);
 ///   static util::Result<Op> from_json(const util::Json&);  // strict
-///   static uint64_t digest(const Op&);
+///   static uint64_t digest(const Op&);  // streamed, no tree (DESIGN.md §17)
 template <typename Codec>
 class OpHistory {
  public:
@@ -79,7 +82,11 @@ class OpHistory {
     net::ReplicaId origin = 0;
     int64_t seq = 0;
     Op op;
-    uint64_t digest = 0;
+    /// "origin:seq:digest" (Codec::digest), the op's "seen" witness entry.
+    char seen[56] = {};  // "-2147483648:-9223372036854775808:18446744073709551615" fits
+    uint8_t seen_size = 0;
+
+    std::string_view seen_text() const noexcept { return {seen, seen_size}; }
   };
   using StampedPtr = std::shared_ptr<const Stamped>;
 
@@ -91,15 +98,18 @@ class OpHistory {
 
     /// [{"op": op, "origin": origin, "seq": seq}, ...] in log order.
     std::string render() const override {
-      util::Json rows = util::Json::array();
+      std::string text;
+      auto out = util::JsonWriter::text(text);
+      out.begin_array();
       for (const auto& stamped : ops_) {
-        util::Json row = util::Json::object();
-        row["origin"] = static_cast<int64_t>(stamped->origin);
-        row["seq"] = stamped->seq;
-        row["op"] = Codec::to_json(stamped->op);
-        rows.push_back(std::move(row));
+        out.begin_object().key("op");
+        Codec::write(stamped->op, out);
+        out.key("origin").int64(stamped->origin);
+        out.key("seq").int64(stamped->seq);
+        out.end_object();
       }
-      return rows.dump();
+      out.end_array();
+      return text;
     }
 
    private:
@@ -149,24 +159,34 @@ class OpHistory {
     return net::PayloadPtr(std::make_shared<const Body>(std::move(ops)));
   }
 
-  /// Which ops this replica has seen: sorted "origin:seq:digest" strings.
-  util::Json seen() const {
-    std::vector<std::string> entries;
-    entries.reserve(known_.size());
-    for (const auto& stamped : known_) {
-      entries.push_back(std::to_string(stamped->origin) + ":" + std::to_string(stamped->seq) +
-                        ":" + std::to_string(stamped->digest));
-    }
-    std::sort(entries.begin(), entries.end());
-    util::Json out = util::Json::array();
-    for (auto& entry : entries) out.push_back(std::move(entry));
-    return out;
+  /// Which ops this replica has seen: an array of sorted
+  /// "origin:seq:digest" strings. The entries are fixed-size text stored
+  /// with each op, sorted in a per-thread buffer, so once warm this
+  /// allocates nothing.
+  void write_seen(util::JsonWriter& out) const {
+    thread_local std::vector<const Stamped*> sorted;
+    sorted.clear();
+    for (const auto& stamped : known_) sorted.push_back(stamped.get());
+    std::sort(sorted.begin(), sorted.end(), [](const Stamped* a, const Stamped* b) {
+      return a->seen_text() < b->seen_text();
+    });
+    out.begin_array();
+    for (const Stamped* stamped : sorted) out.string(stamped->seen_text());
+    out.end_array();
   }
 
  private:
   static StampedPtr stamp(net::ReplicaId origin, int64_t seq, Op op) {
     const uint64_t digest = Codec::digest(op);
-    return std::make_shared<const Stamped>(Stamped{origin, seq, std::move(op), digest});
+    Stamped stamped{origin, seq, std::move(op)};
+    char* const end = stamped.seen + sizeof(stamped.seen);
+    char* p = std::to_chars(stamped.seen, end, origin).ptr;
+    *p++ = ':';
+    p = std::to_chars(p, end, seq).ptr;
+    *p++ = ':';
+    p = std::to_chars(p, end, digest).ptr;
+    stamped.seen_size = static_cast<uint8_t>(p - stamped.seen);
+    return std::make_shared<const Stamped>(std::move(stamped));
   }
 
   std::vector<StampedPtr> known_;

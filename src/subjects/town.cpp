@@ -4,21 +4,25 @@
 
 namespace erpi::subjects {
 
-util::Json TownApp::OpCodec::to_json(const Op& op) {
-  util::Json j = util::Json::object();
+namespace {
+void write_dot(const crdt::Dot& dot, util::JsonWriter& out) {
+  out.begin_object().key("c").int64(dot.counter).key("r").int64(dot.replica).end_object();
+}
+}  // namespace
+
+void TownApp::OpCodec::write(const Op& op, util::JsonWriter& out) {
+  out.begin_object();
   if (const auto* add = std::get_if<crdt::OrSet::AddOp>(&op)) {
-    j["op"] = "add";
-    j["element"] = add->element;
-    j["tag"] = add->tag.to_json();
-    return j;
+    out.key("element").string(add->element).key("op").string("add").key("tag");
+    write_dot(add->tag, out);
+    out.end_object();
+    return;
   }
   const auto& removal = std::get<crdt::OrSet::RemoveOp>(op);
-  j["op"] = "remove";
-  j["element"] = removal.element;
-  util::Json tags = util::Json::array();
-  for (const auto& tag : removal.observed_tags) tags.push_back(tag.to_json());
-  j["tags"] = std::move(tags);
-  return j;
+  out.key("element").string(removal.element).key("op").string("remove").key("tags");
+  out.begin_array();
+  for (const auto& tag : removal.observed_tags) write_dot(tag, out);
+  out.end_array().end_object();
 }
 
 util::Result<TownApp::OpCodec::Op> TownApp::OpCodec::from_json(const util::Json& j) {
@@ -43,7 +47,11 @@ util::Result<TownApp::OpCodec::Op> TownApp::OpCodec::from_json(const util::Json&
   return Op{std::move(removal)};
 }
 
-uint64_t TownApp::OpCodec::digest(const Op& op) { return util::fnv1a64(to_json(op).dump()); }
+uint64_t TownApp::OpCodec::digest(const Op& op) {
+  auto out = util::JsonWriter::fnv();
+  write(op, out);
+  return out.digest();
+}
 
 TownApp::TownApp(int replica_count) : SubjectBase("town", replica_count) {
   replicas_.resize(static_cast<size_t>(replica_count));
@@ -120,14 +128,19 @@ util::Result<net::PayloadPtr> TownApp::decode_sync(const std::string& text) cons
   return OpHistory<OpCodec>::decode(text);
 }
 
-util::Json TownApp::replica_state(net::ReplicaId replica) const {
+void TownApp::write_state(net::ReplicaId replica, util::JsonWriter& out) const {
   const auto& ctx = replicas_[static_cast<size_t>(replica)];
-  util::Json out = util::Json::object();
-  util::Json problems = util::Json::array();
-  for (const auto& problem : ctx.problems.elements()) problems.push_back(problem);
-  out["problems"] = std::move(problems);
-  out["seen"] = ctx.ops.seen();
-  return out;
+  out.begin_object();
+  if (out.wants("problems")) {
+    out.key("problems").begin_array();
+    ctx.problems.for_each([&](const std::string& problem) { out.string(problem); });
+    out.end_array();
+  }
+  if (out.wants("seen")) {
+    out.key("seen");
+    ctx.ops.write_seen(out);
+  }
+  out.end_object();
 }
 
 }  // namespace erpi::subjects

@@ -20,7 +20,16 @@ class TownApp : public SubjectBase {
  public:
   explicit TownApp(int replica_count);
 
-  util::Json replica_state(net::ReplicaId replica) const override;
+  /// An OR-Set op as replicas exchange it. Text form:
+  /// {"element", "op": "add", "tag"} or {"element", "op": "remove", "tags"}.
+  /// Public so tests can hold digest() to the text it folds.
+  struct OpCodec {
+    using Op = std::variant<crdt::OrSet::AddOp, crdt::OrSet::RemoveOp>;
+    static constexpr const char* kSubject = "town";
+    static void write(const Op& op, util::JsonWriter& out);
+    static util::Result<Op> from_json(const util::Json& j);
+    static uint64_t digest(const Op& op);
+  };
 
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
@@ -30,6 +39,8 @@ class TownApp : public SubjectBase {
   util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
                           const net::Payload& payload) override;
   util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
+  /// {"problems": sorted live elements, "seen": OpHistory witness}.
+  void write_state(net::ReplicaId replica, util::JsonWriter& out) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -37,15 +48,6 @@ class TownApp : public SubjectBase {
   bool adopt_replica(net::ReplicaId replica, const void* saved) override;
 
  private:
-  /// An OR-Set op as replicas exchange it. Text form:
-  /// {"element", "op": "add", "tag"} or {"element", "op": "remove", "tags"}.
-  struct OpCodec {
-    using Op = std::variant<crdt::OrSet::AddOp, crdt::OrSet::RemoveOp>;
-    static constexpr const char* kSubject = "town";
-    static util::Json to_json(const Op& op);
-    static util::Result<Op> from_json(const util::Json& j);
-    static uint64_t digest(const Op& op);
-  };
   struct ReplicaCtx {
     crdt::OrSet problems;
     OpHistory<OpCodec> ops;

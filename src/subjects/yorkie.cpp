@@ -124,10 +124,10 @@ util::Result<util::Json> Yorkie::do_invoke(net::ReplicaId replica, const std::st
 }
 
 uint64_t Yorkie::OpCodec::digest(const Op& op) {
-  // Over kind, key and value only, so two different local ops that happen to
-  // receive the same (origin, seq) at replay never alias.
-  const auto j = op.to_json();
-  return util::fnv1a64(j["kind"].as_string() + j["key"].as_string() + j["value"].dump());
+  // Over kind, key and value's text only, so two different local ops that
+  // happen to receive the same (origin, seq) at replay never alias.
+  const uint64_t prefix = util::fnv1a64(op.key, util::fnv1a64(Op::kind_name(op.kind)));
+  return util::JsonWriter::fnv(prefix).value(op.value).digest();
 }
 
 util::Result<net::PayloadPtr> Yorkie::make_sync(net::ReplicaId from, net::ReplicaId,
@@ -147,12 +147,15 @@ util::Result<net::PayloadPtr> Yorkie::decode_sync(const std::string& text) const
   return OpHistory<OpCodec>::decode(text);
 }
 
-util::Json Yorkie::replica_state(net::ReplicaId replica) const {
+void Yorkie::write_state(net::ReplicaId replica, util::JsonWriter& out) const {
   const auto& ctx = replicas_[static_cast<size_t>(replica)];
-  util::Json out = util::Json::object();
-  out["doc"] = ctx.doc->snapshot();
-  out["seen"] = ctx.ops.seen();
-  return out;
+  out.begin_object();
+  if (out.wants("doc")) out.key("doc").value(ctx.doc->snapshot());
+  if (out.wants("seen")) {
+    out.key("seen");
+    ctx.ops.write_seen(out);
+  }
+  out.end_object();
 }
 
 }  // namespace erpi::subjects

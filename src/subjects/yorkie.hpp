@@ -32,7 +32,15 @@ class Yorkie : public SubjectBase {
 
   const Flags& flags() const noexcept { return flags_; }
 
-  util::Json replica_state(net::ReplicaId replica) const override;
+  /// A document op as replicas exchange it; text form JsonDoc::Op::to_json().
+  /// Public so tests can hold digest() to the text it folds.
+  struct OpCodec {
+    using Op = crdt::JsonDoc::Op;
+    static constexpr const char* kSubject = "yorkie";
+    static void write(const Op& op, util::JsonWriter& out) { out.value(op.to_json()); }
+    static util::Result<Op> from_json(const util::Json& j) { return Op::from_json(j); }
+    static uint64_t digest(const Op& op);
+  };
 
  protected:
   util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
@@ -42,6 +50,8 @@ class Yorkie : public SubjectBase {
   util::Status apply_sync(net::ReplicaId from, net::ReplicaId to,
                           const net::Payload& payload) override;
   util::Result<net::PayloadPtr> decode_sync(const std::string& text) const override;
+  /// {"doc": the document snapshot, "seen": OpHistory witness}.
+  void write_state(net::ReplicaId replica, util::JsonWriter& out) const override;
   void do_reset() override;
   std::shared_ptr<const void> clone_replicas() const override;
   bool adopt_replicas(const void* saved) override;
@@ -49,14 +59,6 @@ class Yorkie : public SubjectBase {
   bool adopt_replica(net::ReplicaId replica, const void* saved) override;
 
  private:
-  /// A document op as replicas exchange it; text form JsonDoc::Op::to_json().
-  struct OpCodec {
-    using Op = crdt::JsonDoc::Op;
-    static constexpr const char* kSubject = "yorkie";
-    static util::Json to_json(const Op& op) { return op.to_json(); }
-    static util::Result<Op> from_json(const util::Json& j) { return Op::from_json(j); }
-    static uint64_t digest(const Op& op);
-  };
   struct ReplicaCtx {
     std::unique_ptr<crdt::JsonDoc> doc;
     OpHistory<OpCodec> ops;  // everything seen, any origin

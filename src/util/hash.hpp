@@ -17,13 +17,17 @@
 
 namespace erpi::util {
 
-/// 64-bit FNV-1a over a byte view.
-constexpr uint64_t fnv1a64(std::string_view data,
-                           uint64_t seed = 0xcbf29ce484222325ULL) noexcept {
+/// FNV-1a 64's offset basis (the digest of no bytes) and prime.
+inline constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+inline constexpr uint64_t kFnv1aPrime = 0x100000001b3ULL;
+
+/// 64-bit FNV-1a over a byte view. A digest as `seed` continues it:
+/// fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+constexpr uint64_t fnv1a64(std::string_view data, uint64_t seed = kFnv1aBasis) noexcept {
   uint64_t h = seed;
   for (const char c : data) {
     h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+    h *= kFnv1aPrime;
   }
   return h;
 }
@@ -38,7 +42,7 @@ class Fnv1aHasher {
   Fnv1aHasher& u64(uint64_t v) noexcept {
     for (int i = 0; i < 8; ++i) {
       h_ ^= static_cast<unsigned char>(v >> (i * 8));
-      h_ *= 0x100000001b3ULL;
+      h_ *= kFnv1aPrime;
     }
     return *this;
   }
@@ -46,7 +50,7 @@ class Fnv1aHasher {
   uint64_t digest() const noexcept { return h_; }
 
  private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;
+  uint64_t h_ = kFnv1aBasis;
 };
 
 /// SHA-1 digest (20 bytes). Not for security — for content addressing in the

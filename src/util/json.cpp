@@ -1,5 +1,7 @@
 #include "util/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -79,100 +81,311 @@ bool Json::operator==(const Json& other) const {
   return false;
 }
 
-void Json::write_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void Json::write(std::string& out, int indent, int depth) const {
-  const std::string nl = indent > 0 ? "\n" : "";
-  const std::string pad = indent > 0 ? std::string(static_cast<size_t>(indent) * (depth + 1), ' ') : "";
-  const std::string pad_close =
-      indent > 0 ? std::string(static_cast<size_t>(indent) * depth, ' ') : "";
-  switch (type_) {
-    case Type::Null: out += "null"; break;
-    case Type::Bool: out += bool_ ? "true" : "false"; break;
-    case Type::Int: out += std::to_string(int_); break;
-    case Type::Double: {
-      if (std::isfinite(double_)) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", double_);
-        out += buf;
-      } else {
-        out += "null";  // RFC 8259 has no NaN/Inf
-      }
-      break;
-    }
-    case Type::String: write_string(out, string_); break;
-    case Type::Array: {
-      if (array_.empty()) {
-        out += "[]";
-        break;
-      }
-      out.push_back('[');
-      bool first = true;
-      for (const auto& v : array_) {
-        if (!first) out.push_back(',');
-        first = false;
-        out += nl + pad;
-        v.write(out, indent, depth + 1);
-      }
-      out += nl + pad_close;
-      out.push_back(']');
-      break;
-    }
-    case Type::Object: {
-      if (object_.empty()) {
-        out += "{}";
-        break;
-      }
-      out.push_back('{');
-      bool first = true;
-      for (const auto& [k, v] : object_) {
-        if (!first) out.push_back(',');
-        first = false;
-        out += nl + pad;
-        write_string(out, k);
-        out.push_back(':');
-        if (indent > 0) out.push_back(' ');
-        v.write(out, indent, depth + 1);
-      }
-      out += nl + pad_close;
-      out.push_back('}');
-      break;
-    }
-  }
-}
-
 std::string Json::dump() const {
   std::string out;
-  write(out, 0, 0);
+  JsonWriter::text(out).value(*this);
   return out;
 }
 
 std::string Json::pretty(int indent) const {
   std::string out;
-  write(out, indent, 0);
+  JsonWriter::text(out, indent).value(*this);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// JsonWriter
+// ---------------------------------------------------------------------------
+
+JsonWriter& JsonWriter::only(std::string_view field) {
+  if (sink_ != Sink::Fnv || depth_ != 0 || root_written_) {
+    throw std::logic_error("JsonWriter::only: an fnv sink, before anything is written");
+  }
+  field_ = field;
+  filtering_ = true;
+  out_ = Out::None;
+  return *this;
+}
+
+JsonWriter::Frame* JsonWriter::frame(size_t depth) {
+  return depth <= kInlineDepth ? &inline_[depth - 1] : &deep_[depth - 1 - kInlineDepth];
+}
+
+void JsonWriter::newline_pad(size_t depth) {
+  if (indent_ <= 0) return;
+  raw('\n');
+  static constexpr std::string_view kSpaces = "                                ";
+  for (size_t n = static_cast<size_t>(indent_) * depth; n > 0;) {
+    const size_t take = std::min(n, kSpaces.size());
+    raw(kSpaces.substr(0, take));
+    n -= take;
+  }
+}
+
+namespace {
+
+bool plain(unsigned char c) { return c >= 0x20 && c != '"' && c != '\\'; }
+
+/// The escape sequence standing for a byte that is not plain().
+std::string_view escape(unsigned char c, char (&buf)[6]) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: {
+      static constexpr char kHex[] = "0123456789abcdef";
+      buf[0] = '\\';
+      buf[1] = 'u';
+      buf[2] = '0';
+      buf[3] = '0';
+      buf[4] = kHex[c >> 4];
+      buf[5] = kHex[c & 0xf];
+      return {buf, sizeof(buf)};
+    }
+  }
+}
+
+}  // namespace
+
+void JsonWriter::escaped(std::string_view s) {
+  char buf[6];
+  if (out_ == Out::Fnv) {
+    // One pass: fold each byte, or its escape sequence.
+    uint64_t h = (hash_ ^ '"') * kFnv1aPrime;
+    for (const char ch : s) {
+      const auto c = static_cast<unsigned char>(ch);
+      h = plain(c) ? (h ^ c) * kFnv1aPrime : fnv1a64(escape(c, buf), h);
+    }
+    hash_ = (h ^ '"') * kFnv1aPrime;
+    return;
+  }
+  if (out_ == Out::None) return;
+  text_->push_back('"');
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (plain(c)) continue;
+    text_->append(s.substr(run, i - run)).append(escape(c, buf));
+    run = i + 1;
+  }
+  text_->append(s.substr(run)).push_back('"');
+}
+
+void JsonWriter::double_text(double v) {
+  if (!std::isfinite(v)) {
+    raw("null");  // RFC 8259 has no NaN/Inf
+    return;
+  }
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  raw(std::string_view(buf, static_cast<size_t>(n)));
+}
+
+Json* JsonWriter::begin_value() {
+  if (top_ == nullptr) {
+    if (root_written_) throw std::logic_error("JsonWriter: a second root value");
+    root_written_ = true;
+    return root_;
+  }
+  Frame& top = *top_;
+  if (top.object) {
+    if (!top.key_pending) throw std::logic_error("JsonWriter: an object member without a key");
+    top.key_pending = false;
+    return top.node == nullptr ? nullptr : &top.node->as_object()[keys_.substr(top.key_at)];
+  }
+  if (top.count++ > 0) raw(',');
+  newline_pad(depth_);
+  if (top.node == nullptr) return nullptr;
+  top.node->push_back(Json());
+  return &top.node->as_array().back();
+}
+
+void JsonWriter::open(bool object) {
+  Json* slot = begin_value();
+  if (slot != nullptr) *slot = object ? Json::object() : Json::array();
+  raw(object ? '{' : '[');
+  ++depth_;
+  if (depth_ > kInlineDepth && deep_.size() < depth_ - kInlineDepth) deep_.emplace_back();
+  top_ = frame(depth_);
+  *top_ = Frame{slot, 0, static_cast<uint32_t>(keys_.size()), object, false};
+}
+
+void JsonWriter::close(bool object) {
+  if (top_ == nullptr || top_->object != object || top_->key_pending) {
+    throw std::logic_error("JsonWriter: an end without its begin");
+  }
+  if (filtering_ && depth_ == 1) out_ = Out::None;
+  if (top_->count > 0) newline_pad(depth_ - 1);
+  raw(object ? '}' : ']');
+  keys_.resize(top_->key_at);
+  --depth_;
+  top_ = depth_ == 0 ? nullptr : frame(depth_);
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  open(true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() {
+  close(true);
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  open(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_array() {
+  close(false);
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  if (top_ == nullptr || !top_->object || top_->key_pending) {
+    throw std::logic_error("JsonWriter: a key outside an object");
+  }
+  Frame& top = *top_;
+  const std::string_view last = std::string_view(keys_).substr(top.key_at);
+  if (top.count > 0 && !(last < k)) {
+    throw std::logic_error("JsonWriter: key \"" + std::string(k) + "\" after \"" +
+                           std::string(last) + "\"");
+  }
+  const bool root_member = filtering_ && depth_ == 1;
+  if (root_member) out_ = Out::None;
+  if (top.count++ > 0) raw(',');
+  newline_pad(depth_);
+  escaped(k);
+  raw(':');
+  if (indent_ > 0) raw(' ');
+  keys_.replace(top.key_at, std::string::npos, k);
+  top.key_pending = true;
+  if (root_member && k == field_) {
+    out_ = Out::Fnv;
+    found_ = true;
+  }
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  if (Json* slot = begin_value()) {
+    *slot = Json();
+    return *this;
+  }
+  raw("null");
+  return *this;
+}
+
+JsonWriter& JsonWriter::boolean(bool b) {
+  if (Json* slot = begin_value()) {
+    *slot = Json(b);
+    return *this;
+  }
+  raw(b ? "true" : "false");
+  return *this;
+}
+
+JsonWriter& JsonWriter::int64(int64_t v) {
+  if (Json* slot = begin_value()) {
+    *slot = Json(v);
+    return *this;
+  }
+  if (out_ == Out::None) return *this;
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  raw(std::string_view(buf, static_cast<size_t>(end - buf)));
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double v) {
+  if (Json* slot = begin_value()) {
+    *slot = Json(v);
+    return *this;
+  }
+  if (out_ != Out::None) double_text(v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view s) {
+  if (Json* slot = begin_value()) {
+    *slot = Json(std::string(s));
+    return *this;
+  }
+  escaped(s);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const Json& v) {
+  if (Json* slot = begin_value()) {
+    *slot = v;
+    return *this;
+  }
+  if (filtering_ && depth_ == 0) {
+    // only() on a root written whole: fold its member from the tree.
+    if (!v.is_object()) return *this;
+    const auto& members = v.as_object();
+    const auto it = members.find(std::string(field_));
+    if (it == members.end()) return *this;
+    out_ = Out::Fnv;
+    found_ = true;
+    tree_text(it->second, 1);
+    out_ = Out::None;
+    return *this;
+  }
+  if (out_ != Out::None) tree_text(v, depth_);
+  return *this;
+}
+
+void JsonWriter::tree_text(const Json& v, size_t depth) {
+  switch (v.type()) {
+    case Json::Type::Null: raw("null"); break;
+    case Json::Type::Bool: raw(v.as_bool() ? "true" : "false"); break;
+    case Json::Type::Int: {
+      char buf[24];
+      const auto end = std::to_chars(buf, buf + sizeof(buf), v.as_int()).ptr;
+      raw(std::string_view(buf, static_cast<size_t>(end - buf)));
+      break;
+    }
+    case Json::Type::Double: double_text(v.as_double()); break;
+    case Json::Type::String: escaped(v.as_string()); break;
+    case Json::Type::Array: {
+      const auto& items = v.as_array();
+      raw('[');
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) raw(',');
+        newline_pad(depth + 1);
+        tree_text(items[i], depth + 1);
+      }
+      if (!items.empty()) newline_pad(depth);
+      raw(']');
+      break;
+    }
+    case Json::Type::Object: {
+      raw('{');
+      bool first = true;
+      for (const auto& [k, member] : v.as_object()) {
+        if (!first) raw(',');
+        first = false;
+        newline_pad(depth + 1);
+        escaped(k);
+        raw(':');
+        if (indent_ > 0) raw(' ');
+        tree_text(member, depth + 1);
+      }
+      if (!first) newline_pad(depth);
+      raw('}');
+      break;
+    }
+  }
+}
+
+uint64_t JsonWriter::digest() const noexcept {
+  return filtering_ && !found_ ? fnv1a64("null", hash_) : hash_;
 }
 
 // ---------------------------------------------------------------------------

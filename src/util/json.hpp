@@ -5,6 +5,10 @@
 // No third-party JSON library is assumed in the target environment, so the
 // middleware carries its own implementation. The dialect is strict RFC 8259
 // JSON with one extension: integers are kept exact as int64 when possible.
+//
+// JsonWriter streams the same text without a tree: subjects describe their
+// state through it once, and replay folds that text into a 64-bit digest
+// instead of building and comparing trees (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/hash.hpp"
 #include "util/result.hpp"
 
 namespace erpi::util {
@@ -92,8 +97,6 @@ class Json {
 
  private:
   void ensure(Type t) const;
-  void write(std::string& out, int indent, int depth) const;
-  static void write_string(std::string& out, const std::string& s);
 
   Type type_;
   bool bool_ = false;
@@ -102,6 +105,129 @@ class Json {
   std::string string_;
   Array array_;
   Object object_;
+};
+
+/// Streams JSON tokens into one of three sinks:
+///
+///  * text: appends exactly what Json::dump() (indent 0) or Json::pretty()
+///    writes to a string;
+///  * fnv: folds that compact text into FNV-1a 64, so digest() equals
+///    util::fnv1a64(text) without the text ever existing;
+///  * tree: builds the util::Json the same calls describe.
+///
+/// Object keys must come in strictly increasing order: a tree's std::map
+/// sorts them and keeps the last duplicate, so a key out of order or
+/// repeated is the one way streamed text could disagree with the rendered
+/// tree. key() throws std::logic_error on one, as on any call out of place
+/// (a value where a key is due, an unbalanced end). The fnv sink allocates
+/// nothing while the keys of the open objects total at most 15 bytes and
+/// nesting stays within kInlineDepth.
+class JsonWriter {
+ public:
+  static JsonWriter text(std::string& out, int indent = 0) {
+    return JsonWriter(Sink::Text, &out, nullptr, indent, kFnv1aBasis);
+  }
+  /// `seed` continues a digest: fnv(fnv1a64(a)) folds a's bytes first.
+  static JsonWriter fnv(uint64_t seed = kFnv1aBasis) {
+    return JsonWriter(Sink::Fnv, nullptr, nullptr, 0, seed);
+  }
+  static JsonWriter tree(Json& root) {
+    return JsonWriter(Sink::Tree, nullptr, &root, 0, kFnv1aBasis);
+  }
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  /// Fold only the root object's member `field` (its value's text, or
+  /// "null" when the root has no such member), whether the root is written
+  /// call by call or as one value(). Call on an fnv sink before writing.
+  /// `field` must outlive the writer.
+  JsonWriter& only(std::string_view field);
+  /// False when only() filters `key` out: a writer may then skip the work
+  /// of describing that root member.
+  bool wants(std::string_view key) const noexcept {
+    return !filtering_ || depth_ != 1 || key == field_;
+  }
+
+  JsonWriter& begin_object();
+  JsonWriter& end_object();
+  JsonWriter& key(std::string_view k);
+  JsonWriter& begin_array();
+  JsonWriter& end_array();
+  JsonWriter& null();
+  JsonWriter& boolean(bool b);
+  JsonWriter& int64(int64_t v);
+  JsonWriter& number(double v);
+  JsonWriter& string(std::string_view s);
+  /// Stream an existing tree as one value.
+  JsonWriter& value(const Json& v);
+
+  /// The fnv sink's digest (with only(): of the member, or of "null").
+  uint64_t digest() const noexcept;
+
+  static constexpr size_t kInlineDepth = 8;
+
+ private:
+  enum class Sink : uint8_t { Text, Fnv, Tree };
+  /// Where bytes go now: the sink's text or hash, or nowhere (the tree sink
+  /// always; only() outside its member).
+  enum class Out : uint8_t { Text, Fnv, None };
+  struct Frame {             // assigned whole when its container opens
+    Json* node;              // tree sink: the container being built
+    uint32_t count;          // members or elements so far
+    uint32_t key_at;         // where this object's last key starts in keys_
+    bool object;
+    bool key_pending;        // object: key() ran, its value has not
+  };
+
+  JsonWriter(Sink sink, std::string* out, Json* root, int indent, uint64_t seed)
+      : sink_(sink),
+        out_(sink == Sink::Text ? Out::Text : sink == Sink::Fnv ? Out::Fnv : Out::None),
+        text_(out),
+        root_(root),
+        indent_(indent),
+        hash_(seed) {}
+
+  void raw(std::string_view bytes) {
+    if (out_ == Out::Text) {
+      text_->append(bytes);
+    } else if (out_ == Out::Fnv) {
+      hash_ = fnv1a64(bytes, hash_);
+    }
+  }
+  void raw(char c) {
+    if (out_ == Out::Text) {
+      text_->push_back(c);
+    } else if (out_ == Out::Fnv) {
+      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * kFnv1aPrime;
+    }
+  }
+  void newline_pad(size_t depth);
+  void escaped(std::string_view s);
+  void double_text(double v);
+  /// Separator and indentation before a value; the tree sink's slot for it.
+  Json* begin_value();
+  void open(bool object);
+  void close(bool object);
+  Frame* frame(size_t depth);
+  void tree_text(const Json& v, size_t depth);
+
+  Sink sink_;
+  Out out_;
+  std::string* text_;
+  Json* root_;
+  int indent_;
+  uint64_t hash_;
+  size_t depth_ = 0;
+  Frame* top_ = nullptr;  // the innermost open container's frame
+  bool root_written_ = false;
+  // only(): the member folded and whether it was met.
+  std::string_view field_;
+  bool filtering_ = false;
+  bool found_ = false;
+  // The last key of every open object, outermost first.
+  std::string keys_;
+  Frame inline_[kInlineDepth];
+  std::vector<Frame> deep_;
 };
 
 }  // namespace erpi::util

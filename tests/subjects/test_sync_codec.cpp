@@ -5,13 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
-#include "bugs/misconceptions.hpp"
-#include "bugs/registry.hpp"
-#include "core/interleaving.hpp"
 #include "proxy/proxy.hpp"
 #include "subjects/crdt_collection.hpp"
 #include "subjects/orbitdb.hpp"
@@ -20,7 +16,7 @@
 #include "subjects/town.hpp"
 #include "subjects/yorkie.hpp"
 #include "support/alloc_counter.hpp"
-#include "util/rng.hpp"
+#include "support/scenarios.hpp"
 
 namespace erpi::subjects {
 namespace {
@@ -182,26 +178,15 @@ std::string outcome(const util::Result<util::Json>& result) {
   return result ? result.value().dump() : "error: " + result.error().message;
 }
 
-/// Replays `orders` unit orders of the scenario's captured events (capture
-/// order first, then seeded shuffles) on the typed subject and its text twin.
+/// Replays `orders` unit orders of the scenario's captured events on the
+/// typed subject and its text twin.
 void expect_text_parity(const bugs::BugScenario& bug, size_t orders) {
   SCOPED_TRACE(bug.name);
-  const auto captured_on = bug.make_subject();
-  proxy::RdlProxy capture(*captured_on);
-  capture.start_capture();
-  bug.workload(capture);
-  const auto events = capture.end_capture();
-
+  const auto events = test_support::capture_events(bug);
   const auto typed = bug.make_subject();
   const auto text = text_twin(*typed);
   ASSERT_NE(text, nullptr);
-  const auto units = core::build_units(events);
-  std::vector<size_t> order(units.size());
-  std::iota(order.begin(), order.end(), 0);
-  util::Rng rng(23);
-  for (size_t n = 0; n < orders; ++n) {
-    if (n > 0) rng.shuffle(order);
-    const auto interleaving = core::flatten(units, order);
+  for (const auto& interleaving : test_support::unit_orders(events, orders)) {
     typed->reset();
     text->reset();
     for (size_t pos = 0; pos < interleaving.size(); ++pos) {
@@ -214,31 +199,11 @@ void expect_text_parity(const bugs::BugScenario& bug, size_t orders) {
   }
 }
 
-bugs::BugScenario town_scenario() {
-  bugs::BugScenario town;
-  town.name = "town";
-  town.make_subject = [] { return std::make_unique<TownApp>(3); };
-  town.workload = [](proxy::RdlProxy& p) {
-    (void)p.update(0, "report", json(R"({"problem":"lamp"})"));
-    (void)p.sync_req(0, 1);
-    (void)p.exec_sync(0, 1);
-    (void)p.update(1, "resolve", json(R"({"problem":"lamp"})"));
-    (void)p.update(2, "report", json(R"({"problem":"otb"})"));
-    (void)p.sync_req(1, 2);
-    (void)p.exec_sync(1, 2);
-    (void)p.sync_req(2, 0);
-    (void)p.exec_sync(2, 0);
-    (void)p.query(0, "transmit");
-  };
-  return town;
-}
-
 TEST(SyncCodec, TypedApplyMatchesTextRoundTrip) {
   constexpr size_t kOrders = 40;
-  expect_text_parity(town_scenario(), kOrders);
-  for (const auto& bug : bugs::all_bugs()) expect_text_parity(bug, kOrders);
-  for (const auto& bug : bugs::storage_bugs()) expect_text_parity(bug, kOrders);
-  for (const auto& cell : bugs::all_misconceptions()) expect_text_parity(cell.scenario, kOrders);
+  for (const auto& scenario : test_support::every_scenario()) {
+    expect_text_parity(scenario, kOrders);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -388,10 +353,11 @@ TEST(TownSync, AllocationsDoNotGrowWithPayload) {
 #if !ERPI_ALLOC_COUNTER
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #else
-  // Measured at 5 with the typed body (the body, its pointer vector, and the
-  // network channel's map node, deque map and block); the string payload it
+  // Measured at 2: the typed body and its pointer vector. The network keeps
+  // a drained channel's map node, deque map and block, which cost 3 more
+  // when each send re-created them; the string payload the typed body
   // replaced allocated 27 at 1 known op and 1,179 at 64.
-  constexpr uint64_t kBudget = 8;
+  constexpr uint64_t kBudget = 2;
   const auto sync_allocations = [](int known_ops) {
     TownApp town(2);
     for (int i = 0; i < known_ops; ++i) {

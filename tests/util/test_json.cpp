@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+
+#include "util/hash.hpp"
+
 namespace erpi::util {
 namespace {
 
@@ -144,6 +151,228 @@ TEST(JsonPretty, IndentsNestedValues) {
 TEST(JsonDump, ControlCharactersEscaped) {
   Json j(std::string("\x01 bell\x07"));
   EXPECT_EQ(j.dump(), "\"\\u0001 bell\\u0007\"");
+}
+
+// ---------------------------------------------------------------------------
+// JsonWriter: the same calls give dump()'s text, its FNV-1a digest, or the
+// tree itself.
+// ---------------------------------------------------------------------------
+
+/// Replays `v` through the writer's structural calls (value() is not used,
+/// so every token goes through its own call).
+void emit(const Json& v, JsonWriter& out) {
+  switch (v.type()) {
+    case Json::Type::Null: out.null(); break;
+    case Json::Type::Bool: out.boolean(v.as_bool()); break;
+    case Json::Type::Int: out.int64(v.as_int()); break;
+    case Json::Type::Double: out.number(v.as_double()); break;
+    case Json::Type::String: out.string(v.as_string()); break;
+    case Json::Type::Array:
+      out.begin_array();
+      for (const auto& item : v.as_array()) emit(item, out);
+      out.end_array();
+      break;
+    case Json::Type::Object:
+      out.begin_object();
+      for (const auto& [key, member] : v.as_object()) {
+        out.key(key);
+        emit(member, out);
+      }
+      out.end_object();
+      break;
+  }
+}
+
+/// Same shape, same types and bit-identical doubles (so -0.0 and NaN count).
+bool identical(const Json& a, const Json& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case Json::Type::Double: {
+      const double x = a.as_double();
+      const double y = b.as_double();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case Json::Type::Array:
+      if (a.size() != b.size()) return false;
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (!identical(a.at(i), b.at(i))) return false;
+      }
+      return true;
+    case Json::Type::Object: {
+      if (a.size() != b.size()) return false;
+      auto it = b.as_object().begin();
+      for (const auto& [key, member] : a.as_object()) {
+        if (key != it->first || !identical(member, it->second)) return false;
+        ++it;
+      }
+      return true;
+    }
+    default: return a == b;
+  }
+}
+
+Json nested(int depth) {
+  Json v = "leaf";
+  for (int d = 0; d < depth; ++d) {
+    Json wrap = (d % 2 == 0) ? Json::array() : Json::object();
+    if (wrap.is_array()) {
+      wrap.push_back(std::move(v));
+      wrap.push_back(d);
+    } else {
+      wrap["k"] = std::move(v);
+      wrap["n"] = d;
+    }
+    v = std::move(wrap);
+  }
+  return v;
+}
+
+struct WriterCase {
+  const char* name;
+  Json tree;
+  const char* text;  // dump(), as the tree renderer this writer replaced wrote it
+};
+
+std::vector<WriterCase> writer_cases() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Json escapes = Json::object();
+  escapes[std::string("a\"b\\c")] = "\"\\\b\f\n\r\t\x01\x1f\x7f/";
+  escapes[""] = "";
+  escapes["\xc3\xa9"] = "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80";
+  Json empties = Json::object();
+  empties["a"] = Json::array();
+  empties["b"] = Json::object();
+  empties["c"] = Json(Json::Array{Json::array(), Json::object()});
+  return {
+      {"null", Json(), "null"},
+      {"bools", Json(Json::Array{true, false}), "[true,false]"},
+      {"ints",
+       Json(Json::Array{std::numeric_limits<int64_t>::min(), std::numeric_limits<int64_t>::max(),
+                        0, -1}),
+       "[-9223372036854775808,9223372036854775807,0,-1]"},
+      {"doubles", Json(Json::Array{0.1, 1e-300, -0.0, 1.5, 1e17, 2.0}),
+       "[0.10000000000000001,1e-300,-0,1.5,1e+17,2]"},
+      {"non-finite", Json(Json::Array{nan, inf, -inf}), "[null,null,null]"},
+      {"escapes", escapes,
+       "{\"\":\"\",\"a\\\"b\\\\c\":\"\\\"\\\\\\b\\f\\n\\r\\t\\u0001\\u001f\x7f/\","
+       "\"\xc3\xa9\":\"caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80\"}"},
+      {"empty containers", empties, "{\"a\":[],\"b\":{},\"c\":[[],{}]}"},
+      {"empty array", Json::array(), "[]"},
+      {"empty object", Json::object(), "{}"},
+      {"nested past the inline depth", nested(20), nullptr},
+  };
+}
+
+TEST(JsonWriter, TextMatchesDump) {
+  for (const auto& c : writer_cases()) {
+    SCOPED_TRACE(c.name);
+    const std::string dumped = c.tree.dump();
+    if (c.text != nullptr) {
+      EXPECT_EQ(dumped, c.text);
+    }
+
+    std::string text;
+    auto to_text = JsonWriter::text(text);
+    emit(c.tree, to_text);
+    EXPECT_EQ(text, dumped);
+
+    std::string streamed;
+    JsonWriter::text(streamed).value(c.tree);
+    EXPECT_EQ(streamed, dumped);
+
+    for (const int indent : {1, 2, 4}) {
+      std::string pretty;
+      auto to_pretty = JsonWriter::text(pretty, indent);
+      emit(c.tree, to_pretty);
+      EXPECT_EQ(pretty, c.tree.pretty(indent)) << "indent " << indent;
+    }
+
+    auto to_fnv = JsonWriter::fnv();
+    emit(c.tree, to_fnv);
+    EXPECT_EQ(to_fnv.digest(), fnv1a64(dumped));
+    EXPECT_EQ(JsonWriter::fnv().value(c.tree).digest(), fnv1a64(dumped));
+
+    Json rebuilt;
+    auto to_tree = JsonWriter::tree(rebuilt);
+    emit(c.tree, to_tree);
+    EXPECT_TRUE(identical(rebuilt, c.tree)) << rebuilt.dump();
+  }
+}
+
+TEST(JsonWriter, FieldDigestFoldsOneMember) {
+  Json doc = Json::object();
+  doc["a"] = Json(Json::Array{1, "x"});
+  doc["b"] = Json::object();
+  doc["c"] = 2.5;
+  for (const char* field : {"a", "b", "c", "absent", "0"}) {
+    SCOPED_TRACE(field);
+    const uint64_t expected = fnv1a64(doc.contains(field) ? doc[field].dump() : "null");
+    auto out = JsonWriter::fnv();
+    out.only(field);
+    emit(doc, out);
+    EXPECT_EQ(out.digest(), expected);
+    // The same root written whole through value().
+    auto whole = JsonWriter::fnv();
+    whole.only(field);
+    whole.value(doc);
+    EXPECT_EQ(whole.digest(), expected);
+  }
+  auto from_array = JsonWriter::fnv();
+  from_array.only("a");
+  from_array.value(Json(Json::Array{doc}));
+  EXPECT_EQ(from_array.digest(), fnv1a64("null"));  // a root that is not an object
+
+  std::string text;
+  EXPECT_THROW(JsonWriter::text(text).only("a"), std::logic_error);
+  Json tree;
+  EXPECT_THROW(JsonWriter::tree(tree).only("a"), std::logic_error);
+  auto started = JsonWriter::fnv();
+  started.begin_object();
+  EXPECT_THROW(started.only("a"), std::logic_error);
+}
+
+/// Runs `body` on a fresh writer of each sink.
+template <typename F>
+void for_each_sink(F&& body) {
+  std::string text;
+  Json tree;
+  {
+    auto out = JsonWriter::text(text);
+    body(out);
+  }
+  {
+    auto out = JsonWriter::fnv();
+    body(out);
+  }
+  {
+    auto out = JsonWriter::tree(tree);
+    body(out);
+  }
+}
+
+TEST(JsonWriter, KeysOutOfOrderOrRepeatedThrow) {
+  for_each_sink([](JsonWriter& out) {
+    out.begin_object().key("b").int64(1);
+    EXPECT_THROW(out.key("a"), std::logic_error);
+  });
+  for_each_sink([](JsonWriter& out) {
+    out.begin_object().key("b").int64(1);
+    EXPECT_THROW(out.key("b"), std::logic_error);
+  });
+  for_each_sink([](JsonWriter& out) {
+    // Order is per object: a nested object starts over.
+    out.begin_object().key("b").begin_object().key("a").int64(1).end_object();
+    EXPECT_NO_THROW(out.key("c").int64(2).end_object());
+  });
+  for_each_sink([](JsonWriter& out) {
+    out.begin_object();
+    EXPECT_THROW(out.int64(1), std::logic_error);  // a member without a key
+  });
+  for_each_sink([](JsonWriter& out) {
+    out.begin_array();
+    EXPECT_THROW(out.end_object(), std::logic_error);
+  });
 }
 
 }  // namespace
