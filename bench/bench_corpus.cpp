@@ -12,7 +12,7 @@
 // acceptance drill. Output lands in BENCH_corpus.json (CI uploads it).
 //
 // --smoke is the CI reuse drill: sweep twice into one store and fail unless
-// the warm run skipped >= 95% of pairs with a byte-identical ReplayReport,
+// the warm run skipped >= 95% of pairs with the cold run's verdict,
 // then flip an injected integration bug under --corpus diff mode and fail
 // unless the diff surfaces that change (and nothing on a quiet re-run).
 //
@@ -33,6 +33,7 @@
 #include "datalog/parser.hpp"
 #include "faults/explorer.hpp"
 #include "subjects/town.hpp"
+#include "verdict_check.hpp"
 
 using namespace erpi;
 
@@ -122,14 +123,6 @@ std::string fresh_dir(const char* name) {
   const std::string dir = std::string("/tmp/bench_corpus_") + name;
   std::filesystem::remove_all(dir);
   return dir;
-}
-
-/// Byte-identity form shared with the reuse tests: elapsed time is wall-clock
-/// noise, so it is canonicalized before serializing.
-std::string normalized(core::ReplayReport report) {
-  report.elapsed_seconds = 0.0;
-  report.sandbox = {};
-  return report.to_json().dump();
 }
 
 // ---------------------------------------------------------------------------
@@ -246,10 +239,7 @@ int run_smoke(size_t rounds) {
     std::fprintf(stderr, "bench_corpus: warm run skipped under 95%%\n");
     ok = false;
   }
-  if (normalized(warm.report) != normalized(cold.report)) {
-    std::fprintf(stderr, "bench_corpus: warm report is not byte-identical to cold\n");
-    ok = false;
-  }
+  ok &= bench::same_verdict(warm.report, cold.report, "bench_corpus: warm vs cold");
 
   // Flip the bug under diff mode: the corpus must surface the regression.
   const SweepResult flipped =
@@ -314,7 +304,7 @@ int main(int argc, char** argv) {
               .c_str());
       const SweepResult cold = run_sweep(workload, parallelism, dir);
       const SweepResult warm = run_sweep(workload, parallelism, dir);
-      ok &= normalized(warm.report) == normalized(cold.report);
+      ok &= bench::same_verdict(warm.report, cold.report, "bench_corpus: warm vs cold");
       const uint64_t total = warm.stats.hits + warm.stats.misses;
       const double skipped_pct =
           total > 0 ? 100.0 * static_cast<double>(warm.stats.hits) /

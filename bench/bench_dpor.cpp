@@ -7,8 +7,8 @@
 // exact universe accounting and wall clock. Static enumeration is measured up
 // to 10 events and reported analytically (n!) above that.
 //
-// --smoke runs the CI gates alone: byte-identical replay reports on a
-// commuting-free workload with the toggle on vs off (at parallelism 1 and 4),
+// --smoke runs the CI gates alone: the same verdict on a commuting-free
+// workload with the toggle on vs off (at parallelism 1 and 4),
 // plus the >= 5x cold / >= 10x warm candidate
 // reduction on the 8-event sweep with admitted + pruned == 8!.
 //
@@ -27,6 +27,7 @@
 #include "core/session.hpp"
 #include "proxy/proxy.hpp"
 #include "subjects/town.hpp"
+#include "verdict_check.hpp"
 
 using namespace erpi;
 using namespace erpi::core;
@@ -125,13 +126,8 @@ IndependenceLearner::Export cold_export(int events) {
 // Smoke gates
 // ---------------------------------------------------------------------------
 
-std::string report_digest(ReplayReport report) {
-  report.elapsed_seconds = 0.0;
-  return report.to_json().dump();
-}
-
 /// One replica, every event touching r0/problems: nothing commutes, so the
-/// dynamic oracle must change nothing — byte-identical reports.
+/// dynamic oracle must change nothing — the same verdict.
 ReplayReport run_commuting_free(bool dynamic, int parallelism) {
   subjects::TownApp town(1);
   proxy::RdlProxy proxy(town);
@@ -160,15 +156,11 @@ int run_smoke() {
   for (const int parallelism : {1, 4}) {
     const ReplayReport off = run_commuting_free(false, parallelism);
     const ReplayReport on = run_commuting_free(true, parallelism);
-    const bool same =
-        report_digest(off) == report_digest(on) && off.explored > 0 && off.reproduced;
+    const bool same = bench::same_verdict(off, on, "bench_dpor: commuting-free off vs on") &&
+                      off.explored > 0 && off.reproduced;
     ok &= same;
     std::printf("  smoke parity p=%d explored %" PRIu64 "  %s\n", parallelism, off.explored,
                 same ? "ok" : "DIVERGED");
-    if (!same) {
-      std::fprintf(stderr, "bench_dpor: commuting-free reports diverged at p=%d\n",
-                   parallelism);
-    }
   }
 
   constexpr int kEvents = 8;

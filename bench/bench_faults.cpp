@@ -12,8 +12,8 @@
 // in-process, then a fork()ed child repeats it against a second journal and
 // is SIGKILLed mid-exploration (the parent watches the journal grow to pick
 // the moment). The parent resumes from the killed child's journal and exits
-// non-zero unless the resumed report is field-for-field identical to the
-// uninterrupted one with at least the journaled pairs skipped.
+// non-zero unless the resumed run reaches the uninterrupted run's verdict
+// with at least the journaled pairs skipped.
 //
 // Usage: bench_faults [--rounds N] [--out BENCH_faults.json] [--smoke]
 #include <sys/types.h>
@@ -31,6 +31,7 @@
 #include "core/session.hpp"
 #include "faults/explorer.hpp"
 #include "subjects/town.hpp"
+#include "verdict_check.hpp"
 
 using namespace erpi;
 
@@ -107,30 +108,6 @@ size_t journal_records(const std::string& path) {
   return loaded ? loaded->records.size() : 0;
 }
 
-bool reports_match(const core::ReplayReport& resumed, const core::ReplayReport& full) {
-  const bool same =
-      resumed.explored == full.explored && resumed.violations == full.violations &&
-      resumed.reproduced == full.reproduced &&
-      resumed.first_violation_index == full.first_violation_index &&
-      resumed.first_violation_assertion == full.first_violation_assertion &&
-      resumed.first_violation_plan == full.first_violation_plan &&
-      resumed.first_violation_plan_interleaving == full.first_violation_plan_interleaving &&
-      resumed.plans_explored == full.plans_explored &&
-      resumed.timed_out == full.timed_out && resumed.quarantined == full.quarantined &&
-      resumed.messages == full.messages && resumed.exhausted == full.exhausted &&
-      resumed.hit_cap == full.hit_cap && resumed.crashed == full.crashed;
-  if (!same) {
-    std::fprintf(stderr,
-                 "bench_faults: RESUME DIVERGENCE: resumed (explored %" PRIu64
-                 ", violations %" PRIu64 ", plans %" PRIu64
-                 ") vs uninterrupted (explored %" PRIu64 ", violations %" PRIu64
-                 ", plans %" PRIu64 ")\n",
-                 resumed.explored, resumed.violations, resumed.plans_explored,
-                 full.explored, full.violations, full.plans_explored);
-  }
-  return same;
-}
-
 int run_smoke(size_t rounds) {
   const std::string dir = "/tmp";
   const std::string full_path = dir + "/bench_faults_full.journal";
@@ -190,7 +167,7 @@ int run_smoke(size_t rounds) {
   std::printf("  resumed: %" PRIu64 " pairs (%" PRIu64 " skipped from journal)\n",
               resumed.report.explored, resumed.report.pairs_skipped_from_journal);
 
-  bool ok = reports_match(resumed.report, full.report);
+  bool ok = bench::same_verdict(resumed.report, full.report, "bench_faults: resumed vs full");
   if (resumed.report.pairs_skipped_from_journal < journaled) {
     std::fprintf(stderr,
                  "bench_faults: resume replayed journaled work (skipped %" PRIu64
@@ -227,8 +204,8 @@ int main(int argc, char** argv) {
       const RunResult plain = run_sweep(rounds, parallelism, catalog, "");
       std::remove(journal_path.c_str());
       const RunResult journaled = run_sweep(rounds, parallelism, catalog, journal_path);
-      ok &= journaled.report.explored == plain.report.explored &&
-            journaled.report.violations == plain.report.violations;
+      ok &= bench::same_verdict(journaled.report, plain.report,
+                                "bench_faults: journaled vs plain");
 
       const double pairs_per_sec =
           plain.report.elapsed_seconds > 0.0

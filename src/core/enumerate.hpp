@@ -119,9 +119,9 @@ std::string packed_dedup_key(const Seq& order, int width) {
 }
 
 /// Permutations of units (ER-pi generation). Two emission orders:
-///  * Lexicographic — deterministic std::next_permutation sweep; used where
-///    exact enumeration order matters (e.g. counting the motivating
-///    example's 19 interleavings).
+///  * Lexicographic — deterministic sweep in std::next_permutation order;
+///    used where exact enumeration order matters (e.g. counting the
+///    motivating example's 19 interleavings).
 ///  * Shuffled — seeded random unit permutations with a dedup cache, which
 ///    is how the replay engine walks the pruned space in the experiments:
 ///    unlike a lexicographic sweep it reaches reorderings of *early* units
@@ -148,7 +148,6 @@ class GroupedEnumerator : public Enumerator {
 
  private:
   std::optional<Interleaving> next_lexicographic();
-  std::optional<Interleaving> next_lexicographic_walk();
   std::optional<Interleaving> next_shuffled();
 
   std::vector<EventUnit> units_;
@@ -160,13 +159,10 @@ class GroupedEnumerator : public Enumerator {
   int key_width_ = 1;
   bool exhausted_ = false;
   bool first_ = true;
-  // Oracle-mode lexicographic walk: an explicit DFS over unit indices that
-  // emits the exact std::next_permutation sequence (ascending unused index at
-  // every depth) while letting the chain cut subtrees. Once a chain has been
-  // attached the walk stays the source of truth even after a mid-run detach,
-  // so the emission stream is continuous.
+  // Lexicographic walk: an explicit DFS over unit indices that emits the
+  // exact std::next_permutation sequence (ascending unused index at every
+  // depth) while letting an attached chain cut subtrees.
   OracleChain* oracle_ = nullptr;
-  bool use_walk_ = false;
   std::vector<size_t> walk_stack_;  // next unit index to try, per depth
   std::vector<size_t> walk_path_;   // chosen unit indices
   std::vector<bool> walk_used_;
@@ -220,17 +216,12 @@ class RandomEnumerator : public Enumerator {
   /// Approximate bytes held by the dedup cache (Fig. 10 resource accounting).
   uint64_t cache_bytes() const noexcept;
 
-  /// Give up after this many consecutive duplicate shuffles (treat the
-  /// universe as exhausted). Default: 64 * n.
-  void set_max_consecutive_duplicates(uint64_t limit) noexcept { dup_limit_ = limit; }
-
  private:
   std::vector<int> event_ids_;
   uint64_t seed_;
   util::Rng rng_;
   std::unordered_set<std::string> seen_;
   uint64_t shuffles_ = 0;
-  uint64_t dup_limit_;
   int key_width_ = 1;
   bool exhausted_ = false;
 };

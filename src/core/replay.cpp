@@ -53,7 +53,7 @@ util::Json SandboxStats::to_json() const {
   return j;
 }
 
-util::Json ReplayReport::to_json() const {
+util::Json RunVerdict::to_json() const {
   util::Json j = util::Json::object();
   j["explored"] = static_cast<int64_t>(explored);
   j["violations"] = static_cast<int64_t>(violations);
@@ -66,8 +66,8 @@ util::Json ReplayReport::to_json() const {
   j["crashed"] = crashed;
   j["budget_exhausted"] = budget_exhausted;
   // Robustness flags are omitted when false so unaffected runs serialize
-  // byte-identically to prior releases (the same discipline as the sandbox
-  // and recovery blocks below).
+  // byte-identically to prior releases (the same discipline as the recovery
+  // block below).
   if (cancelled) j["cancelled"] = true;
   if (journal_degraded) j["journal_degraded"] = true;
   if (corpus_degraded) j["corpus_degraded"] = true;
@@ -86,12 +86,6 @@ util::Json ReplayReport::to_json() const {
     records.push_back(std::move(r));
   }
   j["quarantine_records"] = std::move(records);
-  // Omitted when all-zero so crash-free sandboxed reports serialize
-  // byte-identically to Isolation::None reports.
-  if (sandbox.any()) j["sandbox"] = sandbox.to_json();
-  // Likewise omitted by default: explorer stats carry wall-clock timing, so
-  // they only appear when stats collection was explicitly requested.
-  if (explorer.any()) j["explorer"] = explorer.to_json();
   // Recovery counters are omitted when all-zero, so reports from runs
   // without storage-fault plans serialize byte-identically to prior releases.
   if (recoveries_clean != 0 || recoveries_missing_entries != 0 || recoveries_diverged != 0) {
@@ -100,14 +94,22 @@ util::Json ReplayReport::to_json() const {
     j["recoveries_diverged"] = static_cast<int64_t>(recoveries_diverged);
   }
   j["plans_explored"] = static_cast<int64_t>(plans_explored);
-  j["pairs_skipped_from_journal"] = static_cast<int64_t>(pairs_skipped_from_journal);
   j["first_violation_plan"] = first_violation_plan;
   j["first_violation_plan_interleaving"] =
       static_cast<int64_t>(first_violation_plan_interleaving);
-  j["elapsed_seconds"] = elapsed_seconds;
   util::Json msgs = util::Json::array();
   for (const auto& message : messages) msgs.push_back(message);
   j["messages"] = std::move(msgs);
+  return j;
+}
+
+util::Json ReplayReport::to_json() const {
+  util::Json j = RunVerdict::to_json();
+  j["pairs_skipped_from_journal"] = static_cast<int64_t>(pairs_skipped_from_journal);
+  j["elapsed_seconds"] = elapsed_seconds;
+  // Omitted when all-zero, as on every in-process and crash-free run.
+  if (sandbox.any()) j["sandbox"] = sandbox.to_json();
+  j["explorer"] = explorer.to_json();
   return j;
 }
 
@@ -236,7 +238,7 @@ std::optional<InterleavingOutcome> outcome_from_json(const util::Json& object) {
 // ---------------------------------------------------------------------------
 // Aggregation
 
-void commit_outcome(ReplayReport& report, const Interleaving& il,
+void commit_outcome(RunVerdict& report, const Interleaving& il,
                     const InterleavingOutcome& outcome, const std::optional<PlanTag>& plan) {
   ++report.explored;
   if (outcome.quarantine()) {

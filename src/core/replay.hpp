@@ -168,10 +168,8 @@ struct SearchOptions {
 };
 
 /// Explorer scheduling telemetry (DESIGN.md §12.6): the dispatch batch size,
-/// the ranked subtree count and worker wait/idle time. Collected only when
-/// ExplorerOptions::collect_stats is set (timing fields are wall-clock noise,
-/// so reports stay byte-stable by default) and omitted from to_json when
-/// all-zero, SandboxStats-style.
+/// the ranked subtree count and worker wait/idle time. Recorded on every run;
+/// its timing fields are wall-clock noise, so it is telemetry, not verdict.
 struct ExplorerStats {
   uint64_t batch_size = 0;        // interleavings per dispatched batch (1 inline)
   uint64_t subtrees = 0;          // ranked subtree spans (ranked searchers only)
@@ -186,11 +184,6 @@ struct ExplorerStats {
     subtrees += other.subtrees;
     queue_wait_seconds += other.queue_wait_seconds;
     max_idle_fraction = std::max(max_idle_fraction, other.max_idle_fraction);
-  }
-
-  bool any() const noexcept {
-    return batch_size != 0 || subtrees != 0 || queue_wait_seconds != 0 ||
-           max_idle_fraction != 0;
   }
 
   util::Json to_json() const;
@@ -213,9 +206,9 @@ const char* isolation_name(Isolation isolation) noexcept;
 
 /// Sandbox anomaly counters (crash-isolated replay, DESIGN.md §9). One shard
 /// per fork-server worker; core::merge_sandbox_stats sums them into the run
-/// report. Every field is zero on a crash-free run — and always zero under
-/// Isolation::None — which keeps sandboxed reports byte-identical to
-/// in-process reports when nothing misbehaves.
+/// report. Every field is zero on a crash-free run, and always zero under
+/// Isolation::None. `respawns` depends on scheduling, so the counters are
+/// telemetry, not verdict.
 struct SandboxStats {
   uint64_t crashes = 0;          // child deaths on a signal (SIGSEGV, ...)
   uint64_t oom_kills = 0;        // structured oom exits (RLIMIT_AS tripped)
@@ -356,11 +349,6 @@ struct ReplayOptions {
   /// bytes (0 = unlimited). An allocation pushed over the cap surfaces as a
   /// structured `oom` outcome instead of taking the exploration down.
   uint64_t sandbox_memory_limit_bytes = 0;
-  /// Process mode only: how many times a crashed/oomed work item is retried
-  /// in a fresh child before being quarantined as deterministic. The default
-  /// single retry separates deterministic crashes from collateral damage a
-  /// previous item left in the child.
-  int sandbox_max_retries = 1;
   /// Process mode only: how many consecutive runner-spawn failures (fork
   /// EAGAIN, ready-handshake timeout, fixture-build error) the supervisor
   /// absorbs — backing off exponentially between attempts — before giving up
@@ -396,7 +384,14 @@ struct ReplayOptions {
   std::function<void(uint64_t, const Interleaving&)> on_interleaving_done;
 };
 
-struct ReplayReport {
+/// The verdict of a run (paper §4.3–4.4): what replaying the surviving
+/// interleavings and checking the assertions found, and nothing about how
+/// long it took or where it ran. Given a workload and a config it is a pure
+/// function of those two — at any parallelism, isolation, pruning path,
+/// corpus warmth or kill/resume (DESIGN.md §6) — so every check that two runs
+/// report the same compares verdicts, and the service daemon serves and
+/// persists exactly to_json() (DESIGN.md §14).
+struct RunVerdict {
   uint64_t explored = 0;
   uint64_t violations = 0;
   bool reproduced = false;  // at least one assertion violation observed
@@ -445,36 +440,45 @@ struct ReplayReport {
     bool operator==(const Quarantine&) const = default;
   };
   std::vector<Quarantine> quarantine_records;
-  /// Fork-server anomaly counters, merged across sandbox workers. All-zero
-  /// (and omitted from to_json) outside Isolation::Process and on crash-free
-  /// sandboxed runs, keeping crash-free reports identical across modes.
-  SandboxStats sandbox;
-  /// Explorer scheduling telemetry (batch size, ranked subtree count, wait
-  /// and idle time). All-zero — and omitted from to_json — unless stats
-  /// collection was explicitly enabled (Session::Config::
-  /// collect_explorer_stats), because its timing fields are wall-clock noise
-  /// and would perturb otherwise byte-stable reports.
-  ExplorerStats explorer;
   /// Fault-schedule dimensions (zero/empty outside faults:: runs). `explored`
   /// then counts (interleaving, plan) pairs in plan-major order, and the
   /// first violation is additionally named as a pair: the plan's key() plus
   /// the 1-based interleaving ordinal within that plan's sweep.
   uint64_t plans_explored = 0;
-  uint64_t pairs_skipped_from_journal = 0;
   std::string first_violation_plan;
   uint64_t first_violation_plan_interleaving = 0;
   /// Durable-log recovery verdict counters (storage-fault plans, DESIGN.md
-  /// §13). All-zero — and omitted from to_json, SandboxStats-style — outside
-  /// storage-fault sweeps, keeping non-storage reports byte-identical to
-  /// prior releases. Diverged recoveries additionally count as violations
-  /// (the never-silently-diverge contract), so recoveries_diverged never
-  /// exceeds `violations`.
+  /// §13). All-zero — and omitted from to_json — outside storage-fault
+  /// sweeps. Diverged recoveries additionally count as violations (the
+  /// never-silently-diverge contract), so recoveries_diverged never exceeds
+  /// `violations`.
   uint64_t recoveries_clean = 0;
   uint64_t recoveries_missing_entries = 0;
   uint64_t recoveries_diverged = 0;
-  double elapsed_seconds = 0.0;
   /// First few violation messages, for reports.
   std::vector<std::string> messages;
+
+  bool operator==(const RunVerdict&) const = default;
+
+  /// The verdict's JSON: the bytes the service daemon streams and persists.
+  util::Json to_json() const;
+};
+
+/// A run's verdict plus its telemetry: wall clock, journal skips and the
+/// sandbox and explorer counters, which depend on scheduling. No comparison
+/// of two runs looks at the telemetry; compare verdict()s.
+struct ReplayReport : RunVerdict {
+  /// Pairs a resumed fault sweep merged from its run journal instead of
+  /// replaying (see faults::FaultExplorer).
+  uint64_t pairs_skipped_from_journal = 0;
+  /// Fork-server anomaly counters, merged across sandbox workers. All-zero
+  /// (and omitted from to_json) outside Isolation::Process and on crash-free
+  /// sandboxed runs.
+  SandboxStats sandbox;
+  /// Explorer scheduling telemetry (batch size, ranked subtree count, wait
+  /// and idle time).
+  ExplorerStats explorer;
+  double elapsed_seconds = 0.0;
   /// Retired incremental-replay counters. Every interleaving replays from
   /// reset(), so nothing writes them and to_json() omits them; the fields
   /// remain for readers that still sum them.
@@ -484,7 +488,10 @@ struct ReplayReport {
   };
   PrefixCounters prefix;
 
-  /// Serializable form (EXPERIMENTS tooling, CI artifacts).
+  const RunVerdict& verdict() const noexcept { return *this; }
+
+  /// The verdict's JSON plus the telemetry (EXPERIMENTS tooling, CI
+  /// artifacts).
   util::Json to_json() const;
 };
 
@@ -553,7 +560,7 @@ struct PlanTag {
   uint64_t ordinal = 0;  // 1-based interleaving ordinal within the plan's sweep
 };
 
-/// Fold one committed outcome into the run report: the single aggregation
+/// Fold one committed outcome into the run's verdict: the single aggregation
 /// every run shares (the explorer's inline loop and committer, and the fault
 /// explorer's live and journal-merged pairs), so all report shapes agree at
 /// any parallelism. Counts the pair, quarantines watchdog timeouts and
@@ -561,7 +568,7 @@ struct PlanTag {
 /// records violations, latching the first one. With a plan, quarantine keys
 /// read "plan/il", messages "[plan p] ...", and the first violation also
 /// names its plan and plan ordinal.
-void commit_outcome(ReplayReport& report, const Interleaving& il,
+void commit_outcome(RunVerdict& report, const Interleaving& il,
                     const InterleavingOutcome& outcome,
                     const std::optional<PlanTag>& plan = std::nullopt);
 

@@ -64,6 +64,22 @@ PruningPipeline Session::build_pipeline() const {
 }
 
 std::unique_ptr<Enumerator> Session::make_enumerator() {
+  // The dynamic oracle cuts subtrees of a generation tree. Shuffled and Rand
+  // sample orders without one, so a DPOR run there would prime, record and
+  // salt fingerprints for cuts that never happen.
+  if (config_.dynamic_pruning.enabled) {
+    const char* treeless =
+        config_.mode == ExplorationMode::Rand ? "mode Rand"
+        : config_.mode == ExplorationMode::ErPi &&
+                config_.generation_order != GroupedEnumerator::Order::Lexicographic
+            ? "mode ErPi with Shuffled order"
+            : nullptr;
+    if (treeless != nullptr) {
+      throw std::invalid_argument(std::string("dynamic pruning needs a generation tree: ") +
+                                  treeless +
+                                  " has none (use mode Dfs, or ErPi with Lexicographic order)");
+    }
+  }
   prepare_dynamic_pruning();
   switch (config_.mode) {
     case ExplorationMode::ErPi: {
@@ -256,7 +272,6 @@ ReplayReport Session::explore(const AssertionFactory& assertion_factory,
   options.subject_factory = config_.subject_factory;
   options.assertion_factory = assertion_factory;
   options.search = config_.search;
-  options.collect_stats = config_.collect_explorer_stats;
   if (!config_.violation_priors.empty()) {
     options.violation_priors = std::make_shared<const std::vector<Interleaving>>(
         config_.violation_priors);

@@ -83,7 +83,7 @@ class Session {
     GroupedEnumerator::Order generation_order = GroupedEnumerator::Order::Shuffled;
     /// Generation-time subtree pruning (DESIGN.md §10). Default on; the
     /// oracle chain only engages when every configured pruner supports it,
-    /// and produces byte-identical reports either way — this switch exists
+    /// and produces the same verdict either way — this switch exists
     /// for A/B benchmarking and parity tests, not correctness.
     bool generation_pruning = true;
     /// Persist events/units and every replayed interleaving into Datalog.
@@ -132,16 +132,12 @@ class Session {
     /// searcher as priors, in addition to the corpus's violation records
     /// (corpus::violation_priors loads them from a store directory).
     std::vector<Interleaving> violation_priors;
-    /// Record scheduling telemetry into ReplayReport::explorer (batch
-    /// size, ranked subtree count, queue-wait/idle time).
-    /// Off by default: the timing fields are wall-clock noise and would
-    /// perturb otherwise byte-stable reports.
-    bool collect_explorer_stats = false;
     /// Dynamic partial-order reduction (DESIGN.md §15): learn per-event state
     /// footprints from replays and cut commuting subtrees at generation time
     /// via a sleep-set oracle appended to the static chain. Default off — an
-    /// A/B toggle; commuting-free workloads report byte-identically either
-    /// way.
+    /// A/B toggle; commuting-free workloads report the same verdict either
+    /// way. Needs a generation tree: mode Dfs, or ErPi with Lexicographic
+    /// order (make_enumerator() rejects the rest).
     DporOptions dynamic_pruning;
   };
 
@@ -208,7 +204,9 @@ class Session {
   InterleavingStore& store() noexcept { return store_; }
 
   /// Build a fresh enumerator for the configured mode over the captured
-  /// events — exposed so benchmarks can drive exploration directly.
+  /// events — exposed so benchmarks can drive exploration directly. Throws
+  /// std::invalid_argument when dynamic pruning is enabled for an order with
+  /// no generation tree (ErPi with Shuffled order, or Rand).
   std::unique_ptr<Enumerator> make_enumerator();
 
   /// Idempotent per capture; a no-op unless Config::dynamic_pruning.enabled.

@@ -302,7 +302,6 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     options.subject_factory = config.subject_factory;
     options.assertion_factory = assertion_factory;
     options.search = config.search;
-    options.collect_stats = config.collect_explorer_stats;
     options.violation_priors = priors;
     options.coverage = coverage;
     options.context_key = plan_key;

@@ -22,6 +22,11 @@ namespace erpi::sandbox {
 
 namespace {
 
+/// How often a crashed or oomed item is retried in a fresh child before it
+/// is quarantined as deterministic. One retry separates a deterministic
+/// crash from collateral damage a previous item left in the child.
+constexpr int kMaxRetries = 1;
+
 /// Parent-side fds of every live ForkServer. A newly forked server child
 /// closes the *siblings'* fds so it never holds their sockets open (which
 /// would defeat peer-death detection and leak descriptors into long-lived
@@ -463,9 +468,8 @@ ForkServer::Attempt ForkServer::attempt_once(const core::Interleaving& il) {
 }
 
 core::InterleavingOutcome ForkServer::replay_one(const core::Interleaving& il) {
-  const int max_attempts = 1 + std::max(0, options_.sandbox_max_retries);
   Attempt last;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     if (attempt > 0) ++stats_.retries;
     last = attempt_once(il);
     switch (last.kind) {

@@ -56,11 +56,10 @@ class ForkServer {
   /// Forks the server process and spawns the first runner (which builds its
   /// fixture from `subject_factory`/`assertion_factory` inside the child).
   /// `base` carries the run-wide replay options; the supervisor owns the
-  /// watchdog (base.watchdog_timeout_ms) and the retry policy
-  /// (base.sandbox_max_retries), the child gets a scrubbed copy (no
-  /// callbacks, no budget, Isolation::None). `events` must outlive this
-  /// object. MUST be constructed while the calling process is
-  /// single-threaded.
+  /// watchdog (base.watchdog_timeout_ms) and the retry-once policy, the
+  /// child gets a scrubbed copy (no callbacks, no budget, Isolation::None).
+  /// `events` must outlive this object. MUST be constructed while the
+  /// calling process is single-threaded.
   ForkServer(core::SubjectFactory subject_factory,
              core::AssertionFactory assertion_factory, core::ReplayOptions base,
              const core::EventSet& events);

@@ -178,7 +178,6 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
                            const core::EventSet& events, const std::vector<Replayer>& workers) {
   const core::ReplayOptions& replay = options.replay;
   const bool stop_on_violation = replay.stop_on_violation;
-  const bool collect = options.collect_stats;
   core::BudgetAccount local_budget(replay.resource_budget_bytes);
   Source source(enumerator, events, options,
                 replay.budget != nullptr ? *replay.budget : local_budget);
@@ -202,19 +201,19 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
     // ---- inline: pull, replay and commit one item at a time on this
     // thread, so a runtime constraint a callback delivers applies to the
     // very next pull ----
-    if (collect) report.explorer.batch_size = 1;
+    report.explorer.batch_size = 1;
     while (auto item = source.next(kNoFloor)) {
       if (!item->resolved) {
         util::Stopwatch replay_watch;
         item->outcome = workers[0](item->interleaving);
-        if (collect) busy[0] += replay_watch.elapsed_seconds();
+        busy[0] += replay_watch.elapsed_seconds();
       }
       if (commit(*item)) break;
     }
   } else {
     // ---- pool: dispatcher → workers → in-order committer ----
     const size_t batch_size = auto_batch_size(replay.max_interleavings, workers.size());
-    if (collect) report.explorer.batch_size = batch_size;
+    report.explorer.batch_size = batch_size;
     BoundedQueue<std::vector<Item>> work(workers.size() * 2);
     BoundedQueue<Item> done(std::numeric_limits<size_t>::max());
     std::mutex enum_mu;  // the source + callback-side pipeline mutation
@@ -273,7 +272,7 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
         while (true) {
           util::Stopwatch pop_watch;
           auto batch = work.pop();
-          if (collect) wait[w] += pop_watch.elapsed_seconds();
+          wait[w] += pop_watch.elapsed_seconds();
           if (!batch) break;
           for (Item& item : *batch) {
             const bool skip = abort.load() || flipped(replay.cancel) ||
@@ -282,7 +281,7 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
               util::Stopwatch replay_watch;
               item.outcome = workers[w](item.interleaving);
               item.resolved = true;
-              if (collect) busy[w] += replay_watch.elapsed_seconds();
+              busy[w] += replay_watch.elapsed_seconds();
               if (stop_on_violation && !item.outcome.violations.empty()) {
                 lower_floor(floor, item.ordinal);
               }
@@ -348,17 +347,15 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
   report.cancelled = source.cancelled && !stopped_at_violation;
   report.hit_cap = report.explored >= replay.max_interleavings;
 
-  if (collect) {
-    report.explorer.subtrees = source.subtrees;
-    // Idle is measured against the pool's shared wall clock: a worker that
-    // drains early while a straggler keeps replaying counts as idle for the
-    // difference.
-    for (size_t w = 0; w < workers.size(); ++w) {
-      report.explorer.queue_wait_seconds += wait[w];
-      const double idle =
-          section_seconds > 0 ? std::max(0.0, section_seconds - busy[w]) / section_seconds : 0;
-      report.explorer.max_idle_fraction = std::max(report.explorer.max_idle_fraction, idle);
-    }
+  report.explorer.subtrees = source.subtrees;
+  // Idle is measured against the pool's shared wall clock: a worker that
+  // drains early while a straggler keeps replaying counts as idle for the
+  // difference.
+  for (size_t w = 0; w < workers.size(); ++w) {
+    report.explorer.queue_wait_seconds += wait[w];
+    const double idle =
+        section_seconds > 0 ? std::max(0.0, section_seconds - busy[w]) / section_seconds : 0;
+    report.explorer.max_idle_fraction = std::max(report.explorer.max_idle_fraction, idle);
   }
   return report;
 }

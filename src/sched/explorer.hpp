@@ -96,11 +96,6 @@ struct ExplorerOptions {
   std::shared_ptr<CoverageState> coverage;
   /// Context tag mixed into coverage features (e.g. the fault plan's key).
   std::string context_key;
-  /// Record scheduling telemetry into ReplayReport::explorer (batch size,
-  /// ranked subtree count, queue-wait and idle time). Off by
-  /// default: the timing fields are wall-clock noise and would perturb
-  /// otherwise byte-stable reports.
-  bool collect_stats = false;
 };
 
 class ParallelExplorer {

@@ -616,7 +616,7 @@ void Daemon::run_job(const std::shared_ptr<Job>& job) {
       } else {
         status = "done";
       }
-      report_json = stable_report_json(report);
+      report_json = report.verdict().to_json();
       break;
     } catch (const std::exception& ex) {
       if (job->cancel->load()) {

@@ -26,7 +26,7 @@
 //   * crash-safe lifecycle — accepted jobs are journaled (QueueJournal) and
 //     each run resumes from its per-job RunJournal, so a kill -9'd daemon
 //     restarted over the same journal_dir finishes every accepted job with
-//     a stable_report_json identical to an uninterrupted run's.
+//     a verdict JSON (core::RunVerdict) identical to an uninterrupted run's.
 #pragma once
 
 #include <atomic>

@@ -135,12 +135,4 @@ util::Result<JobSpec> JobSpec::from_json(const util::Json& j) {
   return util::Result<JobSpec>::ok(std::move(spec));
 }
 
-util::Json stable_report_json(const core::ReplayReport& report) {
-  util::Json j = report.to_json();
-  auto& obj = j.as_object();
-  obj.erase("elapsed_seconds");
-  obj.erase("pairs_skipped_from_journal");
-  return j;
-}
-
 }  // namespace erpi::service

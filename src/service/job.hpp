@@ -63,12 +63,4 @@ struct JobSpec {
   bool operator==(const JobSpec&) const = default;
 };
 
-/// The report serialization the service persists and streams: the report's
-/// to_json minus the fields that legitimately differ between an
-/// uninterrupted run and a kill-and-resume run of the same job —
-/// elapsed_seconds (wall clock) and pairs_skipped_from_journal.
-/// Everything else must match byte-for-byte; the resume tests and
-/// bench_service --smoke compare exactly these strings.
-util::Json stable_report_json(const core::ReplayReport& report);
-
 }  // namespace erpi::service

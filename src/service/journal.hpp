@@ -11,8 +11,8 @@
 // A restarted daemon loads the longest valid prefix of queue.journal (a
 // SIGKILL mid-append leaves a torn last line — tolerated, like RunJournal's),
 // re-enqueues every accepted-but-unfinished spec, and each re-run resumes
-// from its job-<id>.journal — so the final report is byte-identical (modulo
-// the fields stable_report_json excludes) to an uninterrupted run's.
+// from its job-<id>.journal — so the final report, the run's verdict JSON, is
+// byte-identical to an uninterrupted run's.
 //
 // Not thread-safe: the daemon serializes every append under its state mutex.
 #pragma once

@@ -87,12 +87,6 @@ std::string Json::dump() const {
   return out;
 }
 
-std::string Json::pretty(int indent) const {
-  std::string out;
-  JsonWriter::text(out, indent).value(*this);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // JsonWriter
 // ---------------------------------------------------------------------------
@@ -109,17 +103,6 @@ JsonWriter& JsonWriter::only(std::string_view field) {
 
 JsonWriter::Frame* JsonWriter::frame(size_t depth) {
   return depth <= kInlineDepth ? &inline_[depth - 1] : &deep_[depth - 1 - kInlineDepth];
-}
-
-void JsonWriter::newline_pad(size_t depth) {
-  if (indent_ <= 0) return;
-  raw('\n');
-  static constexpr std::string_view kSpaces = "                                ";
-  for (size_t n = static_cast<size_t>(indent_) * depth; n > 0;) {
-    const size_t take = std::min(n, kSpaces.size());
-    raw(kSpaces.substr(0, take));
-    n -= take;
-  }
 }
 
 namespace {
@@ -198,7 +181,6 @@ Json* JsonWriter::begin_value() {
     return top.node == nullptr ? nullptr : &top.node->as_object()[keys_.substr(top.key_at)];
   }
   if (top.count++ > 0) raw(',');
-  newline_pad(depth_);
   if (top.node == nullptr) return nullptr;
   top.node->push_back(Json());
   return &top.node->as_array().back();
@@ -219,7 +201,6 @@ void JsonWriter::close(bool object) {
     throw std::logic_error("JsonWriter: an end without its begin");
   }
   if (filtering_ && depth_ == 1) out_ = Out::None;
-  if (top_->count > 0) newline_pad(depth_ - 1);
   raw(object ? '}' : ']');
   keys_.resize(top_->key_at);
   --depth_;
@@ -259,10 +240,8 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   const bool root_member = filtering_ && depth_ == 1;
   if (root_member) out_ = Out::None;
   if (top.count++ > 0) raw(',');
-  newline_pad(depth_);
   escaped(k);
   raw(':');
-  if (indent_ > 0) raw(' ');
   keys_.replace(top.key_at, std::string::npos, k);
   top.key_pending = true;
   if (root_member && k == field_) {
@@ -333,15 +312,15 @@ JsonWriter& JsonWriter::value(const Json& v) {
     if (it == members.end()) return *this;
     out_ = Out::Fnv;
     found_ = true;
-    tree_text(it->second, 1);
+    tree_text(it->second);
     out_ = Out::None;
     return *this;
   }
-  if (out_ != Out::None) tree_text(v, depth_);
+  if (out_ != Out::None) tree_text(v);
   return *this;
 }
 
-void JsonWriter::tree_text(const Json& v, size_t depth) {
+void JsonWriter::tree_text(const Json& v) {
   switch (v.type()) {
     case Json::Type::Null: raw("null"); break;
     case Json::Type::Bool: raw(v.as_bool() ? "true" : "false"); break;
@@ -358,10 +337,8 @@ void JsonWriter::tree_text(const Json& v, size_t depth) {
       raw('[');
       for (size_t i = 0; i < items.size(); ++i) {
         if (i > 0) raw(',');
-        newline_pad(depth + 1);
-        tree_text(items[i], depth + 1);
+        tree_text(items[i]);
       }
-      if (!items.empty()) newline_pad(depth);
       raw(']');
       break;
     }
@@ -371,13 +348,10 @@ void JsonWriter::tree_text(const Json& v, size_t depth) {
       for (const auto& [k, member] : v.as_object()) {
         if (!first) raw(',');
         first = false;
-        newline_pad(depth + 1);
         escaped(k);
         raw(':');
-        if (indent_ > 0) raw(' ');
-        tree_text(member, depth + 1);
+        tree_text(member);
       }
-      if (!first) newline_pad(depth);
       raw('}');
       break;
     }

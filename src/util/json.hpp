@@ -89,8 +89,6 @@ class Json {
 
   /// Compact single-line serialization.
   std::string dump() const;
-  /// Indented multi-line serialization.
-  std::string pretty(int indent = 2) const;
 
   /// Parse a complete JSON document. Trailing garbage is an error.
   static Result<Json> parse(std::string_view text);
@@ -109,8 +107,7 @@ class Json {
 
 /// Streams JSON tokens into one of three sinks:
 ///
-///  * text: appends exactly what Json::dump() (indent 0) or Json::pretty()
-///    writes to a string;
+///  * text: appends exactly what Json::dump() writes to a string;
 ///  * fnv: folds that compact text into FNV-1a 64, so digest() equals
 ///    util::fnv1a64(text) without the text ever existing;
 ///  * tree: builds the util::Json the same calls describe.
@@ -124,15 +121,15 @@ class Json {
 /// nesting stays within kInlineDepth.
 class JsonWriter {
  public:
-  static JsonWriter text(std::string& out, int indent = 0) {
-    return JsonWriter(Sink::Text, &out, nullptr, indent, kFnv1aBasis);
+  static JsonWriter text(std::string& out) {
+    return JsonWriter(Sink::Text, &out, nullptr, kFnv1aBasis);
   }
   /// `seed` continues a digest: fnv(fnv1a64(a)) folds a's bytes first.
   static JsonWriter fnv(uint64_t seed = kFnv1aBasis) {
-    return JsonWriter(Sink::Fnv, nullptr, nullptr, 0, seed);
+    return JsonWriter(Sink::Fnv, nullptr, nullptr, seed);
   }
   static JsonWriter tree(Json& root) {
-    return JsonWriter(Sink::Tree, nullptr, &root, 0, kFnv1aBasis);
+    return JsonWriter(Sink::Tree, nullptr, &root, kFnv1aBasis);
   }
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
@@ -179,12 +176,11 @@ class JsonWriter {
     bool key_pending;        // object: key() ran, its value has not
   };
 
-  JsonWriter(Sink sink, std::string* out, Json* root, int indent, uint64_t seed)
+  JsonWriter(Sink sink, std::string* out, Json* root, uint64_t seed)
       : sink_(sink),
         out_(sink == Sink::Text ? Out::Text : sink == Sink::Fnv ? Out::Fnv : Out::None),
         text_(out),
         root_(root),
-        indent_(indent),
         hash_(seed) {}
 
   void raw(std::string_view bytes) {
@@ -201,21 +197,19 @@ class JsonWriter {
       hash_ = (hash_ ^ static_cast<unsigned char>(c)) * kFnv1aPrime;
     }
   }
-  void newline_pad(size_t depth);
   void escaped(std::string_view s);
   void double_text(double v);
-  /// Separator and indentation before a value; the tree sink's slot for it.
+  /// Separator before a value; the tree sink's slot for it.
   Json* begin_value();
   void open(bool object);
   void close(bool object);
   Frame* frame(size_t depth);
-  void tree_text(const Json& v, size_t depth);
+  void tree_text(const Json& v);
 
   Sink sink_;
   Out out_;
   std::string* text_;
   Json* root_;
-  int indent_;
   uint64_t hash_;
   size_t depth_ = 0;
   Frame* top_ = nullptr;  // the innermost open container's frame

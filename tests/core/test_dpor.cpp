@@ -10,6 +10,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "proxy/proxy.hpp"
 #include "subjects/town.hpp"
 #include "support/alloc_counter.hpp"
+#include "support/verdict.hpp"
 #include "util/rng.hpp"
 
 namespace erpi::core {
@@ -406,15 +408,8 @@ TEST(Dpor, OracleHotPathDoesNotAllocateAfterWarmup) {
 // Byte parity with the static chain on a commuting-free workload
 // ---------------------------------------------------------------------------
 
-/// Byte-identity form: elapsed time is wall-clock noise; every semantic field
-/// of the report participates (same normalization as the corpus reuse tests).
-std::string report_digest(ReplayReport report) {
-  report.elapsed_seconds = 0.0;
-  return report.to_json().dump();
-}
-
 /// One replica, every event touching r0/problems: nothing commutes, so the
-/// dynamic oracle must change nothing — byte-identical reports.
+/// dynamic oracle must change nothing — byte-identical verdicts.
 ReplayReport run_commuting_free(bool dynamic, int parallelism,
                                 PruningPipeline::Stats* stats_out) {
   subjects::TownApp town(1);
@@ -447,7 +442,7 @@ TEST(DporParity, ByteIdenticalReportsOnCommutingFreeWorkload) {
     PruningPipeline::Stats dynamic_stats;
     const ReplayReport off = run_commuting_free(false, parallelism, &static_stats);
     const ReplayReport on = run_commuting_free(true, parallelism, &dynamic_stats);
-    EXPECT_EQ(report_digest(off), report_digest(on)) << "parallelism=" << parallelism;
+    EXPECT_EQ(off.verdict(), on.verdict()) << "parallelism=" << parallelism;
     EXPECT_EQ(static_stats.admitted, dynamic_stats.admitted);
     EXPECT_EQ(static_stats.pruned, dynamic_stats.pruned);
     EXPECT_EQ(dynamic_stats.pruned_by.count(kDporOracleName), 0u)
@@ -455,6 +450,44 @@ TEST(DporParity, ByteIdenticalReportsOnCommutingFreeWorkload) {
     EXPECT_GT(off.explored, 0u);
     EXPECT_TRUE(off.reproduced);  // the parity is over a meaningful report
   }
+}
+
+// ---------------------------------------------------------------------------
+// Orders without a generation tree reject dynamic pruning
+// ---------------------------------------------------------------------------
+
+/// What make_enumerator() throws for a DPOR session under `config`'s order
+/// ("" when it builds). A rejected session never primes the learner.
+std::string dpor_rejection(Session::Config config) {
+  subjects::TownApp town(2);
+  proxy::RdlProxy proxy(town);
+  config.dynamic_pruning.enabled = true;
+  Session session(proxy, std::move(config));
+  session.start();
+  (void)proxy.update(0, "report", problem("x"));
+  (void)proxy.sync_req(0, 1);
+  (void)proxy.exec_sync(0, 1);
+  session.finish_capture();
+  std::string message;
+  try {
+    (void)session.make_enumerator();
+  } catch (const std::invalid_argument& error) {
+    message = error.what();
+  }
+  EXPECT_EQ(session.dpor_learner(), nullptr);
+  return message;
+}
+
+TEST(Dpor, RejectsShuffledOrder) {
+  const std::string message = dpor_rejection({});  // ER-pi's default order
+  EXPECT_NE(message.find("ErPi with Shuffled order"), std::string::npos) << message;
+}
+
+TEST(Dpor, RejectsRandMode) {
+  Session::Config config;
+  config.mode = ExplorationMode::Rand;
+  const std::string message = dpor_rejection(std::move(config));
+  EXPECT_NE(message.find("mode Rand"), std::string::npos) << message;
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "core/session.hpp"
 #include "proxy/proxy.hpp"
 #include "subjects/town.hpp"
+#include "support/verdict.hpp"
 #include "util/rng.hpp"
 
 namespace erpi::core {
@@ -385,21 +386,15 @@ SessionRun run_session(bool generation_pruning, int parallelism) {
   return run;
 }
 
-TEST(GenerationPruning, SessionReportParityAcrossParallelismAndSnapshotDepth) {
+TEST(GenerationPruning, SessionReportParityAcrossParallelism) {
   const SessionRun baseline = run_session(false, 1);
   ASSERT_GT(baseline.report.explored, 0u);
   ASSERT_GT(baseline.stats.pruned, 0u);  // the independence spec engages
   for (const int parallelism : {1, 4}) {
     SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
     const SessionRun on = run_session(true, parallelism);
-    EXPECT_EQ(on.report.explored, baseline.report.explored);
-    EXPECT_EQ(on.report.violations, baseline.report.violations);
-    EXPECT_EQ(on.report.reproduced, baseline.report.reproduced);
-    EXPECT_EQ(on.report.first_violation_index, baseline.report.first_violation_index);
-    EXPECT_EQ(on.report.first_violation_assertion, baseline.report.first_violation_assertion);
     ASSERT_TRUE(on.report.first_violation.has_value());
-    ASSERT_TRUE(baseline.report.first_violation.has_value());
-    EXPECT_EQ(on.report.first_violation->key(), baseline.report.first_violation->key());
+    EXPECT_EQ(on.report.verdict(), baseline.report.verdict());
     EXPECT_EQ(on.stats.admitted, baseline.stats.admitted);
     EXPECT_EQ(on.stats.pruned, baseline.stats.pruned);
     EXPECT_EQ(on.stats.pruned_by, baseline.stats.pruned_by);

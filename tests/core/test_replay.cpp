@@ -8,6 +8,7 @@
 #include "core/session.hpp"
 #include "sched/explorer.hpp"
 #include "subjects/town.hpp"
+#include "support/verdict.hpp"
 
 namespace erpi::core {
 namespace {
@@ -132,8 +133,7 @@ TEST(ReplayEngine, ThreadedModeMatchesFastMode) {
   const auto threaded_report =
       threaded_fx.explore(threaded_options, {query_result_equals(6, expected)});
 
-  EXPECT_EQ(fast_report.explored, threaded_report.explored);
-  EXPECT_EQ(fast_report.violations, threaded_report.violations);
+  EXPECT_EQ(fast_report.verdict(), threaded_report.verdict());
 }
 
 TEST(ReplayReport, JsonSerialization) {
@@ -149,6 +149,13 @@ TEST(ReplayReport, JsonSerialization) {
   EXPECT_FALSE(j["messages"].as_array().empty());
   // round-trips through the JSON layer
   EXPECT_TRUE(util::Json::parse(j.dump()).take() == j);
+  // The verdict's JSON is the report's minus the telemetry.
+  util::Json verdict = j;
+  for (const char* key : {"elapsed_seconds", "pairs_skipped_from_journal", "explorer"}) {
+    EXPECT_TRUE(verdict.contains(key)) << key;
+    verdict.as_object().erase(key);
+  }
+  EXPECT_TRUE(verdict == report.verdict().to_json());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // End-to-end corpus integration through the fault explorer: warm reruns skip
 // already-proven (interleaving, plan) classes while reproducing the cold
-// run's ReplayReport byte-for-byte (at every parallelism),
+// run's verdict byte-for-byte (at every parallelism),
 // fingerprints namespace incompatible configurations apart, and diff mode
 // surfaces exactly the outcome flips an injected bug causes.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "corpus/store.hpp"
 #include "faults/explorer.hpp"
 #include "subjects/town.hpp"
+#include "support/verdict.hpp"
 
 namespace erpi::faults {
 namespace {
@@ -99,15 +100,6 @@ SweepResult run_sweep(const std::string& corpus_dir, int parallelism,
   return result;
 }
 
-/// The byte-identity form: elapsed time is wall-clock noise, so it is
-/// canonicalized before serializing — every semantic field of the report
-/// participates.
-std::string normalized(ReplayReport report) {
-  report.elapsed_seconds = 0.0;
-  report.sandbox = {};
-  return report.to_json().dump();
-}
-
 // ---------------------------------------------------------------------------
 // Reuse mode
 // ---------------------------------------------------------------------------
@@ -125,7 +117,7 @@ TEST(CorpusReuse, WarmRerunSkipsEverythingWithByteIdenticalReport) {
   for (const int parallelism : {1, 4}) {
     const std::string label = "p=" + std::to_string(parallelism);
     const SweepResult warm = run_sweep(dir, parallelism);
-    EXPECT_EQ(normalized(warm.report), normalized(cold.report)) << label;
+    EXPECT_EQ(warm.report.verdict(), cold.report.verdict()) << label;
     EXPECT_EQ(warm.stats.hits, cold.report.explored) << label;
     EXPECT_EQ(warm.stats.misses, 0u) << label;
     EXPECT_EQ(warm.stats.appended, 0u) << label;
@@ -141,7 +133,7 @@ TEST(CorpusReuse, StopOnViolationWarmRunMatchesCold) {
   ASSERT_TRUE(cold.report.reproduced);
   const SweepResult warm =
       run_sweep(dir, 4, core::CorpusMode::Reuse, false, 0, /*stop=*/true);
-  EXPECT_EQ(normalized(warm.report), normalized(cold.report));
+  EXPECT_EQ(warm.report.verdict(), cold.report.verdict());
   // A stopped run commits exactly first_violation_index pairs; the warm run
   // resolves all of them from the corpus.
   EXPECT_EQ(warm.stats.hits, cold.report.explored);

@@ -2,7 +2,7 @@
 // shape, torn-tail and out-of-order truncation, the staged create, a damage
 // matrix, linear write volume — and the headline robustness property: a run
 // resumed from a damaged journal (the on-disk state a SIGKILL leaves behind)
-// reproduces the uninterrupted run's report, skipping the journaled pairs.
+// reproduces the uninterrupted run's verdict, skipping the journaled pairs.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -21,6 +21,7 @@
 #include "core/session.hpp"
 #include "faults/explorer.hpp"
 #include "subjects/town.hpp"
+#include "support/verdict.hpp"
 
 namespace erpi::faults {
 namespace {
@@ -252,23 +253,6 @@ ReplayReport run_journaled(const std::string& journal_path, int parallelism,
       [](proxy::Rdl&) -> core::AssertionList { return {core::replicas_converge({0, 1})}; });
 }
 
-void expect_same_report(const ReplayReport& resumed, const ReplayReport& full,
-                         const std::string& label) {
-  EXPECT_EQ(resumed.explored, full.explored) << label;
-  EXPECT_EQ(resumed.violations, full.violations) << label;
-  EXPECT_EQ(resumed.reproduced, full.reproduced) << label;
-  EXPECT_EQ(resumed.first_violation_index, full.first_violation_index) << label;
-  EXPECT_EQ(resumed.first_violation_plan, full.first_violation_plan) << label;
-  EXPECT_EQ(resumed.first_violation_plan_interleaving,
-            full.first_violation_plan_interleaving)
-      << label;
-  EXPECT_EQ(resumed.plans_explored, full.plans_explored) << label;
-  EXPECT_EQ(resumed.quarantined, full.quarantined) << label;
-  EXPECT_EQ(resumed.messages, full.messages) << label;
-  EXPECT_EQ(resumed.exhausted, full.exhausted) << label;
-  EXPECT_EQ(resumed.hit_cap, full.hit_cap) << label;
-}
-
 TEST(RunJournal, ResumeFromTruncatedJournalReproducesUninterruptedReport) {
   const std::string path = tmp_journal("resume");
   const ReplayReport full = run_journaled(path, 4);
@@ -286,7 +270,7 @@ TEST(RunJournal, ResumeFromTruncatedJournalReproducesUninterruptedReport) {
     std::vector<std::string> prefix(lines.begin(), lines.begin() + 1 + keep);
     write_lines(path, prefix);
     const ReplayReport resumed = run_journaled(path, 4);
-    expect_same_report(resumed, full, "keep=" + std::to_string(keep));
+    EXPECT_EQ(resumed.verdict(), full.verdict()) << "keep=" << keep;
     EXPECT_EQ(resumed.pairs_skipped_from_journal, keep) << "keep=" << keep;
   }
 }
@@ -300,7 +284,7 @@ TEST(RunJournal, ResumeIsParallelismIndependent) {
   std::vector<std::string> prefix(lines.begin(), lines.begin() + 1 + 9);
   write_lines(path, prefix);
   const ReplayReport resumed = run_journaled(path, 8);
-  expect_same_report(resumed, full, "p=1 -> p=8");
+  EXPECT_EQ(resumed.verdict(), full.verdict());
   EXPECT_EQ(resumed.pairs_skipped_from_journal, 9u);
 }
 
@@ -445,7 +429,7 @@ TEST(RunJournal, DamageMatrix) {
     }
     if (!damage.resume) continue;
     const ReplayReport resumed = run_journaled(path, 2);
-    expect_same_report(resumed, full, damage.name);
+    EXPECT_EQ(resumed.verdict(), full.verdict());
     EXPECT_EQ(resumed.pairs_skipped_from_journal, damage.skipped);
     EXPECT_EQ(read_file(path), complete);
   }
@@ -521,7 +505,7 @@ TEST(RunJournal, WritesEveryRecordOnce) {
               lines[1 + keep].substr(0, 9));
   StreamIo resumed_io;
   const ReplayReport resumed = run_journaled(path, 2, 0, {}, counting(resumed_io));
-  expect_same_report(resumed, full, "resumed");
+  EXPECT_EQ(resumed.verdict(), full.verdict());
   EXPECT_EQ(resumed.pairs_skipped_from_journal, keep);
   EXPECT_EQ(resumed_io.opens, 2u);
   EXPECT_LE(resumed_io.bytes * 10, std::filesystem::file_size(path) * 11);

@@ -15,6 +15,7 @@
 #include "sched/explorer.hpp"
 #include "sched/queue.hpp"
 #include "subjects/town.hpp"
+#include "support/verdict.hpp"
 
 namespace erpi::sched {
 namespace {
@@ -90,19 +91,7 @@ TEST(ParallelExplorer, IdenticalReportsAtParallelism148) {
 
   for (const int parallelism : {4, 8}) {
     const ReplayReport parallel = run_stress(parallelism);
-    EXPECT_EQ(parallel.explored, sequential.explored) << "p=" << parallelism;
-    EXPECT_EQ(parallel.violations, sequential.violations) << "p=" << parallelism;
-    EXPECT_EQ(parallel.reproduced, sequential.reproduced) << "p=" << parallelism;
-    EXPECT_EQ(parallel.first_violation_index, sequential.first_violation_index)
-        << "p=" << parallelism;
-    EXPECT_EQ(parallel.first_violation_assertion, sequential.first_violation_assertion)
-        << "p=" << parallelism;
-    ASSERT_TRUE(parallel.first_violation.has_value());
-    EXPECT_EQ(parallel.first_violation->key(), sequential.first_violation->key())
-        << "p=" << parallelism;
-    EXPECT_EQ(parallel.messages, sequential.messages) << "p=" << parallelism;
-    EXPECT_EQ(parallel.exhausted, sequential.exhausted) << "p=" << parallelism;
-    EXPECT_EQ(parallel.hit_cap, sequential.hit_cap) << "p=" << parallelism;
+    EXPECT_EQ(parallel.verdict(), sequential.verdict()) << "p=" << parallelism;
   }
 }
 
@@ -116,10 +105,7 @@ TEST(ParallelExplorer, IdenticalReportsUnderSeededShuffledOrder) {
   const ReplayReport sequential = run_stress(1, seeded_config(1));
   for (const int parallelism : {4, 8}) {
     const ReplayReport parallel = run_stress(parallelism, seeded_config(parallelism));
-    EXPECT_EQ(parallel.explored, sequential.explored) << "p=" << parallelism;
-    EXPECT_EQ(parallel.violations, sequential.violations) << "p=" << parallelism;
-    EXPECT_EQ(parallel.first_violation_index, sequential.first_violation_index)
-        << "p=" << parallelism;
+    EXPECT_EQ(parallel.verdict(), sequential.verdict()) << "p=" << parallelism;
   }
 }
 
@@ -134,11 +120,7 @@ TEST(ParallelExplorer, StopOnViolationReportsLowestIndexViolation) {
       return run_stress(1, std::move(c));
     }();
     ASSERT_TRUE(report.reproduced) << "p=" << parallelism;
-    EXPECT_EQ(report.first_violation_index, baseline.first_violation_index)
-        << "p=" << parallelism;
-    EXPECT_EQ(report.explored, baseline.explored) << "p=" << parallelism;
-    EXPECT_EQ(report.first_violation->key(), baseline.first_violation->key())
-        << "p=" << parallelism;
+    EXPECT_EQ(report.verdict(), baseline.verdict()) << "p=" << parallelism;
     EXPECT_FALSE(report.exhausted) << "p=" << parallelism;
   }
 }
@@ -207,12 +189,7 @@ TEST(ParallelExplorer, SharedBudgetCrashesDeterministically) {
   ASSERT_TRUE(sequential.budget_exhausted);
   for (const int parallelism : {4, 8}) {
     const ReplayReport parallel = budgeted(parallelism);
-    EXPECT_TRUE(parallel.crashed) << "p=" << parallelism;
-    EXPECT_TRUE(parallel.budget_exhausted) << "p=" << parallelism;
-    EXPECT_EQ(parallel.explored, sequential.explored) << "p=" << parallelism;
-    EXPECT_EQ(parallel.violations, sequential.violations) << "p=" << parallelism;
-    EXPECT_EQ(parallel.first_violation_index, sequential.first_violation_index)
-        << "p=" << parallelism;
+    EXPECT_EQ(parallel.verdict(), sequential.verdict()) << "p=" << parallelism;
   }
 }
 
@@ -242,9 +219,7 @@ TEST(ParallelExplorer, ThreadedLockModeValidatesUnderParallelOuterLoop) {
   };
   const ReplayReport sequential = run_stress(1, threaded_config(1));
   const ReplayReport parallel = run_stress(4, threaded_config(4));
-  EXPECT_EQ(parallel.explored, sequential.explored);
-  EXPECT_EQ(parallel.violations, sequential.violations);
-  EXPECT_EQ(parallel.first_violation_index, sequential.first_violation_index);
+  EXPECT_EQ(parallel.verdict(), sequential.verdict());
 }
 
 // ---------------------------------------------------------------------------
@@ -326,18 +301,19 @@ core::AssertionFactory planted_tail_block() {
   };
 }
 
-/// One run's report with the wall clock zeroed. `borrowed` replays through
-/// end(AssertionList) on the session's own fixture.
-std::string parity_report(Session::Config config, bool borrowed) {
+/// One run's verdict. `borrowed` replays through end(AssertionList) on the
+/// session's own fixture. Every run here is crash-free, so a sandboxed one
+/// must leave the sandbox counters at zero.
+core::RunVerdict parity_verdict(Session::Config config, bool borrowed) {
   subjects::TownApp town(2);
   proxy::RdlProxy proxy(town);
   Session session(proxy, std::move(config));
   session.start();
   stress_workload(proxy);
-  ReplayReport report = borrowed ? session.end(planted_tail_block()(town))
-                                 : session.end(planted_tail_block());
-  report.elapsed_seconds = 0;
-  return report.to_json().dump();
+  const ReplayReport report = borrowed ? session.end(planted_tail_block()(town))
+                                       : session.end(planted_tail_block());
+  EXPECT_FALSE(report.sandbox.any());
+  return report.verdict();
 }
 
 TEST(ExplorationParity, ReportDependsOnlyOnWorkloadAndConfig) {
@@ -363,26 +339,25 @@ TEST(ExplorationParity, ReportDependsOnlyOnWorkloadAndConfig) {
         const std::string cell = std::string(core::search_strategy_name(strategy)) +
                                  (stop_on_violation ? " stop" : " sweep") +
                                  (budget == UINT64_MAX ? "" : " budget");
-        const std::string reference = parity_report(config_for(1), /*borrowed=*/true);
-        EXPECT_EQ(parity_report(config_for(1), false), reference) << cell << " p=1 factory";
+        const core::RunVerdict reference = parity_verdict(config_for(1), /*borrowed=*/true);
+        EXPECT_EQ(parity_verdict(config_for(1), false), reference) << cell << " p=1 factory";
         for (const int parallelism : {2, 4}) {
-          EXPECT_EQ(parity_report(config_for(parallelism), false), reference)
+          EXPECT_EQ(parity_verdict(config_for(parallelism), false), reference)
               << cell << " p=" << parallelism;
         }
         if (strategy == core::SearchStrategy::LexOrder && budget == UINT64_MAX) {
           for (const int parallelism : {1, 2}) {
             Session::Config sandboxed = config_for(parallelism);
             sandboxed.isolation = core::Isolation::Process;
-            EXPECT_EQ(parity_report(std::move(sandboxed), false), reference)
+            EXPECT_EQ(parity_verdict(std::move(sandboxed), false), reference)
                 << cell << " process p=" << parallelism;
           }
         }
         // The matrix exercises what it claims: every sweep finds the planted
         // block, and the budget cuts every full sweep short.
-        const auto parsed = util::Json::parse(reference).take();
-        EXPECT_TRUE(parsed["reproduced"].as_bool()) << cell;
+        EXPECT_TRUE(reference.reproduced) << cell;
         if (budget != UINT64_MAX && !stop_on_violation) {
-          EXPECT_TRUE(parsed["crashed"].as_bool()) << cell;
+          EXPECT_TRUE(reference.crashed) << cell;
         }
       }
     }

@@ -274,7 +274,7 @@ SERVICE_TEST(RunsJobStreamsProgressAndReport) {
   const util::Json& report = (*final_frame)["report"];
   EXPECT_GT(report["explored"].as_int(), 0);
   EXPECT_FALSE(progress.empty());
-  // stable_report_json: the streamed report must not carry wall-clock noise.
+  // The streamed report is the run's verdict: no wall-clock noise.
   EXPECT_FALSE(report.contains("elapsed_seconds"));
 
   const auto stats = daemon.daemon->stats();

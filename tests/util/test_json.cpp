@@ -142,12 +142,6 @@ INSTANTIATE_TEST_SUITE_P(
                       R"({"k":"v"})", R"({"a":[1,2,3],"b":{"c":null}})",
                       R"([{"deep":{"er":[true,false,null,0.5]}}])"));
 
-TEST(JsonPretty, IndentsNestedValues) {
-  auto j = Json::parse(R"({"a":[1],"b":{}})").take();
-  const std::string pretty = j.pretty(2);
-  EXPECT_NE(pretty.find("\n  \"a\": [\n    1\n  ]"), std::string::npos);
-}
-
 TEST(JsonDump, ControlCharactersEscaped) {
   Json j(std::string("\x01 bell\x07"));
   EXPECT_EQ(j.dump(), "\"\\u0001 bell\\u0007\"");
@@ -280,13 +274,6 @@ TEST(JsonWriter, TextMatchesDump) {
     std::string streamed;
     JsonWriter::text(streamed).value(c.tree);
     EXPECT_EQ(streamed, dumped);
-
-    for (const int indent : {1, 2, 4}) {
-      std::string pretty;
-      auto to_pretty = JsonWriter::text(pretty, indent);
-      emit(c.tree, to_pretty);
-      EXPECT_EQ(pretty, c.tree.pretty(indent)) << "indent " << indent;
-    }
 
     auto to_fnv = JsonWriter::fnv();
     emit(c.tree, to_fnv);
