@@ -2,7 +2,8 @@
 // demonstrates the constraints-directory workflow of paper §5.2 — while the
 // replay is running, a JSON file dropped into the watched directory adds
 // Event-Independence constraints that ER-pi picks up between interleavings
-// and folds into its pruning pipeline.
+// and folds into its pruning pipeline. Storage scenarios run as fault sweeps,
+// which take no constraints directory.
 //
 // Usage: bug_hunt [bug-name]     (default: OrbitDB-5; see bench_table1 for names)
 #include <cstdio>
@@ -29,7 +30,8 @@ int main(int argc, char** argv) {
   proxy::RdlProxy proxy(*subject);
 
   core::Session::Config config;
-  config.constraints_dir = dir.string();
+  const bool watched = !bug.storage_catalog;
+  if (watched) config.constraints_dir = dir.string();
   config.replay.max_interleavings = 10'000;
   if (bug.configure) bug.configure(config);
   // strip statically configured constraints — this example supplies them at
@@ -37,8 +39,9 @@ int main(int argc, char** argv) {
   config.independence.clear();
 
   bool constraints_dropped = false;
-  config.replay.on_interleaving_done = [&](uint64_t index, const core::Interleaving&) {
-    if (index == 3 && !constraints_dropped) {
+  config.replay.on_outcome = [&](uint64_t index, const core::Interleaving&,
+                                 const core::InterleavingOutcome&) {
+    if (index == 3 && watched && !constraints_dropped) {
       constraints_dropped = true;
       std::ofstream file(dir / "independence.json");
       file << "{\n"

@@ -299,18 +299,16 @@ struct ReplayOptions {
   bool threaded = false;
   /// Simulated memory budget in bytes; exceeding it aborts the run with
   /// crashed=true (Fig. 10). Counts the explored-interleaving log plus the
-  /// dedup caches reported by `extra_cache_bytes`. Both depend only on the
-  /// stream pulled so far, so the crash point is the same at any
-  /// parallelism. Ignored when `budget` is injected below.
+  /// live enumerator's dedup caches (sched::ExplorerOptions::
+  /// extra_cache_bytes). Both depend only on the stream pulled so far, so the
+  /// crash point is the same at any parallelism. Ignored when `budget` is
+  /// injected below.
   uint64_t resource_budget_bytes = UINT64_MAX;
   /// Shared budget ledger. When null the engine keeps a private account
   /// seeded from `resource_budget_bytes`; inject one to share accounting
   /// across engines (sched::ParallelExplorer charges every worker against a
   /// single account, atomically, crash-once).
   BudgetAccount* budget = nullptr;
-  /// Extra memory to charge against the budget (e.g. the Random enumerator's
-  /// dedup cache, the pruning pipeline's canonical-form set).
-  std::function<uint64_t()> extra_cache_bytes;
   /// Per-engine replay observer (fault-schedule hooks). Invoked once in the
   /// engine constructor with the engine's subject; the returned observer then
   /// receives on_replay_begin/before_event for every interleaving this engine
@@ -339,41 +337,25 @@ struct ReplayOptions {
   /// inside subject code (unreachable by the cooperative flag) is reclaimed
   /// instead of leaking a hung thread.
   uint64_t watchdog_timeout_ms = 0;
-  /// Crash isolation (DESIGN.md §9). Process mode is driven through
-  /// sched::ParallelExplorer: each worker owns a fork-server sandbox child
-  /// and ships work items to it over a pipe-based protocol instead of
-  /// replaying on its own thread. Session::Config::isolation plumbs through
-  /// here.
-  Isolation isolation = Isolation::None;
-  /// Process mode only: RLIMIT_AS cap installed in every sandbox child, in
-  /// bytes (0 = unlimited). An allocation pushed over the cap surfaces as a
-  /// structured `oom` outcome instead of taking the exploration down.
+  /// Process isolation only (Session::Config::isolation): RLIMIT_AS cap
+  /// installed in every sandbox child, in bytes (0 = unlimited). An
+  /// allocation pushed over the cap surfaces as a structured `oom` outcome
+  /// instead of taking the exploration down.
   uint64_t sandbox_memory_limit_bytes = 0;
-  /// Process mode only: how many consecutive runner-spawn failures (fork
-  /// EAGAIN, ready-handshake timeout, fixture-build error) the supervisor
-  /// absorbs — backing off exponentially between attempts — before giving up
-  /// on the sandbox. Each failed attempt bumps SandboxStats::respawn_failures.
-  int sandbox_spawn_max_retries = 4;
-  /// First backoff sleep after a failed spawn attempt, doubled per
-  /// consecutive failure and capped at sandbox_spawn_backoff_cap_ms.
-  uint64_t sandbox_spawn_backoff_ms = 10;
-  uint64_t sandbox_spawn_backoff_cap_ms = 1000;
   /// Cooperative cancellation token. When set and flipped true, dispatch
   /// stops pulling new interleavings (the explorer checks it before each
-  /// pull, the fault explorer additionally between plans) and the run
+  /// pull, a Session run additionally between plans) and the run
   /// drains to a deterministic committed prefix with ReplayReport::cancelled
   /// set. The service daemon flips it when a job's client disconnects
   /// mid-stream or its deadline expires; unlike the budget crash latch it
   /// carries no "crashed" connotation.
   std::shared_ptr<std::atomic<bool>> cancel;
-  /// Per-interleaving outcome tap: index, interleaving, and everything the
-  /// replay observed (violations, timed_out). Same threading contract as
-  /// on_interleaving_done — serialized, ascending index order — and delivered
-  /// immediately before it. The faults:: layer journals from this hook.
-  std::function<void(uint64_t, const Interleaving&, const InterleavingOutcome&)> on_outcome;
-  /// Invoked after each interleaving with its 1-based index and the
-  /// interleaving itself (the Session uses this to poll the constraints
-  /// directory and to persist replayed interleavings).
+  /// Invoked once per committed pair with the run's 1-based pair index (the
+  /// explored count so far, across every plan of a fault sweep), the
+  /// interleaving and everything its replay observed — replayed, corpus hit
+  /// and journaled pairs alike. A Session run delivers it last in its commit
+  /// hook, after the journal append, the corpus offer, the Datalog persist
+  /// and the constraint poll.
   ///
   /// Threading contract: sched::ParallelExplorer invokes the callback on the
   /// calling thread, strictly serialized, in ascending index order, never
@@ -381,7 +363,7 @@ struct ReplayOptions {
   /// enumerator lock — so the callback may mutate the enumerator / pruning
   /// pipeline without additional locking. The callback must not re-enter the
   /// engine or the explorer.
-  std::function<void(uint64_t, const Interleaving&)> on_interleaving_done;
+  std::function<void(uint64_t, const Interleaving&, const InterleavingOutcome&)> on_outcome;
 };
 
 /// The verdict of a run (paper §4.3–4.4): what replaying the surviving
@@ -468,8 +450,8 @@ struct RunVerdict {
 /// sandbox and explorer counters, which depend on scheduling. No comparison
 /// of two runs looks at the telemetry; compare verdict()s.
 struct ReplayReport : RunVerdict {
-  /// Pairs a resumed fault sweep merged from its run journal instead of
-  /// replaying (see faults::FaultExplorer).
+  /// Pairs a resumed run merged from its run journal instead of replaying
+  /// (Session::Config::resume_journal).
   uint64_t pairs_skipped_from_journal = 0;
   /// Fork-server anomaly counters, merged across sandbox workers. All-zero
   /// (and omitted from to_json) outside Isolation::Process and on crash-free
@@ -561,9 +543,9 @@ struct PlanTag {
 };
 
 /// Fold one committed outcome into the run's verdict: the single aggregation
-/// every run shares (the explorer's inline loop and committer, and the fault
-/// explorer's live and journal-merged pairs), so all report shapes agree at
-/// any parallelism. Counts the pair, quarantines watchdog timeouts and
+/// every run shares (sched::ParallelExplorer's commit, for replayed, corpus
+/// hit and journaled pairs alike), so all report shapes agree at any
+/// parallelism. Counts the pair, quarantines watchdog timeouts and
 /// deterministic sandbox crashes/ooms by key, counts recovery verdicts and
 /// records violations, latching the first one. With a plan, quarantine keys
 /// read "plan/il", messages "[plan p] ...", and the first violation also
@@ -585,8 +567,8 @@ class ReplayEngine {
   /// touching any run-level state. This is the building block the explorer
   /// drives — each worker owns its own engine, proxy and subject, so
   /// concurrent replay_one calls never share mutable subject state. Does not
-  /// call Assertion::on_run_start and does not deliver on_interleaving_done;
-  /// callers own that protocol.
+  /// call Assertion::on_run_start and does not deliver on_outcome; callers
+  /// own that protocol.
   InterleavingOutcome replay_one(const Interleaving& il, const EventSet& events,
                                  const AssertionList& assertions);
 

@@ -1,12 +1,24 @@
 #include "core/session.hpp"
 
+#include <map>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_set>
 
+#include "corpus/footprints.hpp"
 #include "sched/explorer.hpp"
 #include "util/log.hpp"
+#include "util/stopwatch.hpp"
 
 namespace erpi::core {
+
+namespace {
+
+/// The plan key the journal and the corpus file end()'s untagged pairs
+/// under: they replay under no fault, like a fault sweep's baseline.
+constexpr const char* kNoPlan = "none";
+
+}  // namespace
 
 const char* exploration_mode_name(ExplorationMode mode) noexcept {
   switch (mode) {
@@ -23,6 +35,41 @@ const char* corpus_mode_name(CorpusMode mode) noexcept {
     case CorpusMode::Diff: return "diff";
   }
   return "?";
+}
+
+uint64_t run_fingerprint(const Session& session, const ReplayOptions& replay,
+                         FingerprintPurpose purpose,
+                         const std::function<void(util::Fnv1aHasher&)>& hash_catalog) {
+  util::Fnv1aHasher hasher;
+  const auto& config = session.config();
+  hasher.bytes(exploration_mode_name(config.mode));
+  hasher.u64(static_cast<uint64_t>(config.generation_order));
+  hasher.u64(config.random_seed);
+  hasher.u64(config.dfs_branch_seed);
+  hasher.u64(replay.max_interleavings);
+  hasher.u64(replay.stop_on_violation ? 1 : 0);
+  hasher.u64(replay.threaded ? 1 : 0);
+  for (const auto& event : session.events()) hasher.bytes(event.to_json().dump());
+  for (const auto& unit : session.units()) {
+    for (const int id : unit.events) hasher.i64(id);
+    hasher.bytes("/");
+  }
+  if (hash_catalog) {
+    hash_catalog(hasher);
+  } else {
+    hasher.bytes("plain-run");
+  }
+  // Dynamic pruning reshapes which interleavings are generated at all, so
+  // both namespaces hash its options; the journal additionally pins the
+  // learned relation itself — a resumed run must regenerate the exact same
+  // stream to merge the journaled prefix soundly.
+  hasher.u64(config.dynamic_pruning.enabled ? 1 : 0);
+  hasher.u64(config.dynamic_pruning.paranoid ? 1 : 0);
+  hasher.u64(config.dynamic_pruning.footprint_schema);
+  if (purpose == FingerprintPurpose::Journal && session.dpor_learner() != nullptr) {
+    hasher.u64(session.dpor_learner()->relation_digest());
+  }
+  return hasher.digest();
 }
 
 Session::Session(proxy::RdlProxy& proxy, Config config)
@@ -63,32 +110,32 @@ PruningPipeline Session::build_pipeline() const {
   return pipeline;
 }
 
-std::unique_ptr<Enumerator> Session::make_enumerator() {
+void Session::check_generation_tree() const {
   // The dynamic oracle cuts subtrees of a generation tree. Shuffled and Rand
   // sample orders without one, so a DPOR run there would prime, record and
   // salt fingerprints for cuts that never happen.
-  if (config_.dynamic_pruning.enabled) {
-    const char* treeless =
-        config_.mode == ExplorationMode::Rand ? "mode Rand"
-        : config_.mode == ExplorationMode::ErPi &&
-                config_.generation_order != GroupedEnumerator::Order::Lexicographic
-            ? "mode ErPi with Shuffled order"
-            : nullptr;
-    if (treeless != nullptr) {
-      throw std::invalid_argument(std::string("dynamic pruning needs a generation tree: ") +
-                                  treeless +
-                                  " has none (use mode Dfs, or ErPi with Lexicographic order)");
-    }
+  if (!config_.dynamic_pruning.enabled) return;
+  const char* treeless =
+      config_.mode == ExplorationMode::Rand ? "mode Rand"
+      : config_.mode == ExplorationMode::ErPi &&
+              config_.generation_order != GroupedEnumerator::Order::Lexicographic
+          ? "mode ErPi with Shuffled order"
+          : nullptr;
+  if (treeless != nullptr) {
+    throw std::invalid_argument(std::string("dynamic pruning needs a generation tree: ") +
+                                treeless +
+                                " has none (use mode Dfs, or ErPi with Lexicographic order)");
   }
+}
+
+std::unique_ptr<Enumerator> Session::make_enumerator() {
+  check_generation_tree();
   prepare_dynamic_pruning();
   switch (config_.mode) {
     case ExplorationMode::ErPi: {
       auto inner = std::make_unique<GroupedEnumerator>(units_, config_.generation_order,
                                                        config_.random_seed);
-      auto pruned =
-          std::make_unique<PrunedEnumerator>(std::move(inner), build_pipeline());
-      pruned->set_generation_pruning(config_.generation_pruning);
-      return pruned;
+      return std::make_unique<PrunedEnumerator>(std::move(inner), build_pipeline());
     }
     case ExplorationMode::Dfs: {
       std::vector<int> ids(events_.size());
@@ -102,9 +149,7 @@ std::unique_ptr<Enumerator> Session::make_enumerator() {
           [learner = dpor_learner_](const OracleDomain& domain) {
             return make_dpor_oracle(domain, learner);
           });
-      auto pruned = std::make_unique<PrunedEnumerator>(std::move(dfs), std::move(pipeline));
-      pruned->set_generation_pruning(config_.generation_pruning);
-      return pruned;
+      return std::make_unique<PrunedEnumerator>(std::move(dfs), std::move(pipeline));
     }
     case ExplorationMode::Rand: {
       std::vector<int> ids(events_.size());
@@ -136,60 +181,6 @@ void Session::finish_capture() {
     store_.persist_events(events_);
     store_.persist_units(units_);
   }
-}
-
-Session::PreparedRun Session::prepare_run() {
-  finish_capture();
-
-  PreparedRun prepared;
-  prepared.enumerator = make_enumerator();
-  prepared.pruned = dynamic_cast<PrunedEnumerator*>(prepared.enumerator.get());
-  active_pruned_ = prepared.pruned;
-
-  // State 3-4: replay one by one; between interleavings, poll the
-  // constraints directory and extend the pruning pipeline dynamically.
-  // (In parallel mode this callback runs serialized on the explorer's
-  // control thread while holding the enumerator lock — see ReplayOptions.)
-  prepared.replay = config_.replay;
-  if (dpor_learner_ != nullptr && prepared.replay.footprint_learner == nullptr) {
-    // Keep observing during enumeration: late widenings are telemetry for
-    // this run and training data for the next one (corpus export).
-    prepared.replay.footprint_learner = dpor_learner_;
-  }
-  if (config_.isolation != Isolation::None) {
-    prepared.replay.isolation = config_.isolation;
-  }
-  auto user_hook = prepared.replay.on_interleaving_done;
-  auto* pruned = prepared.pruned;
-  prepared.replay.on_interleaving_done = [this, pruned, user_hook](uint64_t index,
-                                                                   const Interleaving& il) {
-    if (config_.persist) store_.persist(il);
-    if (pruned != nullptr && !config_.constraints_dir.empty()) {
-      Constraints fresh = watcher_.poll();
-      if (!fresh.empty()) {
-        ERPI_INFO("session") << "applying runtime constraints after interleaving " << index;
-        for (const auto& spec : fresh.independence) {
-          pruned->pipeline().add(std::make_unique<IndependencePruner>(spec));
-        }
-        for (const auto& spec : fresh.failed_ops) {
-          pruned->pipeline().add(std::make_unique<FailedOpsPruner>(spec));
-        }
-      }
-    }
-    if (user_hook) user_hook(index, il);
-  };
-  if (!prepared.replay.extra_cache_bytes) {
-    if (pruned != nullptr) {
-      prepared.replay.extra_cache_bytes = [pruned] {
-        return pruned->pipeline().cache_bytes();
-      };
-    } else if (auto* random = dynamic_cast<RandomEnumerator*>(prepared.enumerator.get());
-               random != nullptr) {
-      // Rand's dedup cache is its dominant memory cost (Fig. 10).
-      prepared.replay.extra_cache_bytes = [random] { return random->cache_bytes(); };
-    }
-  }
-  return prepared;
 }
 
 void Session::prepare_dynamic_pruning(
@@ -225,64 +216,307 @@ void Session::prepare_dynamic_pruning(
   }
 }
 
-void Session::finish_run(const PreparedRun& prepared) {
-  if (prepared.pruned != nullptr) last_stats_ = prepared.pruned->pipeline().stats();
-  active_pruned_ = nullptr;
-}
-
-bool Session::sandboxed() const noexcept {
-  return config_.isolation == Isolation::Process ||
-         config_.replay.isolation == Isolation::Process;
-}
-
-ReplayReport Session::end(const AssertionList& assertions) {
-  if (config_.parallelism > 1) {
-    throw std::invalid_argument(
-        "parallelism > 1 needs end(AssertionFactory) so each worker owns its "
-        "assertion state");
-  }
-  if (sandboxed()) {
-    throw std::invalid_argument(
-        "process isolation needs end(AssertionFactory) and a subject factory: "
-        "the sandbox children rebuild the fixture and its assertions from the "
-        "factories");
-  }
-  return explore({}, &assertions);
-}
+ReplayReport Session::end(const AssertionList& assertions) { return drive({}, {}, &assertions); }
 
 ReplayReport Session::end_with_factory(const AssertionFactory& assertion_factory) {
-  if (config_.subject_factory) return explore(assertion_factory, nullptr);
-  if (config_.parallelism > 1 || sandboxed()) {
-    throw std::invalid_argument(
-        "parallel exploration requires a subject factory "
-        "(Session::start(factory) or Config::subject_factory)");
-  }
-  // No factory to build a worker from: replay on the session's own fixture.
-  AssertionList assertions;
-  if (assertion_factory) assertions = assertion_factory(proxy_->target());
-  return explore({}, &assertions);
+  return drive({}, assertion_factory, nullptr);
 }
 
-ReplayReport Session::explore(const AssertionFactory& assertion_factory,
-                              const AssertionList* borrowed) {
-  PreparedRun prepared = prepare_run();
-  sched::ExplorerOptions options;
-  options.parallelism = config_.parallelism;
-  options.replay = prepared.replay;
-  options.subject_factory = config_.subject_factory;
-  options.assertion_factory = assertion_factory;
-  options.search = config_.search;
-  if (!config_.violation_priors.empty()) {
-    options.violation_priors = std::make_shared<const std::vector<Interleaving>>(
-        config_.violation_priors);
+void Session::check_run(bool fault_sweep, bool borrowed) const {
+  const bool sandboxed = config_.isolation == Isolation::Process;
+  if (borrowed) {
+    if (config_.parallelism > 1) {
+      throw std::invalid_argument(
+          "parallelism > 1 needs end(AssertionFactory) so each worker owns its "
+          "assertion state");
+    }
+    if (sandboxed) {
+      throw std::invalid_argument(
+          "process isolation needs end(AssertionFactory) and a subject factory: "
+          "the sandbox children rebuild the fixture and its assertions from the "
+          "factories");
+    }
+  } else if (!config_.subject_factory && (fault_sweep || config_.parallelism > 1 || sandboxed)) {
+    throw std::invalid_argument(
+        std::string(fault_sweep ? "fault-schedule" : "parallel") +
+        " exploration requires a subject factory "
+        "(Session::start(factory) or Config::subject_factory)");
   }
-  sched::ParallelExplorer explorer(std::move(options));
-  ReplayReport report =
-      borrowed != nullptr
-          ? explorer.run(*prepared.enumerator, events_, *proxy_, *borrowed)
-          : explorer.run(*prepared.enumerator, events_);
-  worker_assertions_ = explorer.worker_assertions();
-  finish_run(prepared);
+  if ((borrowed || !config_.subject_factory) && config_.replay.watchdog_timeout_ms > 0) {
+    throw std::invalid_argument(
+        "the replay watchdog needs a subject factory: a timed-out replay abandons "
+        "its fixture, and a borrowed fixture cannot be rebuilt");
+  }
+  check_generation_tree();
+  if (config_.search.strategy != SearchStrategy::LexOrder && !config_.resume_journal.empty()) {
+    throw std::invalid_argument(
+        "guided search cannot resume from a journal: journaled records are "
+        "served in the enumerator's stream order, which a searcher reorders");
+  }
+  if (fault_sweep && (config_.persist || !config_.constraints_dir.empty())) {
+    throw std::invalid_argument(
+        "fault sweeps take neither persist nor constraints_dir: persisting every "
+        "pair would multiply the store by the catalog size, and a polled "
+        "constraint would reach only the live plan's pipeline");
+  }
+}
+
+ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& assertion_factory,
+                            const AssertionList* borrowed) {
+  const bool fault_sweep = static_cast<bool>(sweep.segments);
+  check_run(fault_sweep, borrowed != nullptr);
+  // end(AssertionFactory) without a subject factory replays on the session's
+  // own fixture, with the factory's assertions for it.
+  AssertionList own_assertions;
+  if (borrowed == nullptr && !config_.subject_factory) {
+    if (assertion_factory) own_assertions = assertion_factory(proxy_->target());
+    borrowed = &own_assertions;
+  }
+  finish_capture();
+  const std::vector<Segment> segments = fault_sweep ? sweep.segments() : std::vector<Segment>(1);
+  util::Stopwatch watch;
+  worker_assertions_.clear();
+
+  // ---- dynamic pruning: warm-start and prime before fingerprinting --------
+  // The journal fingerprint pins the learned relation, so the learner must
+  // reach its frozen-input state — footprint bank seed plus the priming
+  // replay — before fingerprints are computed.
+  std::optional<corpus::FootprintBank> footprint_bank;
+  uint64_t footprint_fp = 0;
+  if (config_.dynamic_pruning.enabled && !config_.corpus_path.empty()) {
+    footprint_bank.emplace(corpus::FootprintBank::load(config_.corpus_path));
+    footprint_fp = dpor_context_fingerprint(events_, config_.dynamic_pruning.footprint_schema);
+  }
+  prepare_dynamic_pruning([&](IndependenceLearner& learner) {  // no-op unless enabled
+    if (footprint_bank) footprint_bank->seed_learner(learner, footprint_fp);
+  });
+
+  // ---- crash-safe journal: resume what a killed run already explored ------
+  // Each plan's journaled outcomes: an ascending 1..m prefix of its sweep,
+  // because the committer journals in commit order.
+  std::map<std::string, std::vector<InterleavingOutcome>> journaled;
+  std::optional<RunJournal> journal;
+  if (!config_.resume_journal.empty()) {
+    const uint64_t fingerprint =
+        run_fingerprint(*this, config_.replay, FingerprintPurpose::Journal, sweep.hash_catalog);
+    std::vector<RunJournal::Record> prefix;
+    if (auto loaded = RunJournal::load(config_.resume_journal)) {
+      if (loaded->fingerprint == fingerprint) {
+        prefix = std::move(loaded->records);
+      } else {
+        ERPI_INFO("session") << "resume journal fingerprint mismatch, starting fresh: "
+                             << config_.resume_journal;
+      }
+    }
+    // The fresh journal starts with the resumed prefix, so a second kill
+    // resumes from at least this far.
+    journal = RunJournal::create(config_.resume_journal, fingerprint, prefix,
+                                 journal_stream_factory_);
+    for (auto& record : prefix) journaled[record.plan].push_back(std::move(record.outcome));
+  }
+
+  // ---- cross-run outcome corpus (DESIGN.md §11) ---------------------------
+  corpus_stats_ = {};
+  outcome_diff_ = {};
+  std::optional<corpus::Store> corpus;
+  uint64_t corpus_fp = 0;
+  if (!config_.corpus_path.empty()) {
+    corpus.emplace(corpus::Store::open(config_.corpus_path, {}, corpus_stream_factory_));
+    corpus->begin_run();
+    corpus_fp =
+        run_fingerprint(*this, config_.replay, FingerprintPurpose::Corpus, sweep.hash_catalog);
+  }
+  const bool reuse = corpus && config_.corpus_mode == CorpusMode::Reuse;
+
+  // ---- ranked-search inputs, shared across every segment ------------------
+  // ViolationFirst priors: explicit config priors plus every distinct
+  // violating interleaving the corpus has recorded under ANY fingerprint or
+  // plan — a violation's neighborhood transfers across configurations even
+  // when outcome reuse must not (the violation/4 relation's corpus-side view).
+  std::shared_ptr<const std::vector<Interleaving>> priors;
+  std::shared_ptr<sched::CoverageState> coverage;
+  if (config_.search.strategy != SearchStrategy::LexOrder) {
+    auto combined = std::make_shared<std::vector<Interleaving>>(config_.violation_priors);
+    if (corpus) {
+      std::unordered_set<std::string> seen;
+      for (const auto& prior : *combined) seen.insert(prior.key());
+      corpus->for_each_sorted([&](const corpus::Record& record) {
+        if (record.outcome.violations.empty()) return;
+        if (!seen.insert(record.il).second) return;
+        combined->push_back(Interleaving::from_key(record.il));
+      });
+    }
+    if (!combined->empty()) priors = std::move(combined);
+    // One CoverageState across every segment: later plans' searchers rank
+    // still-uncovered fault-plan × operation pairs first.
+    coverage = std::make_shared<sched::CoverageState>();
+  }
+
+  // Offer one committed outcome to the corpus — live replays, corpus hits and
+  // journaled pairs all pass through here (on the control threads, under the
+  // explorer's enumerator mutex while a segment runs). Reuse mode proves new
+  // classes; diff mode compares against the stored outcome and persists
+  // last-wins so the corpus tracks the current library behavior.
+  const auto offer_to_corpus = [&](const std::string& plan_key, const std::string& il_key,
+                                   const InterleavingOutcome& outcome) {
+    const corpus::Record* prior = corpus->lookup(corpus_fp, plan_key, il_key);
+    if (reuse) {
+      if (prior != nullptr) return;  // already proven (a cache hit lands here)
+      corpus->append({corpus_fp, plan_key, il_key, outcome});
+      ++corpus_stats_.appended;
+      return;
+    }
+    if (prior == nullptr) {
+      ++outcome_diff_.missing;
+      corpus->append({corpus_fp, plan_key, il_key, outcome});
+      return;
+    }
+    ++outcome_diff_.compared;
+    if (prior->outcome == outcome) {
+      ++outcome_diff_.unchanged;  // the lookup above refreshed its recency
+      return;
+    }
+    outcome_diff_.changed.push_back({plan_key, il_key, prior->outcome, outcome});
+    corpus->append({corpus_fp, plan_key, il_key, outcome});
+  };
+
+  // ---- the segments, in order ---------------------------------------------
+  ReplayReport report;
+  // One budget spans every segment, as if the sweep were one stream.
+  BudgetAccount local_budget(config_.replay.resource_budget_bytes);
+  BudgetAccount* budget = config_.replay.budget != nullptr ? config_.replay.budget : &local_budget;
+  uint64_t skipped = 0;
+  bool all_exhausted = true;
+  bool any_hit_cap = false;
+  for (const Segment& segment : segments) {
+    if (config_.replay.stop_on_violation && report.reproduced) break;
+    // Cooperative cancel between segments (the explorer checks the same
+    // token between interleavings).
+    if (config_.replay.cancel && config_.replay.cancel->load(std::memory_order_relaxed)) {
+      report.cancelled = true;
+      break;
+    }
+    if (!segment.plan.empty()) ++report.plans_explored;
+    const std::string plan_key = segment.plan.empty() ? kNoPlan : segment.plan;
+    // The journal fingerprint pins the stream and ranked runs reject a
+    // journal, so pull k of this segment's regenerated stream is its
+    // journaled record k.
+    const std::vector<InterleavingOutcome>& resumed = journaled[plan_key];
+    size_t served = 0;
+
+    std::unique_ptr<Enumerator> enumerator = make_enumerator();
+    auto* pruned = dynamic_cast<PrunedEnumerator*>(enumerator.get());
+    if (pruned != nullptr && !segment.dynamic_cuts) pruned->set_dynamic_pruning(false);
+
+    sched::ExplorerOptions options;
+    options.parallelism = config_.parallelism;
+    options.isolation = config_.isolation;
+    options.replay = config_.replay;
+    options.replay.budget = budget;
+    if (segment.observer_factory) options.replay.observer_factory = segment.observer_factory;
+    if (dpor_learner_ != nullptr) {
+      // Keep observing during enumeration: late widenings are telemetry for
+      // this run and training data for the next one (corpus export).
+      options.replay.footprint_learner = dpor_learner_;
+      options.replay.footprint_context = segment.footprint_context;
+    }
+    // The commit hook, after the explorer folded the pair into the report: a
+    // journaled pair is already on disk; every pair is offered to the
+    // corpus, persisted, polled for runtime constraints and handed to the
+    // caller, in that order.
+    options.replay.on_outcome = [&, pruned, base = report.explored](
+                                    uint64_t index, const Interleaving& il,
+                                    const InterleavingOutcome& outcome) {
+      const uint64_t ordinal = index - base;
+      const bool from_journal = ordinal <= resumed.size();
+      if (from_journal) ++skipped;
+      if (journal || corpus) {
+        std::string il_key;
+        il.append_key(il_key);
+        if (journal && !from_journal) journal->append({plan_key, ordinal, il_key, outcome});
+        if (corpus) offer_to_corpus(plan_key, il_key, outcome);
+      }
+      if (config_.persist) store_.persist(il);
+      if (pruned != nullptr && !config_.constraints_dir.empty()) {
+        Constraints fresh = watcher_.poll();
+        if (!fresh.empty()) {
+          ERPI_INFO("session") << "applying runtime constraints after interleaving " << index;
+          for (const auto& spec : fresh.independence) {
+            pruned->pipeline().add(std::make_unique<IndependencePruner>(spec));
+          }
+          for (const auto& spec : fresh.failed_ops) {
+            pruned->pipeline().add(std::make_unique<FailedOpsPruner>(spec));
+          }
+        }
+      }
+      if (config_.replay.on_outcome) config_.replay.on_outcome(index, il, outcome);
+    };
+    if (pruned != nullptr) {
+      options.extra_cache_bytes = [pruned] { return pruned->pipeline().cache_bytes(); };
+    } else if (auto* random = dynamic_cast<RandomEnumerator*>(enumerator.get())) {
+      // Rand's dedup cache is its dominant memory cost (Fig. 10).
+      options.extra_cache_bytes = [random] { return random->cache_bytes(); };
+    }
+    options.subject_factory = config_.subject_factory;
+    options.assertion_factory = assertion_factory;
+    options.search = config_.search;
+    options.violation_priors = priors;
+    options.coverage = coverage;
+    options.plan = segment.plan;
+    if (!resumed.empty() || reuse) {
+      // The source resolves journaled pairs first — a journaled crash is
+      // quarantined again without re-executing it — then already-proven
+      // classes straight from the corpus; misses replay normally and are
+      // appended via offer_to_corpus.
+      options.outcome_cache = [&](const Interleaving& il) -> std::optional<InterleavingOutcome> {
+        if (served < resumed.size()) return resumed[served++];
+        if (!reuse) return std::nullopt;
+        std::string il_key;
+        il.append_key(il_key);
+        if (const corpus::Record* record = corpus->lookup(corpus_fp, plan_key, il_key)) {
+          ++corpus_stats_.hits;
+          return record->outcome;
+        }
+        ++corpus_stats_.misses;
+        return std::nullopt;
+      };
+    }
+
+    sched::ParallelExplorer explorer(std::move(options));
+    report = borrowed != nullptr
+                 ? explorer.run(*enumerator, events_, *proxy_, *borrowed, std::move(report))
+                 : explorer.run(*enumerator, events_, std::move(report));
+    worker_assertions_.insert(worker_assertions_.end(), explorer.worker_assertions().begin(),
+                              explorer.worker_assertions().end());
+    if (pruned != nullptr) last_stats_ = pruned->pipeline().stats();
+    all_exhausted = all_exhausted && report.exhausted;
+    any_hit_cap = any_hit_cap || report.hit_cap;
+    if (report.crashed || report.cancelled) break;
+  }
+
+  // Fold this run's segments into the sorted index when they have piled up
+  // (persisting recency refreshes along the way); cheap runs skip the rewrite.
+  if (corpus) corpus->maybe_compact();
+  // Persist what this run learned about event footprints so the next run
+  // starts warm (and the kSyncTrustRuns gate can open).
+  if (footprint_bank && dpor_learner_ != nullptr &&
+      footprint_bank->absorb(*dpor_learner_, footprint_fp) &&
+      !footprint_bank->save(config_.corpus_path)) {
+    report.corpus_degraded = true;
+  }
+  // Mid-run write failures degrade instead of throwing: the run completed,
+  // the flags tell the caller that resume / reuse coverage is partial.
+  if (journal && journal->degraded()) report.journal_degraded = true;
+  if (corpus && corpus->degraded()) report.corpus_degraded = true;
+
+  // Terminal flags: the stream ran dry or hit its cap only if no segment
+  // stopped at a violation, crashed or was cancelled first.
+  const bool ran_out = !(config_.replay.stop_on_violation && report.reproduced) &&
+                       !report.crashed && !report.cancelled;
+  report.exhausted = ran_out && all_exhausted;
+  report.hit_cap = ran_out && any_hit_cap;
+  report.pairs_skipped_from_journal = skipped;
+  report.elapsed_seconds = watch.elapsed_seconds();
   return report;
 }
 

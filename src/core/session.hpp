@@ -13,12 +13,15 @@
 // files), persist to the Datalog store, replay every surviving interleaving,
 // and evaluate the test assertions after each one.
 //
-// Every run goes through sched::ParallelExplorer, the one exploration loop.
-// end(AssertionList) replays inline on the captured proxy's own fixture,
-// with one worker. For parallel exploration, set config.parallelism > 1,
-// hand start() a replica-set factory that clones the subject fixture, and
-// call the end(AssertionFactory) overload so every worker gets its own
-// fixture and assertion state:
+// One run driver serves end() and faults::FaultExplorer::run, so every
+// Config field means the same in both. A run is a list of segments, each one
+// sweep of the interleaving stream through sched::ParallelExplorer, the one
+// exploration loop: end() is one untagged segment, a fault sweep one tagged
+// segment per catalog plan. end(AssertionList) replays inline on the
+// captured proxy's own fixture, with one worker. For parallel exploration,
+// set config.parallelism > 1, hand start() a replica-set factory that clones
+// the subject fixture, and call the end(AssertionFactory) overload so every
+// worker gets its own fixture and assertion state:
 //
 //   Session session(proxy, config);              // config.parallelism = 8
 //   session.start([] { return std::make_unique<subjects::TownApp>(2); });
@@ -42,6 +45,9 @@
 #include "core/persist.hpp"
 #include "core/pruning.hpp"
 #include "core/replay.hpp"
+#include "corpus/diff.hpp"
+#include "corpus/store.hpp"
+#include "util/hash.hpp"
 
 namespace erpi::core {
 
@@ -60,6 +66,27 @@ enum class CorpusMode { Reuse, Diff };
 
 const char* corpus_mode_name(CorpusMode mode) noexcept;
 
+/// What a run-configuration fingerprint guards. Both hash everything that
+/// shapes the (interleaving, plan) stream and its outcomes — events, units,
+/// enumerator configuration, caps, the fault catalog — and neither hashes
+/// parallelism or the watchdog deadline. They differ on the learned
+/// dynamic-pruning relation:
+///   Journal — includes its digest (a resumed run must regenerate the exact
+///             stream to merge the journaled prefix soundly).
+///   Corpus  — excludes it: a record proves one (plan, interleaving) outcome
+///             whatever relation generated the stream that reached it.
+enum class FingerprintPurpose { Journal, Corpus };
+
+class Session;
+
+/// The fingerprint namespacing journal resumes and corpus records (DESIGN.md
+/// §11.2); `session` must have finished capture. `hash_catalog` hashes a
+/// fault sweep's catalog; null hashes end()'s own namespace, apart from a
+/// baseline-only sweep's, whose verdicts carry plan tags.
+uint64_t run_fingerprint(const Session& session, const ReplayOptions& replay,
+                         FingerprintPurpose purpose,
+                         const std::function<void(util::Fnv1aHasher&)>& hash_catalog);
+
 class Session {
  public:
   struct Config {
@@ -72,6 +99,8 @@ class Session {
     std::vector<IndependencePruner::Spec> independence;
     std::vector<FailedOpsPruner::Spec> failed_ops;
     /// Directory polled for runtime constraint JSON files ("" = disabled).
+    /// Fault sweeps reject it: a constraint would reach only the live plan's
+    /// pipeline.
     std::string constraints_dir;
     ReplayOptions replay;
     uint64_t random_seed = 42;  // Rand-mode and shuffled-ER-pi seeding
@@ -81,12 +110,9 @@ class Session {
     /// experimental default; Lexicographic gives deterministic exhaustive
     /// sweeps for counting.
     GroupedEnumerator::Order generation_order = GroupedEnumerator::Order::Shuffled;
-    /// Generation-time subtree pruning (DESIGN.md §10). Default on; the
-    /// oracle chain only engages when every configured pruner supports it,
-    /// and produces the same verdict either way — this switch exists
-    /// for A/B benchmarking and parity tests, not correctness.
-    bool generation_pruning = true;
     /// Persist events/units and every replayed interleaving into Datalog.
+    /// Fault sweeps reject it: persisting every pair would multiply the
+    /// store by the catalog size.
     bool persist = false;
     /// Worker count for sched::ParallelExplorer. 1 (default) replays inline
     /// on the calling thread; > 1 requires a subject factory and the
@@ -104,16 +130,16 @@ class Session {
     /// crashed/oom/timed_out outcome instead of killing the exploration.
     /// Requires a subject factory and the end(AssertionFactory) overload —
     /// the children rebuild the fixture from the factory — and works at any
-    /// parallelism, 1 included. Overrides replay.isolation when set.
-    /// Crash-free runs report identically to Isolation::None.
+    /// parallelism, 1 included. Crash-free runs report identically to
+    /// Isolation::None.
     Isolation isolation = Isolation::None;
-    /// Crash-safe resume journal path for fault-schedule exploration
-    /// (faults::explore_with_faults; Session::end never journals). ""
-    /// disables journaling. When the file already exists and its fingerprint
-    /// matches the run configuration, the journaled (interleaving, plan)
-    /// pairs are not replayed: their recorded outcomes are committed in their
-    /// place — so a SIGKILLed run picks up where it left off; otherwise a
-    /// fresh journal is started at this path. A ranked search rejects it.
+    /// Crash-safe resume journal path (DESIGN.md §8), for end() and fault
+    /// sweeps alike. "" disables journaling. When the file already exists
+    /// and its fingerprint matches the run configuration, the journaled
+    /// (interleaving, plan) pairs are not replayed: their recorded outcomes
+    /// are committed in their place — so a SIGKILLed run picks up where it
+    /// left off; otherwise a fresh journal is started at this path. A ranked
+    /// search rejects it.
     std::string resume_journal;
     /// Directory of the cross-run persistent outcome corpus
     /// (corpus::Store; DESIGN.md §11). "" disables the corpus. Unlike
@@ -137,7 +163,7 @@ class Session {
     /// via a sleep-set oracle appended to the static chain. Default off — an
     /// A/B toggle; commuting-free workloads report the same verdict either
     /// way. Needs a generation tree: mode Dfs, or ErPi with Lexicographic
-    /// order (make_enumerator() rejects the rest).
+    /// order (runs and make_enumerator() reject the rest).
     DporOptions dynamic_pruning;
   };
 
@@ -154,8 +180,8 @@ class Session {
   /// on the captured proxy's own fixture. Requires parallelism == 1 (shared
   /// assertion instances cannot be handed to concurrent workers),
   /// Isolation::None and no replay watchdog (the session's fixture cannot be
-  /// abandoned to a hung replay and rebuilt); throws std::invalid_argument
-  /// otherwise.
+  /// abandoned to a hung replay and rebuilt). Every rejection throws
+  /// std::invalid_argument before any side effect (DESIGN.md §6).
   ReplayReport end(const AssertionList& assertions);
 
   /// Parallelism-aware end(): builds every worker's fixture from the subject
@@ -171,11 +197,43 @@ class Session {
   }
   ReplayReport end_with_factory(const AssertionFactory& assertion_factory);
 
+  /// One sweep of the captured interleaving stream within a run. end() is
+  /// one default segment; a fault sweep is one segment per catalog plan.
+  struct Segment {
+    /// FaultPlan::key(), tagging every committed pair (core::PlanTag) and
+    /// counted in plans_explored. "" for end()'s segment: its pairs carry no
+    /// tag, and the journal and the corpus file them under the baseline key
+    /// "none".
+    std::string plan;
+    /// Builds each worker's replay observer (the plan's fault runtime).
+    std::function<std::shared_ptr<ReplayObserver>(proxy::Rdl&)> observer_factory;
+    /// The context its replays train the DPOR learner under.
+    std::string footprint_context = "none";
+    /// Whether learned (DPOR) cuts apply to its stream: the learned relation
+    /// models unfaulted executions only.
+    bool dynamic_cuts = true;
+  };
+
+  /// A fault sweep, as faults::FaultExplorer hands it to the run driver.
+  struct FaultSweep {
+    /// Called once, after every up-front check and the capture and before
+    /// any side effect: the segments, in plan order.
+    std::function<std::vector<Segment>()> segments;
+    /// Hashes the plan catalog into the journal and corpus fingerprints.
+    std::function<void(util::Fnv1aHasher&)> hash_catalog;
+  };
+
+  /// Run `sweep`'s segments through the driver end() uses, with workers
+  /// built from the subject factory (which a fault sweep requires). Besides
+  /// end()'s checks it rejects `persist` and `constraints_dir`.
+  ReplayReport explore_faults(const FaultSweep& sweep,
+                              const AssertionFactory& assertion_factory) {
+    return drive(sweep, assertion_factory, nullptr);
+  }
+
   /// Stop capturing and run the grouping/persist half of end() — events and
   /// units become available, make_enumerator() works — without replaying
-  /// anything. Idempotent until the next start(). This is the entry point for
-  /// drivers that own the replay loop themselves (faults::FaultExplorer runs
-  /// the interleaving stream once per fault plan via make_enumerator()).
+  /// anything. Idempotent until the next start().
   void finish_capture();
 
   const Config& config() const noexcept { return config_; }
@@ -184,11 +242,32 @@ class Session {
   const EventSet& events() const noexcept { return events_; }
   const std::vector<EventUnit>& units() const noexcept { return units_; }
 
-  /// After end(): each worker's assertion instances, for merging observer
-  /// state (e.g. collect_profiles over ResourceProfiler samples). Empty
-  /// under Isolation::Process, whose fixtures live in the sandbox children.
+  /// After a run: each worker's assertion instances across its segments, for
+  /// merging observer state (e.g. collect_profiles over ResourceProfiler
+  /// samples). Empty under Isolation::Process, whose fixtures live in the
+  /// sandbox children; workers abandoned to hung replays are not included.
   const std::vector<AssertionList>& worker_assertions() const noexcept {
     return worker_assertions_;
+  }
+
+  /// Corpus reuse accounting for the last run (zeroes when no corpus is
+  /// configured). Kept out of the ReplayReport on purpose: a warm run's
+  /// verdict stays identical to a cold run's.
+  const corpus::ReuseStats& corpus_stats() const noexcept { return corpus_stats_; }
+
+  /// Diff-mode result of the last run (empty in reuse mode / no corpus):
+  /// every (interleaving, plan) class whose live outcome differs from the
+  /// corpus record, plus compared/unchanged/missing totals.
+  const corpus::OutcomeDiff& outcome_diff() const noexcept { return outcome_diff_; }
+
+  /// Write-fault injection seams (tests only): substitute the stream the run
+  /// journal / corpus store writes through, to drive the graceful
+  /// ENOSPC/EIO degradation (report.journal_degraded / corpus_degraded).
+  void set_journal_stream_factory(RunJournal::StreamFactory factory) {
+    journal_stream_factory_ = std::move(factory);
+  }
+  void set_corpus_stream_factory(corpus::Store::StreamFactory factory) {
+    corpus_stream_factory_ = std::move(factory);
   }
 
   struct PruningReport {
@@ -204,42 +283,39 @@ class Session {
   InterleavingStore& store() noexcept { return store_; }
 
   /// Build a fresh enumerator for the configured mode over the captured
-  /// events — exposed so benchmarks can drive exploration directly. Throws
-  /// std::invalid_argument when dynamic pruning is enabled for an order with
-  /// no generation tree (ErPi with Shuffled order, or Rand).
+  /// events — exposed so benchmarks and parity tests can drive exploration
+  /// directly. Throws std::invalid_argument when dynamic pruning is enabled
+  /// for an order with no generation tree (ErPi with Shuffled order, or
+  /// Rand).
   std::unique_ptr<Enumerator> make_enumerator();
 
   /// Idempotent per capture; a no-op unless Config::dynamic_pruning.enabled.
-  /// Creates the independence learner, runs `seed` (the corpus warm start —
-  /// corpus::FootprintBank lives above core in the layering, so drivers
-  /// inject it rather than core linking it), trains the learner with one
-  /// deterministic capture-order priming replay, and in paranoid mode
-  /// verifies candidate pairs on fresh fixtures. make_enumerator() calls
-  /// this automatically; drivers that want a warm start must call it with
-  /// their seed before the relation freezes at the first enumerator build.
+  /// Creates the independence learner, runs `seed` (a warm start; a run with
+  /// a corpus seeds it from the corpus::FootprintBank), trains the learner
+  /// with one deterministic capture-order priming replay, and in paranoid
+  /// mode verifies candidate pairs on fresh fixtures. make_enumerator() calls
+  /// this automatically; a warm start must come before the relation freezes
+  /// at the first enumerator build.
   void prepare_dynamic_pruning(
       const std::function<void(IndependenceLearner&)>& seed = {});
 
   /// The dynamic-pruning learner (null until prepare_dynamic_pruning() ran
-  /// with dynamic pruning enabled). Drivers read it for journal digests
-  /// (IndependenceLearner::relation_digest) and corpus export.
+  /// with dynamic pruning enabled). The run driver reads it for journal
+  /// digests (IndependenceLearner::relation_digest) and corpus export.
   const std::shared_ptr<IndependenceLearner>& dpor_learner() const noexcept {
     return dpor_learner_;
   }
 
  private:
-  struct PreparedRun {
-    std::unique_ptr<Enumerator> enumerator;
-    ReplayOptions replay;
-    PrunedEnumerator* pruned = nullptr;
-  };
-  PreparedRun prepare_run();
-  void finish_run(const PreparedRun& prepared);
-  bool sandboxed() const noexcept;
-  /// Run the explorer on workers built from the factories, or inline on the
+  /// The run driver: `sweep`'s segments, or end()'s one segment when the
+  /// sweep is empty, on workers built from the factories — or inline on the
   /// session's fixture with `borrowed` assertions when that is non-null.
-  ReplayReport explore(const AssertionFactory& assertion_factory,
-                       const AssertionList* borrowed);
+  ReplayReport drive(const FaultSweep& sweep, const AssertionFactory& assertion_factory,
+                     const AssertionList* borrowed);
+  /// Every rejection a run can raise, thrown before any side effect.
+  void check_run(bool fault_sweep, bool borrowed) const;
+  /// Dynamic pruning needs a generation tree to cut.
+  void check_generation_tree() const;
   PruningPipeline build_pipeline() const;
 
   proxy::RdlProxy* proxy_;
@@ -249,10 +325,13 @@ class Session {
   datalog::Database db_;
   InterleavingStore store_;
   ConstraintWatcher watcher_;
-  PrunedEnumerator* active_pruned_ = nullptr;  // live during end()
   std::shared_ptr<IndependenceLearner> dpor_learner_;
   PruningPipeline::Stats last_stats_;
   std::vector<AssertionList> worker_assertions_;
+  corpus::ReuseStats corpus_stats_;
+  corpus::OutcomeDiff outcome_diff_;
+  RunJournal::StreamFactory journal_stream_factory_;
+  corpus::Store::StreamFactory corpus_stream_factory_;
   bool captured_ = false;  // finish_capture() ran since the last start()
 };
 

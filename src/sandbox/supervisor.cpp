@@ -27,6 +27,15 @@ namespace {
 /// crash from collateral damage a previous item left in the child.
 constexpr int kMaxRetries = 1;
 
+/// Runner-spawn failures (fork EAGAIN, ready-handshake timeout, fixture-build
+/// error) absorbed in a row before the supervisor gives up on the sandbox.
+/// Each failed attempt bumps SandboxStats::respawn_failures and sleeps first
+/// kSpawnBackoffMs, doubled per consecutive failure and capped at
+/// kSpawnBackoffCapMs: 10 + 20 + 40 + 80 = 150 ms before giving up.
+constexpr int kSpawnMaxRetries = 4;
+constexpr uint64_t kSpawnBackoffMs = 10;
+constexpr uint64_t kSpawnBackoffCapMs = 1000;
+
 /// Parent-side fds of every live ForkServer. A newly forked server child
 /// closes the *siblings'* fds so it never holds their sockets open (which
 /// would defeat peer-death detection and leak descriptors into long-lived
@@ -208,11 +217,8 @@ ForkServer::ForkServer(core::SubjectFactory subject_factory,
   config.options = std::move(base);
   config.options.budget = nullptr;
   config.options.resource_budget_bytes = UINT64_MAX;
-  config.options.extra_cache_bytes = nullptr;
   config.options.on_outcome = nullptr;
-  config.options.on_interleaving_done = nullptr;
   config.options.watchdog_timeout_ms = 0;
-  config.options.isolation = core::Isolation::None;
 
   int control[2];
   int data[2];
@@ -286,12 +292,9 @@ void ForkServer::throw_server_lost(const char* where) const {
 }
 
 void ForkServer::spawn_backoff_sleep(int streak) const {
-  uint64_t delay = options_.sandbox_spawn_backoff_ms;
-  for (int i = 1; i < streak && delay < options_.sandbox_spawn_backoff_cap_ms; ++i) {
-    delay *= 2;
-  }
-  delay = std::min(delay, options_.sandbox_spawn_backoff_cap_ms);
-  if (delay == 0) return;
+  uint64_t delay = kSpawnBackoffMs;
+  for (int i = 1; i < streak && delay < kSpawnBackoffCapMs; ++i) delay *= 2;
+  delay = std::min(delay, kSpawnBackoffCapMs);
   std::this_thread::sleep_for(std::chrono::milliseconds(delay));
 }
 
@@ -310,7 +313,7 @@ void ForkServer::spawn_runner() {
     if (!notice) throw_server_lost("spawn notice decode");
     if (notice->spawn_failed) {
       ++stats_.respawn_failures;
-      if (++spawn_failure_streak_ > std::max(0, options_.sandbox_spawn_max_retries)) {
+      if (++spawn_failure_streak_ > kSpawnMaxRetries) {
         throw std::runtime_error("sandbox: runner spawn failed after " +
                                  std::to_string(spawn_failure_streak_) + " attempts (errno " +
                                  std::to_string(notice->spawn_failed->err) + ")");
@@ -386,7 +389,7 @@ std::optional<ForkServer::Attempt> ForkServer::await_ready(int deadline_ms) {
         // exhausts the retries and surfaces as the original error.
         reap_runner();
         ++stats_.respawn_failures;
-        if (++spawn_failure_streak_ > std::max(0, options_.sandbox_spawn_max_retries)) {
+        if (++spawn_failure_streak_ > kSpawnMaxRetries) {
           throw std::runtime_error("sandbox child error: " + response->error);
         }
         spawn_backoff_sleep(spawn_failure_streak_);

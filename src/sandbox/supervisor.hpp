@@ -90,9 +90,9 @@ class ForkServer {
   };
 
   void spawn_runner();
-  /// Exponential-backoff sleep for the current spawn-failure streak:
-  /// sandbox_spawn_backoff_ms doubled per consecutive failure, capped at
-  /// sandbox_spawn_backoff_cap_ms. Keeps fork-EAGAIN storms from hot-looping.
+  /// Exponential-backoff sleep for the current spawn-failure streak: 10 ms
+  /// doubled per consecutive failure, capped at 1 s (supervisor.cpp). Keeps
+  /// fork-EAGAIN storms from hot-looping.
   void spawn_backoff_sleep(int streak) const;
   Attempt attempt_once(const core::Interleaving& il);
   /// Consume the runner's ready handshake (nullopt) or its build-time
@@ -104,7 +104,7 @@ class ForkServer {
   static AttemptKind classify_exit(int wait_status, int& signal);
   [[noreturn]] void throw_server_lost(const char* where) const;
 
-  core::ReplayOptions options_;  // supervisor's view (watchdog, retries)
+  core::ReplayOptions options_;  // supervisor's view (the watchdog deadline)
   int control_fd_ = -1;  // to the fork server
   int data_fd_ = -1;     // to the current runner
   pid_t server_pid_ = -1;
@@ -113,7 +113,7 @@ class ForkServer {
   bool ready_pending_ = true;  // handshake not yet consumed for this runner
   /// Consecutive failed spawn attempts (fork failure or fixture-build error)
   /// since the last healthy runner; drives the exponential backoff and the
-  /// give-up threshold (options_.sandbox_spawn_max_retries).
+  /// give-up threshold (4 retries, supervisor.cpp).
   int spawn_failure_streak_ = 0;
 
   core::SandboxStats stats_;

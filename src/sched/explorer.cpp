@@ -104,7 +104,7 @@ class Source {
       cancelled = true;
       return std::nullopt;
     }
-    const uint64_t extra = replay.extra_cache_bytes ? replay.extra_cache_bytes() : 0;
+    const uint64_t extra = options_.extra_cache_bytes ? options_.extra_cache_bytes() : 0;
     if (budget_.crash_if_exceeded(extra)) {
       crashed = true;
       return std::nullopt;
@@ -150,7 +150,7 @@ class Source {
     deps.events = &events_;
     deps.violation_priors = options_.violation_priors;
     deps.coverage = options_.coverage;
-    deps.context_key = options_.context_key;
+    deps.context_key = options_.plan;
     order_.reserve(stream_.size());
     for (const size_t r : make_searcher(options_.search, std::move(deps))->select(stream_, spans)) {
       for (size_t i = spans[r].begin; i < spans[r].end; ++i) order_.push_back(i);
@@ -173,24 +173,28 @@ class Source {
 };
 
 /// The one exploration loop: drain `source` through `workers` and commit
-/// every outcome in ordinal order.
-core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enumerator,
-                           const core::EventSet& events, const std::vector<Replayer>& workers) {
+/// every outcome into `report` in ordinal order.
+void explore(const ExplorerOptions& options, core::Enumerator& enumerator,
+             const core::EventSet& events, const std::vector<Replayer>& workers,
+             core::ReplayReport& report) {
   const core::ReplayOptions& replay = options.replay;
   const bool stop_on_violation = replay.stop_on_violation;
   core::BudgetAccount local_budget(replay.resource_budget_bytes);
   Source source(enumerator, events, options,
                 replay.budget != nullptr ? *replay.budget : local_budget);
-  core::ReplayReport report;
+  core::ExplorerStats stats;
+  uint64_t committed = 0;  // this stream's pairs (the report may carry more)
+  bool violated = false;
 
-  // Commit one outcome and deliver its callbacks. Returns true when a
+  // Commit one outcome and deliver its callback. Returns true when a
   // stop_on_violation run must stop committing here.
   const auto commit = [&](const Item& item) {
-    core::commit_outcome(report, item.interleaving, item.outcome);
+    std::optional<core::PlanTag> tag;
+    if (!options.plan.empty()) tag = core::PlanTag{options.plan, item.ordinal};
+    core::commit_outcome(report, item.interleaving, item.outcome, tag);
+    ++committed;
+    if (!item.outcome.violations.empty()) violated = true;
     if (replay.on_outcome) replay.on_outcome(report.explored, item.interleaving, item.outcome);
-    if (replay.on_interleaving_done) {
-      replay.on_interleaving_done(report.explored, item.interleaving);
-    }
     return stop_on_violation && !item.outcome.violations.empty();
   };
 
@@ -201,7 +205,7 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
     // ---- inline: pull, replay and commit one item at a time on this
     // thread, so a runtime constraint a callback delivers applies to the
     // very next pull ----
-    report.explorer.batch_size = 1;
+    stats.batch_size = 1;
     while (auto item = source.next(kNoFloor)) {
       if (!item->resolved) {
         util::Stopwatch replay_watch;
@@ -213,7 +217,7 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
   } else {
     // ---- pool: dispatcher → workers → in-order committer ----
     const size_t batch_size = auto_batch_size(replay.max_interleavings, workers.size());
-    report.explorer.batch_size = batch_size;
+    stats.batch_size = batch_size;
     BoundedQueue<std::vector<Item>> work(workers.size() * 2);
     BoundedQueue<Item> done(std::numeric_limits<size_t>::max());
     std::mutex enum_mu;  // the source + callback-side pipeline mutation
@@ -337,7 +341,7 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
 
   // A stop_on_violation run that reproduced never reaches the crash,
   // exhaustion or cancel the source may have overrun into.
-  const bool stopped_at_violation = stop_on_violation && report.reproduced;
+  const bool stopped_at_violation = stop_on_violation && violated;
   report.crashed = source.crashed && !stopped_at_violation;
   // Budget overrun never throws out of a worker: the source latches it on
   // the shared account, workers drain, and the report carries partial
@@ -345,19 +349,19 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
   report.budget_exhausted = report.crashed;
   report.exhausted = source.exhausted && !stopped_at_violation;
   report.cancelled = source.cancelled && !stopped_at_violation;
-  report.hit_cap = report.explored >= replay.max_interleavings;
+  report.hit_cap = committed >= replay.max_interleavings;
 
-  report.explorer.subtrees = source.subtrees;
+  stats.subtrees = source.subtrees;
   // Idle is measured against the pool's shared wall clock: a worker that
   // drains early while a straggler keeps replaying counts as idle for the
   // difference.
   for (size_t w = 0; w < workers.size(); ++w) {
-    report.explorer.queue_wait_seconds += wait[w];
+    stats.queue_wait_seconds += wait[w];
     const double idle =
         section_seconds > 0 ? std::max(0.0, section_seconds - busy[w]) / section_seconds : 0;
-    report.explorer.max_idle_fraction = std::max(report.explorer.max_idle_fraction, idle);
+    stats.max_idle_fraction = std::max(stats.max_idle_fraction, idle);
   }
-  return report;
+  report.explorer.merge(stats);
 }
 
 }  // namespace
@@ -365,7 +369,8 @@ core::ReplayReport explore(const ExplorerOptions& options, core::Enumerator& enu
 ParallelExplorer::ParallelExplorer(ExplorerOptions options) : options_(std::move(options)) {}
 
 core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
-                                         const core::EventSet& events) {
+                                         const core::EventSet& events,
+                                         core::ReplayReport report) {
   if (!options_.subject_factory) {
     throw std::invalid_argument("ParallelExplorer requires a subject factory");
   }
@@ -376,7 +381,7 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
   // this thread so factory failures throw before any thread exists — and, in
   // Process isolation, so every fork happens while this process is still
   // single-threaded (see src/sandbox/supervisor.hpp).
-  const bool sandboxed = options_.replay.isolation == core::Isolation::Process;
+  const bool sandboxed = options_.isolation == core::Isolation::Process;
   std::vector<std::unique_ptr<WorkerContext>> contexts;
   std::vector<std::unique_ptr<sandbox::ForkServer>> sandboxes;
   std::vector<Replayer> replayers;
@@ -402,7 +407,7 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
     }
   }
 
-  core::ReplayReport report = explore(options_, enumerator, events, replayers);
+  explore(options_, enumerator, events, replayers, report);
 
   worker_assertions_.clear();
   for (const auto& context : contexts) worker_assertions_.push_back(context->assertions());
@@ -411,27 +416,27 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
   // counters are what the supervisors accumulated over IPC.
   std::vector<core::SandboxStats> sandbox_shards;
   for (const auto& server : sandboxes) sandbox_shards.push_back(server->stats());
-  report.sandbox = core::merge_sandbox_stats(sandbox_shards);
-  report.elapsed_seconds = watch.elapsed_seconds();
+  report.sandbox.merge(core::merge_sandbox_stats(sandbox_shards));
+  report.elapsed_seconds += watch.elapsed_seconds();
   return report;
 }
 
 core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
                                          const core::EventSet& events,
                                          proxy::RdlProxy& fixture,
-                                         const core::AssertionList& assertions) {
-  if (options_.parallelism > 1 || options_.replay.isolation != core::Isolation::None) {
+                                         const core::AssertionList& assertions,
+                                         core::ReplayReport report) {
+  if (options_.parallelism > 1 || options_.isolation != core::Isolation::None) {
     throw std::invalid_argument(
         "a borrowed fixture replays inline: it needs one worker and Isolation::None");
   }
   util::Stopwatch watch;
   WorkerContext context(fixture, assertions, options_.replay);
-  core::ReplayReport report =
-      explore(options_, enumerator, events, {[&](const core::Interleaving& il) {
-                return context.replay_one(il, events);
-              }});
+  explore(options_, enumerator, events,
+          {[&](const core::Interleaving& il) { return context.replay_one(il, events); }},
+          report);
   worker_assertions_ = {context.assertions()};
-  report.elapsed_seconds = watch.elapsed_seconds();
+  report.elapsed_seconds += watch.elapsed_seconds();
   return report;
 }
 

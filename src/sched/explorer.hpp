@@ -19,7 +19,7 @@
 //            ▼                                                      ▼
 //       control thread ◀──(ordinal, outcome)── results channel ◀────┘
 //            commits outcomes in ascending ordinal order and delivers
-//            on_interleaving_done callbacks serialized, in order.
+//            on_outcome callbacks serialized, in order.
 //
 // Both commit through core::commit_outcome, in ordinal order, so the report
 // is a pure function of (stream, SearchOptions): identical for every worker
@@ -38,6 +38,8 @@
 // fork server per worker); the overload taking a proxy and an assertion list
 // replays inline on that caller-owned fixture, and needs one worker and
 // Isolation::None.
+// A run folds its pairs into a report the caller may hand in: a fault sweep
+// is one explorer run per plan over one carried report (core::Session).
 //
 // Caveat (documented in DESIGN.md): assertions are instantiated per worker,
 // so *cross-interleaving* assertions compare state within one worker's shard
@@ -62,19 +64,22 @@ struct ExplorerOptions {
   /// pipeline.
   int parallelism = 2;
   /// Run-wide replay options (cap, stop_on_violation, threaded, budget,
-  /// extra_cache_bytes, on_interleaving_done). With replay.isolation ==
-  /// Isolation::Process each worker drives a sandbox::ForkServer instead of
-  /// an in-process fixture: replays execute in per-worker child processes,
-  /// and child deaths surface as structured crashed/oom/timed_out outcomes
-  /// instead of taking the run down.
+  /// on_outcome).
   core::ReplayOptions replay;
+  /// Where replays execute (DESIGN.md §9). Under Isolation::Process each
+  /// worker drives a sandbox::ForkServer: child deaths surface as structured
+  /// crashed/oom/timed_out outcomes instead of taking the run down.
+  core::Isolation isolation = core::Isolation::None;
+  /// The live enumerator's dedup-cache bytes, charged against the budget
+  /// with the explored log before each pull (DESIGN.md §7).
+  std::function<uint64_t()> extra_cache_bytes;
   /// Builds one isolated subject fixture per worker. Required by
   /// run(enumerator, events).
   core::SubjectFactory subject_factory;
   /// Builds one assertion set per worker (may be empty).
   core::AssertionFactory assertion_factory;
   /// Outcome cache consulted by the source before handing an interleaving to
-  /// a worker: the fault explorer serves a resumed run's journaled pairs and
+  /// a worker: a Session run serves a resumed run's journaled pairs and
   /// corpus hits through it (DESIGN.md §8, §11.3). Called once per pull, in
   /// pull order, under the enumerator mutex, after the budget is charged
   /// exactly as for a replayed pair. Returning an outcome resolves the pair without
@@ -90,12 +95,13 @@ struct ExplorerOptions {
   /// ViolationFirst priors: previously violating interleavings (explicit
   /// session config plus the outcome corpus's violation records).
   std::shared_ptr<const std::vector<core::Interleaving>> violation_priors;
-  /// CoverageWeighted feature memory, shared across explorations — the fault
-  /// explorer shares one instance across its per-plan sweeps so later plans
-  /// steer toward still-uncovered fault-plan × operation pairs.
+  /// CoverageWeighted feature memory, shared across explorations — a fault
+  /// sweep shares one instance across its per-plan runs so later plans steer
+  /// toward still-uncovered fault-plan × operation pairs.
   std::shared_ptr<CoverageState> coverage;
-  /// Context tag mixed into coverage features (e.g. the fault plan's key).
-  std::string context_key;
+  /// The fault plan (FaultPlan::key(); "" outside fault sweeps): tags each
+  /// committed pair (core::PlanTag) and is mixed into coverage features.
+  std::string plan;
 };
 
 class ParallelExplorer {
@@ -106,16 +112,19 @@ class ParallelExplorer {
   /// assertion factories. The enumerator is only ever touched by one thread
   /// at a time (enumerators stay single-threaded); with several workers the
   /// dispatcher holds a mutex while pulling and the committer holds it while
-  /// on_interleaving_done runs, so callbacks may extend the pruning pipeline
-  /// mid-run.
-  core::ReplayReport run(core::Enumerator& enumerator, const core::EventSet& events);
+  /// on_outcome runs, so callbacks may extend the pruning pipeline mid-run.
+  /// Pairs fold into `report` (the run's so far), returned with this stream's
+  /// terminal flags and telemetry merged in.
+  core::ReplayReport run(core::Enumerator& enumerator, const core::EventSet& events,
+                         core::ReplayReport report = {});
 
   /// Explore inline on a caller-owned fixture: `fixture` and `assertions`
   /// are borrowed for the run. Requires one worker and Isolation::None, and
   /// no watchdog (a borrowed fixture cannot be abandoned to a hung replay and
   /// rebuilt); throws std::invalid_argument otherwise.
   core::ReplayReport run(core::Enumerator& enumerator, const core::EventSet& events,
-                         proxy::RdlProxy& fixture, const core::AssertionList& assertions);
+                         proxy::RdlProxy& fixture, const core::AssertionList& assertions,
+                         core::ReplayReport report = {});
 
   /// Post-run: every worker's assertion instances, for merging observer
   /// state (e.g. core::collect_profiles over ResourceProfiler samples).

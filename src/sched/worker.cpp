@@ -7,23 +7,13 @@
 #include <thread>
 
 namespace erpi::sched {
-namespace {
-
-core::ReplayOptions worker_options(core::ReplayOptions base) {
-  base.on_interleaving_done = nullptr;
-  base.on_outcome = nullptr;
-  base.extra_cache_bytes = nullptr;  // budget checks happen at dispatch
-  return base;
-}
-
-}  // namespace
 
 WorkerContext::WorkerContext(const core::SubjectFactory& subject_factory,
                              const core::AssertionFactory& assertion_factory,
                              core::ReplayOptions base)
     : subject_factory_(subject_factory),
       assertion_factory_(assertion_factory),
-      options_(worker_options(std::move(base))) {
+      options_(std::move(base)) {
   if (!subject_factory_) {
     throw std::invalid_argument("parallel exploration requires a subject factory");
   }
@@ -32,7 +22,7 @@ WorkerContext::WorkerContext(const core::SubjectFactory& subject_factory,
 
 WorkerContext::WorkerContext(proxy::RdlProxy& proxy, const core::AssertionList& assertions,
                              core::ReplayOptions base)
-    : options_(worker_options(std::move(base))) {
+    : options_(std::move(base)) {
   if (options_.watchdog_timeout_ms > 0) {
     throw std::invalid_argument(
         "the replay watchdog needs a subject factory: a timed-out replay abandons "

@@ -34,10 +34,7 @@ namespace erpi::sched {
 
 class WorkerContext {
  public:
-  /// `base` carries the run-wide replay options. The context drops the
-  /// run-level pieces — on_interleaving_done / on_outcome (delivery is the
-  /// explorer's job) and extra_cache_bytes (the budget is checked at
-  /// dispatch).
+  /// `base` carries the run-wide replay options.
   WorkerContext(const core::SubjectFactory& subject_factory,
                 const core::AssertionFactory& assertion_factory, core::ReplayOptions base);
 
@@ -75,7 +72,7 @@ class WorkerContext {
 
   core::SubjectFactory subject_factory_;
   core::AssertionFactory assertion_factory_;
-  core::ReplayOptions options_;  // run-level callbacks and cache hook dropped
+  core::ReplayOptions options_;
   std::shared_ptr<Fixture> fixture_;
 };
 

@@ -7,6 +7,8 @@
 // allocation regression on the oracle hot path.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
@@ -453,41 +455,105 @@ TEST(DporParity, ByteIdenticalReportsOnCommutingFreeWorkload) {
 }
 
 // ---------------------------------------------------------------------------
-// Orders without a generation tree reject dynamic pruning
+// Orders without a generation tree reject dynamic pruning, and every run
+// rejects before its first side effect
 // ---------------------------------------------------------------------------
 
-/// What make_enumerator() throws for a DPOR session under `config`'s order
-/// ("" when it builds). A rejected session never primes the learner.
-std::string dpor_rejection(Session::Config config) {
+enum class Entry { MakeEnumerator, End, FaultSweep };
+
+/// What `entry` throws for a DPOR session under `config` ("" when it runs).
+/// Runs set a journal and a corpus path; a rejected one never primes the
+/// learner, writes no journal and creates no corpus directory.
+std::string dpor_rejection(Session::Config config, Entry entry = Entry::MakeEnumerator) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   (std::string("erpi-dpor-rejection-") +
+                    ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto journal = dir / "run.jsonl";
+  const auto corpus = dir / "corpus";
   subjects::TownApp town(2);
   proxy::RdlProxy proxy(town);
   config.dynamic_pruning.enabled = true;
+  config.subject_factory = [] { return std::make_unique<subjects::TownApp>(2); };
+  if (entry != Entry::MakeEnumerator) {
+    config.resume_journal = journal.string();
+    config.corpus_path = corpus.string();
+  }
   Session session(proxy, std::move(config));
   session.start();
   (void)proxy.update(0, "report", problem("x"));
   (void)proxy.sync_req(0, 1);
   (void)proxy.exec_sync(0, 1);
-  session.finish_capture();
+  const auto assertions = [](proxy::Rdl&) { return AssertionList{all_ops_succeed()}; };
   std::string message;
   try {
-    (void)session.make_enumerator();
+    switch (entry) {
+      case Entry::MakeEnumerator:
+        session.finish_capture();
+        (void)session.make_enumerator();
+        break;
+      case Entry::End:
+        (void)session.end(assertions);
+        break;
+      case Entry::FaultSweep:
+        (void)faults::explore_with_faults(session, assertions);
+        break;
+    }
   } catch (const std::invalid_argument& error) {
     message = error.what();
   }
   EXPECT_EQ(session.dpor_learner(), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(journal));
+  EXPECT_FALSE(std::filesystem::exists(corpus));
+  std::filesystem::remove_all(dir);
   return message;
 }
 
 TEST(Dpor, RejectsShuffledOrder) {
-  const std::string message = dpor_rejection({});  // ER-pi's default order
-  EXPECT_NE(message.find("ErPi with Shuffled order"), std::string::npos) << message;
+  for (const Entry entry : {Entry::MakeEnumerator, Entry::End, Entry::FaultSweep}) {
+    const std::string message = dpor_rejection({}, entry);  // ER-pi's default order
+    EXPECT_NE(message.find("ErPi with Shuffled order"), std::string::npos) << message;
+  }
 }
 
 TEST(Dpor, RejectsRandMode) {
-  Session::Config config;
-  config.mode = ExplorationMode::Rand;
-  const std::string message = dpor_rejection(std::move(config));
-  EXPECT_NE(message.find("mode Rand"), std::string::npos) << message;
+  for (const Entry entry : {Entry::MakeEnumerator, Entry::End, Entry::FaultSweep}) {
+    Session::Config config;
+    config.mode = ExplorationMode::Rand;
+    const std::string message = dpor_rejection(std::move(config), entry);
+    EXPECT_NE(message.find("mode Rand"), std::string::npos) << message;
+  }
+}
+
+TEST(Dpor, RunRejectionsPrecedeEverySideEffect) {
+  // A DPOR run with a generation tree: only the row's setting is refused.
+  struct Row {
+    const char* name;
+    Entry entry;
+    std::function<void(Session::Config&)> set;
+    const char* message;
+  };
+  const std::vector<Row> rows = {
+      {"ranked end() with a journal", Entry::End,
+       [](Session::Config& c) { c.search.strategy = SearchStrategy::RandomPath; },
+       "guided search cannot resume from a journal"},
+      {"fault sweep with persist", Entry::FaultSweep,
+       [](Session::Config& c) { c.persist = true; }, "persist"},
+      {"fault sweep with constraints_dir", Entry::FaultSweep,
+       [](Session::Config& c) {
+         c.constraints_dir =
+             (std::filesystem::temp_directory_path() / "erpi-dpor-constraints").string();
+       },
+       "constraints_dir"},
+  };
+  for (const Row& row : rows) {
+    Session::Config config;
+    config.generation_order = GroupedEnumerator::Order::Lexicographic;
+    row.set(config);
+    const std::string message = dpor_rejection(std::move(config), row.entry);
+    EXPECT_NE(message.find(row.message), std::string::npos) << row.name << ": " << message;
+  }
 }
 
 // ---------------------------------------------------------------------------

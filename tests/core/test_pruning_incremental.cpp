@@ -17,6 +17,7 @@
 #include "core/pruning.hpp"
 #include "core/session.hpp"
 #include "proxy/proxy.hpp"
+#include "sched/explorer.hpp"
 #include "subjects/town.hpp"
 #include "support/verdict.hpp"
 #include "util/rng.hpp"
@@ -359,10 +360,19 @@ struct SessionRun {
   PruningPipeline::Stats stats;
 };
 
-SessionRun run_session(bool generation_pruning, int parallelism) {
+AssertionList transmit_assertions(proxy::Rdl&) {
+  util::Json expected = util::Json::array();
+  expected.push_back("lamp");
+  expected.push_back("ph");
+  return {query_result_equals(10, expected)};
+}
+
+/// The stress session. With `legacy`, the run drives the session's own
+/// enumerator on the legacy generate-then-test path through the explorer;
+/// otherwise it is Session::end with generation pruning on.
+SessionRun run_session(bool legacy, int parallelism) {
   Session::Config config;
   config.generation_order = GroupedEnumerator::Order::Lexicographic;
-  config.generation_pruning = generation_pruning;
   config.spec_groups = {{0, 1, 2}, {3, 4, 5}};
   config.independence.push_back({{6, 9}, {10}});
   config.replay.stop_on_violation = false;
@@ -372,27 +382,37 @@ SessionRun run_session(bool generation_pruning, int parallelism) {
 
   subjects::TownApp town(2);
   proxy::RdlProxy proxy(town);
-  Session session(proxy, std::move(config));
+  Session session(proxy, config);
   session.start();
   stress_workload(proxy);
   SessionRun run;
-  run.report = session.end([](proxy::Rdl&) -> AssertionList {
-    util::Json expected = util::Json::array();
-    expected.push_back("lamp");
-    expected.push_back("ph");
-    return {query_result_equals(10, expected)};
-  });
-  run.stats = session.pruning_report().pipeline;
+  if (!legacy) {
+    run.report = session.end(transmit_assertions);
+    run.stats = session.pruning_report().pipeline;
+    return run;
+  }
+  session.finish_capture();
+  auto enumerator = session.make_enumerator();
+  auto* pruned = dynamic_cast<PrunedEnumerator*>(enumerator.get());
+  EXPECT_NE(pruned, nullptr);
+  pruned->set_generation_pruning(false);
+  sched::ExplorerOptions options;
+  options.parallelism = parallelism;
+  options.replay = config.replay;
+  options.subject_factory = config.subject_factory;
+  options.assertion_factory = transmit_assertions;
+  run.report = sched::ParallelExplorer(std::move(options)).run(*enumerator, session.events());
+  run.stats = pruned->pipeline().stats();
   return run;
 }
 
 TEST(GenerationPruning, SessionReportParityAcrossParallelism) {
-  const SessionRun baseline = run_session(false, 1);
+  const SessionRun baseline = run_session(/*legacy=*/true, 1);
   ASSERT_GT(baseline.report.explored, 0u);
   ASSERT_GT(baseline.stats.pruned, 0u);  // the independence spec engages
   for (const int parallelism : {1, 4}) {
     SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
-    const SessionRun on = run_session(true, parallelism);
+    const SessionRun on = run_session(/*legacy=*/false, parallelism);
     ASSERT_TRUE(on.report.first_violation.has_value());
     EXPECT_EQ(on.report.verdict(), baseline.report.verdict());
     EXPECT_EQ(on.stats.admitted, baseline.stats.admitted);

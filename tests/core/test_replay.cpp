@@ -86,7 +86,7 @@ TEST(ReplayEngine, EachInterleavingStartsFromInitialState) {
   options.stop_on_violation = false;
   options.max_interleavings = 10;
   bool state_leak = false;
-  options.on_interleaving_done = [&](uint64_t, const Interleaving&) {
+  options.on_outcome = [&](uint64_t, const Interleaving&, const InterleavingOutcome&) {
     // after each interleaving, replica 0 holds at most one problem; if state
     // leaked across interleavings the set would accumulate
     const auto state = fx.town.replica_state(0);

@@ -280,7 +280,7 @@ TEST(Session, RuntimeConstraintsExtendThePipeline) {
   config.replay.stop_on_violation = false;
   config.replay.max_interleavings = 100'000;
   // drop a constraint file after the 5th interleaving
-  config.replay.on_interleaving_done = [&](uint64_t index, const Interleaving&) {
+  config.replay.on_outcome = [&](uint64_t index, const Interleaving&, const InterleavingOutcome&) {
     if (index == 5) {
       // events 0 and 3 are the two reports — declaring them independent is a
       // developer-provided §3.4 constraint

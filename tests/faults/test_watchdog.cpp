@@ -144,7 +144,8 @@ TEST(ReplayWatchdog, BorrowedFixtureRejectsTheWatchdog) {
   Session::Config config = watchdog_config(1);
   config.replay.threaded = false;  // the watchdog is the only reason to refuse
   uint64_t replayed = 0;
-  config.replay.on_interleaving_done = [&](uint64_t, const core::Interleaving&) {
+  config.replay.on_outcome = [&](uint64_t, const core::Interleaving&,
+                                 const core::InterleavingOutcome&) {
     ++replayed;
   };
   HangingTown town(2);

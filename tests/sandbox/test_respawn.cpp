@@ -1,8 +1,8 @@
-// Fork-server respawn backoff (ISSUE 9 satellite): a subject factory that
-// fails the first k fixture builds must not hot-loop or kill the run — each
-// failed spawn backs off exponentially (capped) and retries, the
+// Fork-server respawn backoff: a subject factory that fails the first k
+// fixture builds must not hot-loop or kill the run — each failed spawn backs
+// off exponentially (10 ms doubling, capped at 1 s) and retries, the
 // SandboxStats::respawn_failures counter records exactly k, and a factory
-// that keeps failing past sandbox_spawn_max_retries surfaces the original
+// that keeps failing past the supervisor's 4 retries surfaces the original
 // error. The flaky factory counts attempts through a file because each build
 // happens in a freshly forked runner: a static counter would reset with
 // every child's copy-on-write image.
@@ -59,16 +59,13 @@ core::SubjectFactory flaky_factory(const std::string& path, int fail_first) {
   };
 }
 
-ReplayReport run_sandboxed(const core::SubjectFactory& factory, int max_retries) {
+ReplayReport run_sandboxed(const core::SubjectFactory& factory) {
   Session::Config config;
   config.generation_order = core::GroupedEnumerator::Order::Lexicographic;
   config.replay.stop_on_violation = false;
   config.replay.max_interleavings = 100'000;
   config.parallelism = 1;
   config.isolation = Isolation::Process;
-  config.replay.sandbox_spawn_max_retries = max_retries;
-  config.replay.sandbox_spawn_backoff_ms = 1;  // keep the retry sleeps test-fast
-  config.replay.sandbox_spawn_backoff_cap_ms = 8;
   config.subject_factory = factory;
   subjects::TownApp town(2);
   proxy::RdlProxy proxy(town);
@@ -84,7 +81,7 @@ ReplayReport run_sandboxed(const core::SubjectFactory& factory, int max_retries)
 TEST(SandboxRespawn, RetriesPastFirstKSpawnFailuresAndCountsThem) {
   const std::string path = counter_path("heals");
   constexpr int kFailFirst = 2;
-  const ReplayReport report = run_sandboxed(flaky_factory(path, kFailFirst), 4);
+  const ReplayReport report = run_sandboxed(flaky_factory(path, kFailFirst));
   // The run completed on the healthy respawn...
   EXPECT_GT(report.explored, 0u);
   EXPECT_EQ(report.violations, 0u);
@@ -95,8 +92,8 @@ TEST(SandboxRespawn, RetriesPastFirstKSpawnFailuresAndCountsThem) {
 TEST(SandboxRespawn, CleanFactoryReportsZeroRespawnFailures) {
   // Guard for the omitted-when-zero to_json contract: a healthy run must not
   // grow a respawn_failures field.
-  const ReplayReport report = run_sandboxed(
-      [] { return std::make_unique<subjects::TownApp>(2); }, 4);
+  const ReplayReport report =
+      run_sandboxed([] { return std::make_unique<subjects::TownApp>(2); });
   EXPECT_GT(report.explored, 0u);
   EXPECT_EQ(report.sandbox.respawn_failures, 0u);
   const std::string dumped = report.to_json().dump();
@@ -106,8 +103,9 @@ TEST(SandboxRespawn, CleanFactoryReportsZeroRespawnFailures) {
 TEST(SandboxRespawn, DeterministicFactoryFailureSurfacesAfterRetryBudget) {
   const std::string path = counter_path("exhausts");
   // Fails far past the retry budget: the supervisor must give up with the
-  // child's error instead of respawning forever.
-  EXPECT_THROW((void)run_sandboxed(flaky_factory(path, 1000), 2), std::runtime_error);
+  // child's error, after 4 retries and about 150 ms of backoff, instead of
+  // respawning forever.
+  EXPECT_THROW((void)run_sandboxed(flaky_factory(path, 1000)), std::runtime_error);
 }
 
 }  // namespace

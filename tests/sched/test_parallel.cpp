@@ -1,17 +1,21 @@
 // Parallel exploration scheduler tests: deterministic result semantics
-// across worker counts (the ISSUE's parallelism ∈ {1, 4, 8} stress test),
-// lowest-index violation under stop_on_violation, serialized callback
-// delivery, persisted-log equality, shared budget accounting, distributed-
-// lock threaded mode under a parallel outer loop, profiler shard merging,
-// and the BoundedQueue primitive itself.
+// across worker counts (parallelism ∈ {1, 4, 8}), lowest-index violation
+// under stop_on_violation, serialized callback delivery, persisted-log
+// equality, shared budget accounting, distributed-lock threaded mode under a
+// parallel outer loop, profiler shard merging, the determinism contract
+// across the run driver's modes (journal resume, corpus warmth), and the
+// BoundedQueue primitive itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "core/profile.hpp"
 #include "core/session.hpp"
+#include "faults/explorer.hpp"
 #include "sched/explorer.hpp"
 #include "sched/queue.hpp"
 #include "subjects/town.hpp"
@@ -79,6 +83,26 @@ ReplayReport run_stress(int parallelism, Session::Config config = {}) {
   return session.end(transmit_assertions());
 }
 
+/// The stress workload as a fault sweep over `catalog` (the default catalog
+/// sweeps several plans).
+ReplayReport run_stress_faults(Session::Config config, const faults::CatalogOptions& catalog = {}) {
+  subjects::TownApp town(2);
+  proxy::RdlProxy proxy(town);
+  Session session(proxy, std::move(config));
+  session.start();
+  stress_workload(proxy);
+  return faults::explore_with_faults(session, transmit_assertions(), catalog);
+}
+
+faults::CatalogOptions baseline_only() {
+  faults::CatalogOptions catalog;
+  catalog.max_drops = 0;
+  catalog.max_duplicates = 0;
+  catalog.max_partition_windows = 0;
+  catalog.max_crash_restarts = 0;
+  return catalog;
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic result semantics across worker counts
 // ---------------------------------------------------------------------------
@@ -126,20 +150,30 @@ TEST(ParallelExplorer, StopOnViolationReportsLowestIndexViolation) {
 }
 
 TEST(ParallelExplorer, CallbacksAreSerializedInAscendingIndexOrder) {
-  Session::Config config = stress_config(8);
-  std::vector<uint64_t> indices;
-  std::atomic<int> concurrent{0};
-  std::atomic<bool> overlapped{false};
-  config.replay.on_interleaving_done = [&](uint64_t index, const core::Interleaving&) {
-    if (concurrent.fetch_add(1) != 0) overlapped.store(true);
-    indices.push_back(index);
-    concurrent.fetch_sub(1);
-  };
-  const ReplayReport report = run_stress(8, std::move(config));
-  EXPECT_FALSE(overlapped.load());
-  ASSERT_EQ(indices.size(), report.explored);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(indices[i], static_cast<uint64_t>(i) + 1);
+  // A plain run, then a fault sweep, whose index runs on across its plans.
+  for (const bool fault_sweep : {false, true}) {
+    SCOPED_TRACE(fault_sweep ? "fault sweep" : "plain run");
+    Session::Config config = stress_config(8);
+    if (fault_sweep) config.replay.max_interleavings = 60;  // per plan
+    std::vector<uint64_t> indices;
+    std::atomic<int> concurrent{0};
+    std::atomic<bool> overlapped{false};
+    config.replay.on_outcome = [&](uint64_t index, const core::Interleaving&,
+                                   const core::InterleavingOutcome&) {
+      if (concurrent.fetch_add(1) != 0) overlapped.store(true);
+      indices.push_back(index);
+      concurrent.fetch_sub(1);
+    };
+    const ReplayReport report =
+        fault_sweep ? run_stress_faults(std::move(config)) : run_stress(8, std::move(config));
+    if (fault_sweep) {
+      EXPECT_GT(report.plans_explored, 1u);
+    }
+    EXPECT_FALSE(overlapped.load());
+    ASSERT_EQ(indices.size(), report.explored);
+    for (size_t i = 0; i < indices.size(); ++i) {
+      EXPECT_EQ(indices[i], static_cast<uint64_t>(i) + 1);
+    }
   }
 }
 
@@ -191,6 +225,15 @@ TEST(ParallelExplorer, SharedBudgetCrashesDeterministically) {
     const ReplayReport parallel = budgeted(parallelism);
     EXPECT_EQ(parallel.verdict(), sequential.verdict()) << "p=" << parallelism;
   }
+  // A baseline-only fault sweep charges the same stream the same way, so it
+  // crashes after the same number of pairs.
+  for (const int parallelism : {1, 4}) {
+    Session::Config config = stress_config(parallelism);
+    config.replay.resource_budget_bytes = 4'000;
+    const ReplayReport sweep = run_stress_faults(std::move(config), baseline_only());
+    EXPECT_TRUE(sweep.crashed) << "p=" << parallelism;
+    EXPECT_EQ(sweep.explored, sequential.explored) << "p=" << parallelism;
+  }
 }
 
 TEST(ParallelExplorer, ThrowingCallbackJoinsThePoolAndRethrows) {
@@ -198,7 +241,8 @@ TEST(ParallelExplorer, ThrowingCallbackJoinsThePoolAndRethrows) {
   // a throw there must drain and join them, then surface to the caller.
   for (const int parallelism : {1, 4}) {
     Session::Config config = stress_config(parallelism);
-    config.replay.on_interleaving_done = [](uint64_t index, const core::Interleaving&) {
+    config.replay.on_outcome = [](uint64_t index, const core::Interleaving&,
+                                  const core::InterleavingOutcome&) {
       if (index == 3) throw std::runtime_error("callback failed");
     };
     EXPECT_THROW(run_stress(parallelism, std::move(config)), std::runtime_error)
@@ -301,10 +345,12 @@ core::AssertionFactory planted_tail_block() {
   };
 }
 
-/// One run's verdict. `borrowed` replays through end(AssertionList) on the
+/// One run's report. `borrowed` replays through end(AssertionList) on the
 /// session's own fixture. Every run here is crash-free, so a sandboxed one
-/// must leave the sandbox counters at zero.
-core::RunVerdict parity_verdict(Session::Config config, bool borrowed) {
+/// must leave the sandbox counters at zero. `corpus_hits`, when set,
+/// receives the run's corpus hit count.
+ReplayReport parity_report(Session::Config config, bool borrowed,
+                           uint64_t* corpus_hits = nullptr) {
   subjects::TownApp town(2);
   proxy::RdlProxy proxy(town);
   Session session(proxy, std::move(config));
@@ -313,7 +359,61 @@ core::RunVerdict parity_verdict(Session::Config config, bool borrowed) {
   const ReplayReport report = borrowed ? session.end(planted_tail_block()(town))
                                        : session.end(planted_tail_block());
   EXPECT_FALSE(report.sandbox.any());
-  return report.verdict();
+  if (corpus_hits != nullptr) *corpus_hits = session.corpus_stats().hits;
+  return report;
+}
+
+core::RunVerdict parity_verdict(Session::Config config, bool borrowed) {
+  return parity_report(std::move(config), borrowed).verdict();
+}
+
+/// Keep the journal's header and its first `records` records.
+void cut_journal(const std::filesystem::path& path, size_t records) {
+  std::ifstream in(path);
+  std::string kept;
+  std::string line;
+  for (size_t i = 0; i <= records && std::getline(in, line); ++i) kept += line + "\n";
+  in.close();
+  std::ofstream(path, std::ios::trunc) << kept;
+}
+
+/// The journal and corpus cells of the contract: journal `config`'s run,
+/// resume it from the journal cut after 0, 1 and half its records, and rerun
+/// it warm from the corpus the first run filled. Each run must reach
+/// `reference`, serve the kept records from the journal and, warm, every
+/// pair from the corpus.
+void expect_resumed_and_warm_runs_agree(Session::Config config,
+                                        const core::RunVerdict& reference,
+                                        const std::string& cell) {
+  const auto dir = std::filesystem::temp_directory_path() / "erpi-parity-persist";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto journal = dir / "run.jsonl";
+  config.resume_journal = journal.string();
+  config.corpus_path = (dir / "corpus").string();
+
+  const ReplayReport cold = parity_report(config, false);
+  EXPECT_EQ(cold.verdict(), reference) << cell << " journaled";
+  EXPECT_EQ(cold.pairs_skipped_from_journal, 0u) << cell;
+  const auto full = dir / "full.jsonl";
+  std::filesystem::copy_file(journal, full);
+  Session::Config resumed_config = config;
+  resumed_config.corpus_path.clear();
+  for (const size_t kept : {size_t{0}, size_t{1}, static_cast<size_t>(cold.explored / 2)}) {
+    std::filesystem::copy_file(full, journal, std::filesystem::copy_options::overwrite_existing);
+    cut_journal(journal, kept);
+    const ReplayReport resumed = parity_report(resumed_config, false);
+    EXPECT_EQ(resumed.verdict(), reference) << cell << " resumed after " << kept;
+    EXPECT_EQ(resumed.pairs_skipped_from_journal, kept) << cell;
+  }
+
+  Session::Config warm_config = config;
+  warm_config.resume_journal.clear();
+  uint64_t hits = 0;
+  const ReplayReport warm = parity_report(warm_config, false, &hits);
+  EXPECT_EQ(warm.verdict(), reference) << cell << " warm";
+  EXPECT_EQ(hits, warm.explored) << cell << " warm";
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ExplorationParity, ReportDependsOnlyOnWorkloadAndConfig) {
@@ -352,6 +452,9 @@ TEST(ExplorationParity, ReportDependsOnlyOnWorkloadAndConfig) {
             EXPECT_EQ(parity_verdict(std::move(sandboxed), false), reference)
                 << cell << " process p=" << parallelism;
           }
+        }
+        if (strategy == core::SearchStrategy::LexOrder) {
+          expect_resumed_and_warm_runs_agree(config_for(2), reference, cell);
         }
         // The matrix exercises what it claims: every sweep finds the planted
         // block, and the budget cuts every full sweep short.
