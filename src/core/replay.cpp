@@ -289,13 +289,14 @@ void commit_outcome(RunVerdict& report, const Interleaving& il,
   }
 }
 
-ReplayEngine::ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options)
+ReplayEngine::ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options,
+                           const ReplayHooks& hooks)
     : proxy_(&proxy), options_(std::move(options)) {
   if (options_.threaded) lock_server_ = std::make_unique<kv::Server>();
-  if (options_.observer_factory) observer_ = options_.observer_factory(proxy.target());
-  if (options_.footprint_learner != nullptr) {
+  if (hooks.observer_factory) observer_ = hooks.observer_factory(proxy.target());
+  if (hooks.footprint_learner != nullptr) {
     recorder_ = std::make_unique<FootprintRecorder>(
-        [learner = options_.footprint_learner, context = options_.footprint_context](
+        [learner = hooks.footprint_learner, context = hooks.footprint_context](
             int event_id, Footprint&& fp) {
           learner->observe(context, event_id, std::move(fp));
         });

@@ -309,22 +309,6 @@ struct ReplayOptions {
   /// across engines (sched::ParallelExplorer charges every worker against a
   /// single account, atomically, crash-once).
   BudgetAccount* budget = nullptr;
-  /// Per-engine replay observer (fault-schedule hooks). Invoked once in the
-  /// engine constructor with the engine's subject; the returned observer then
-  /// receives on_replay_begin/before_event for every interleaving this engine
-  /// replays. Parallel workers each construct their own observer instance, so
-  /// observers may keep per-fixture mutable state without locking.
-  std::function<std::shared_ptr<ReplayObserver>(proxy::Rdl& subject)> observer_factory;
-  /// Dynamic-pruning footprint learning (DESIGN.md §15). When set, the engine
-  /// installs a FootprintRecorder on its subject for the engine's lifetime
-  /// and streams each executed event's read/write footprint into the learner
-  /// under `footprint_context`. Null (the default) records nothing and adds
-  /// zero per-event overhead.
-  std::shared_ptr<IndependenceLearner> footprint_learner;
-  /// Context key footprints are observed under — the fault-plan kind for
-  /// fault sweeps, "none" otherwise. Independence queries union conflicts
-  /// over all contexts, so a new context only ever widens the relation.
-  std::string footprint_context = "none";
   /// Replay watchdog: when > 0, sched::ParallelExplorer bounds every replay
   /// to this many milliseconds, at every parallelism. A replay that exceeds
   /// the deadline is recorded as a structured `timed_out` outcome (not a
@@ -364,6 +348,27 @@ struct ReplayOptions {
   /// pipeline without additional locking. The callback must not re-enter the
   /// engine or the explorer.
   std::function<void(uint64_t, const Interleaving&, const InterleavingOutcome&)> on_outcome;
+};
+
+/// The engine hooks of one segment of a run, never user options: the run
+/// driver (core::Session) fills them into sched::ExplorerOptions::hooks.
+struct ReplayHooks {
+  /// Per-engine replay observer (fault-schedule hooks). Invoked once in the
+  /// engine constructor with the engine's subject; the returned observer then
+  /// receives on_replay_begin/before_event for every interleaving this engine
+  /// replays. Parallel workers each construct their own observer instance, so
+  /// observers may keep per-fixture mutable state without locking.
+  std::function<std::shared_ptr<ReplayObserver>(proxy::Rdl& subject)> observer_factory;
+  /// Dynamic-pruning footprint learning (DESIGN.md §15). When set, the engine
+  /// installs a FootprintRecorder on its subject for the engine's lifetime
+  /// and streams each executed event's read/write footprint into the learner
+  /// under `footprint_context`. Null (the default) records nothing and adds
+  /// zero per-event overhead.
+  std::shared_ptr<IndependenceLearner> footprint_learner;
+  /// Context key footprints are observed under — the fault-plan kind for
+  /// fault sweeps, "none" otherwise. Independence queries union conflicts
+  /// over all contexts, so a new context only ever widens the relation.
+  std::string footprint_context = "none";
 };
 
 /// The verdict of a run (paper §4.3–4.4): what replaying the surviving
@@ -559,7 +564,7 @@ class ReplayEngine {
   /// Builds a private kv::Server for the distributed lock when
   /// `options.threaded` is set: the turn and lock keys are fixed, so a server
   /// shared by concurrently running engines would mix their turns.
-  ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options);
+  ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options, const ReplayHooks& hooks = {});
   /// Uninstalls the footprint recorder from the subject (if one was wired).
   ~ReplayEngine();
 
@@ -594,8 +599,8 @@ class ReplayEngine {
   proxy::RdlProxy* proxy_;
   ReplayOptions options_;
   std::unique_ptr<kv::Server> lock_server_;  // threaded mode only
-  std::shared_ptr<ReplayObserver> observer_;  // from options_.observer_factory
-  /// Owned footprint hook (null unless options_.footprint_learner is set);
+  std::shared_ptr<ReplayObserver> observer_;  // from hooks.observer_factory
+  /// Owned footprint hook (null unless hooks.footprint_learner is set);
   /// installed on the subject in the constructor, uninstalled in ~ReplayEngine.
   std::unique_ptr<FootprintRecorder> recorder_;
   std::atomic<bool> cancel_requested_{false};

@@ -12,14 +12,6 @@
 
 namespace erpi::core {
 
-namespace {
-
-/// The plan key the journal and the corpus file end()'s untagged pairs
-/// under: they replay under no fault, like a fault sweep's baseline.
-constexpr const char* kNoPlan = "none";
-
-}  // namespace
-
 const char* exploration_mode_name(ExplorationMode mode) noexcept {
   switch (mode) {
     case ExplorationMode::ErPi: return "er-pi";
@@ -61,8 +53,8 @@ uint64_t run_fingerprint(const Session& session, const ReplayOptions& replay,
   }
   // Dynamic pruning reshapes which interleavings are generated at all, so
   // both namespaces hash its options; the journal additionally pins the
-  // learned relation itself — a resumed run must regenerate the exact same
-  // stream to merge the journaled prefix soundly.
+  // learned relation itself, so a resumed run regenerates the journaled
+  // stream rather than serving only its prefix up to the first new cut.
   hasher.u64(config.dynamic_pruning.enabled ? 1 : 0);
   hasher.u64(config.dynamic_pruning.paranoid ? 1 : 0);
   hasher.u64(config.dynamic_pruning.footprint_schema);
@@ -292,9 +284,9 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
   });
 
   // ---- crash-safe journal: resume what a killed run already explored ------
-  // Each plan's journaled outcomes: an ascending 1..m prefix of its sweep,
+  // Each plan's journaled records: an ascending 1..m prefix of its sweep,
   // because the committer journals in commit order.
-  std::map<std::string, std::vector<InterleavingOutcome>> journaled;
+  std::map<std::string, std::vector<RunJournal::Record>> journaled;
   std::optional<RunJournal> journal;
   if (!config_.resume_journal.empty()) {
     const uint64_t fingerprint =
@@ -312,7 +304,7 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
     // resumes from at least this far.
     journal = RunJournal::create(config_.resume_journal, fingerprint, prefix,
                                  journal_stream_factory_);
-    for (auto& record : prefix) journaled[record.plan].push_back(std::move(record.outcome));
+    for (auto& record : prefix) journaled[record.plan].push_back(std::move(record));
   }
 
   // ---- cross-run outcome corpus (DESIGN.md §11) ---------------------------
@@ -397,29 +389,32 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
       break;
     }
     if (!segment.plan.empty()) ++report.plans_explored;
-    const std::string plan_key = segment.plan.empty() ? kNoPlan : segment.plan;
-    // The journal fingerprint pins the stream and ranked runs reject a
-    // journal, so pull k of this segment's regenerated stream is its
-    // journaled record k.
-    const std::vector<InterleavingOutcome>& resumed = journaled[plan_key];
+    const std::string plan_key = segment.plan.empty() ? "none" : segment.plan;
+    // Ranked runs reject a journal, so pull k of this segment's regenerated
+    // stream meets journaled record k. It is served only while their keys
+    // agree: the fingerprint does not pin the static pruners or constraint
+    // files, and a stream that left the journaled one replays from the first
+    // pair that differs.
+    std::vector<RunJournal::Record>& resumed = journaled[plan_key];
     size_t served = 0;
 
     std::unique_ptr<Enumerator> enumerator = make_enumerator();
     auto* pruned = dynamic_cast<PrunedEnumerator*>(enumerator.get());
-    if (pruned != nullptr && !segment.dynamic_cuts) pruned->set_dynamic_pruning(false);
+    // Learned cuts model the unfaulted ("none") context only, so a faulted
+    // segment's replays train its own context instead (DESIGN.md §15.3).
+    if (pruned != nullptr && segment.hooks.footprint_context != "none") {
+      pruned->set_dynamic_pruning(false);
+    }
 
     sched::ExplorerOptions options;
     options.parallelism = config_.parallelism;
     options.isolation = config_.isolation;
     options.replay = config_.replay;
     options.replay.budget = budget;
-    if (segment.observer_factory) options.replay.observer_factory = segment.observer_factory;
-    if (dpor_learner_ != nullptr) {
-      // Keep observing during enumeration: late widenings are telemetry for
-      // this run and training data for the next one (corpus export).
-      options.replay.footprint_learner = dpor_learner_;
-      options.replay.footprint_context = segment.footprint_context;
-    }
+    options.hooks = segment.hooks;
+    // Keep observing during enumeration: late widenings are telemetry for
+    // this run and training data for the next one (corpus export).
+    options.hooks.footprint_learner = dpor_learner_;
     // The commit hook, after the explorer folded the pair into the report: a
     // journaled pair is already on disk; every pair is offered to the
     // corpus, persisted, polled for runtime constraints and handed to the
@@ -428,7 +423,8 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
                                     uint64_t index, const Interleaving& il,
                                     const InterleavingOutcome& outcome) {
       const uint64_t ordinal = index - base;
-      const bool from_journal = ordinal <= resumed.size();
+      // Pull `ordinal` came before its commit, so `served` already decided it.
+      const bool from_journal = ordinal <= served;
       if (from_journal) ++skipped;
       if (journal || corpus) {
         std::string il_key;
@@ -469,10 +465,16 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
       // classes straight from the corpus; misses replay normally and are
       // appended via offer_to_corpus.
       options.outcome_cache = [&](const Interleaving& il) -> std::optional<InterleavingOutcome> {
-        if (served < resumed.size()) return resumed[served++];
-        if (!reuse) return std::nullopt;
+        if (served == resumed.size() && !reuse) return std::nullopt;
         std::string il_key;
         il.append_key(il_key);
+        if (served < resumed.size()) {
+          if (resumed[served].key == il_key) return std::move(resumed[served++].outcome);
+          ERPI_INFO("session") << "journaled stream of plan " << plan_key
+                               << " differs at pair " << served + 1 << ", replaying from there";
+          resumed.resize(served);
+        }
+        if (!reuse) return std::nullopt;
         if (const corpus::Record* record = corpus->lookup(corpus_fp, plan_key, il_key)) {
           ++corpus_stats_.hits;
           return record->outcome;

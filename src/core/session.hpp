@@ -136,9 +136,10 @@ class Session {
     /// Crash-safe resume journal path (DESIGN.md §8), for end() and fault
     /// sweeps alike. "" disables journaling. When the file already exists
     /// and its fingerprint matches the run configuration, the journaled
-    /// (interleaving, plan) pairs are not replayed: their recorded outcomes
-    /// are committed in their place — so a SIGKILLed run picks up where it
-    /// left off; otherwise a fresh journal is started at this path. A ranked
+    /// (interleaving, plan) pairs are not replayed while the regenerated
+    /// stream meets them in journal order: their recorded outcomes are
+    /// committed in their place — so a SIGKILLed run picks up where it left
+    /// off; otherwise a fresh journal is started at this path. A ranked
     /// search rejects it.
     std::string resume_journal;
     /// Directory of the cross-run persistent outcome corpus
@@ -205,13 +206,11 @@ class Session {
     /// tag, and the journal and the corpus file them under the baseline key
     /// "none".
     std::string plan;
-    /// Builds each worker's replay observer (the plan's fault runtime).
-    std::function<std::shared_ptr<ReplayObserver>(proxy::Rdl&)> observer_factory;
-    /// The context its replays train the DPOR learner under.
-    std::string footprint_context = "none";
-    /// Whether learned (DPOR) cuts apply to its stream: the learned relation
-    /// models unfaulted executions only.
-    bool dynamic_cuts = true;
+    /// Its engine hooks: the plan's fault runtime as observer, and the
+    /// context its replays train the DPOR learner under (the driver adds the
+    /// learner). Learned cuts apply only to a "none" context: they model
+    /// unfaulted executions.
+    ReplayHooks hooks;
   };
 
   /// A fault sweep, as faults::FaultExplorer hands it to the run driver.

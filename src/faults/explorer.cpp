@@ -71,15 +71,14 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     for (const FaultPlan& plan : plans_) {
       core::Session::Segment& segment = segments.emplace_back();
       segment.plan = plan.key();
-      segment.observer_factory = [plan](proxy::Rdl& subject) {
+      segment.hooks.observer_factory = [plan](proxy::Rdl& subject) {
         return std::make_shared<PlanRuntime>(plan, subject);
       };
       // Footprints were learned under the unfaulted ("none") context; a fault
-      // plan changes what events touch, so dynamic cuts stay off for faulted
-      // plans and their replays instead train the plan kind's context for
-      // future (union-across-contexts, conservative) queries.
-      segment.footprint_context = plan_kind_context(plan);
-      segment.dynamic_cuts = plan.kind == FaultPlan::Kind::None;
+      // plan changes what events touch, so its replays train the plan kind's
+      // context for future (union-across-contexts, conservative) queries,
+      // and the driver keeps dynamic cuts off for every context but "none".
+      segment.hooks.footprint_context = plan_kind_context(plan);
     }
     return segments;
   };

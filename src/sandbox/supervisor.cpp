@@ -69,6 +69,7 @@ struct RunnerConfig {
   core::SubjectFactory subject_factory;
   core::AssertionFactory assertion_factory;
   core::ReplayOptions options;  // scrubbed: no callbacks/budget, no recursion
+  core::ReplayHooks hooks;
   uint64_t memory_limit_bytes = 0;
   core::EventSet events;
 };
@@ -113,7 +114,7 @@ bool is_ready_payload(const std::string& payload) {
     }
     rdl_proxy = std::make_unique<proxy::RdlProxy>(*subject);
     if (config.assertion_factory) assertions = config.assertion_factory(*subject);
-    engine = std::make_unique<core::ReplayEngine>(*rdl_proxy, config.options);
+    engine = std::make_unique<core::ReplayEngine>(*rdl_proxy, config.options, config.hooks);
     for (const auto& assertion : assertions) assertion->on_run_start();
   } catch (const std::bad_alloc&) {
     write_frame(data_fd, oom_payload);
@@ -198,7 +199,8 @@ bool is_ready_payload(const std::string& payload) {
 
 ForkServer::ForkServer(core::SubjectFactory subject_factory,
                        core::AssertionFactory assertion_factory,
-                       core::ReplayOptions base, const core::EventSet& events)
+                       core::ReplayOptions base, core::ReplayHooks hooks,
+                       const core::EventSet& events)
     : options_(base) {
   if (!subject_factory) {
     throw std::invalid_argument("process isolation requires a subject factory");
@@ -212,9 +214,9 @@ ForkServer::ForkServer(core::SubjectFactory subject_factory,
   // The child replays on its own thread with no watchdog (the supervisor
   // enforces deadlines externally), no shared budget (the dispatcher accounts
   // for everything parent-side) and no callbacks (delivery is the explorer's
-  // job). observer_factory survives: fault-schedule hooks must fire inside
-  // the child, where the subject lives.
+  // job); the hooks go along (see the header).
   config.options = std::move(base);
+  config.hooks = std::move(hooks);
   config.options.budget = nullptr;
   config.options.resource_budget_bytes = UINT64_MAX;
   config.options.on_outcome = nullptr;

@@ -57,12 +57,13 @@ class ForkServer {
   /// fixture from `subject_factory`/`assertion_factory` inside the child).
   /// `base` carries the run-wide replay options; the supervisor owns the
   /// watchdog (base.watchdog_timeout_ms) and the retry-once policy, the
-  /// child gets a scrubbed copy (no callbacks, no budget, Isolation::None).
-  /// `events` must outlive this object. MUST be constructed while the
-  /// calling process is single-threaded.
+  /// child gets a scrubbed copy (no callbacks, no budget, Isolation::None)
+  /// and `hooks`, so fault-schedule hooks fire inside the child, where the
+  /// subject lives. `events` must outlive this object. MUST be constructed
+  /// while the calling process is single-threaded.
   ForkServer(core::SubjectFactory subject_factory,
              core::AssertionFactory assertion_factory, core::ReplayOptions base,
-             const core::EventSet& events);
+             core::ReplayHooks hooks, const core::EventSet& events);
 
   /// Kills the current runner, shuts the server down and reaps it.
   ~ForkServer();

@@ -390,7 +390,8 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
       sandbox::ForkServer* server =
           sandboxes
               .emplace_back(std::make_unique<sandbox::ForkServer>(
-                  options_.subject_factory, options_.assertion_factory, options_.replay, events))
+                  options_.subject_factory, options_.assertion_factory, options_.replay,
+                  options_.hooks, events))
               .get();
       replayers.emplace_back([server](const core::Interleaving& il) {
         return server->replay_one(il);
@@ -399,7 +400,8 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
       WorkerContext* context =
           contexts
               .emplace_back(std::make_unique<WorkerContext>(
-                  options_.subject_factory, options_.assertion_factory, options_.replay))
+                  options_.subject_factory, options_.assertion_factory, options_.replay,
+                  options_.hooks))
               .get();
       replayers.emplace_back([context, &events](const core::Interleaving& il) {
         return context->replay_one(il, events);
@@ -431,7 +433,7 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
         "a borrowed fixture replays inline: it needs one worker and Isolation::None");
   }
   util::Stopwatch watch;
-  WorkerContext context(fixture, assertions, options_.replay);
+  WorkerContext context(fixture, assertions, options_.replay, options_.hooks);
   explore(options_, enumerator, events,
           {[&](const core::Interleaving& il) { return context.replay_one(il, events); }},
           report);

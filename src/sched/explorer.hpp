@@ -66,6 +66,9 @@ struct ExplorerOptions {
   /// Run-wide replay options (cap, stop_on_violation, threaded, budget,
   /// on_outcome).
   core::ReplayOptions replay;
+  /// The segment's engine hooks (its fault observer and DPOR footprint
+  /// learning), installed on every worker's engine.
+  core::ReplayHooks hooks;
   /// Where replays execute (DESIGN.md §9). Under Isolation::Process each
   /// worker drives a sandbox::ForkServer: child deaths surface as structured
   /// crashed/oom/timed_out outcomes instead of taking the run down.

@@ -10,10 +10,11 @@ namespace erpi::sched {
 
 WorkerContext::WorkerContext(const core::SubjectFactory& subject_factory,
                              const core::AssertionFactory& assertion_factory,
-                             core::ReplayOptions base)
+                             core::ReplayOptions base, core::ReplayHooks hooks)
     : subject_factory_(subject_factory),
       assertion_factory_(assertion_factory),
-      options_(std::move(base)) {
+      options_(std::move(base)),
+      hooks_(std::move(hooks)) {
   if (!subject_factory_) {
     throw std::invalid_argument("parallel exploration requires a subject factory");
   }
@@ -21,7 +22,7 @@ WorkerContext::WorkerContext(const core::SubjectFactory& subject_factory,
 }
 
 WorkerContext::WorkerContext(proxy::RdlProxy& proxy, const core::AssertionList& assertions,
-                             core::ReplayOptions base)
+                             core::ReplayOptions base, const core::ReplayHooks& hooks)
     : options_(std::move(base)) {
   if (options_.watchdog_timeout_ms > 0) {
     throw std::invalid_argument(
@@ -30,7 +31,7 @@ WorkerContext::WorkerContext(proxy::RdlProxy& proxy, const core::AssertionList& 
   }
   fixture_ = std::make_shared<Fixture>();
   fixture_->assertions = assertions;
-  fixture_->engine = std::make_unique<core::ReplayEngine>(proxy, options_);
+  fixture_->engine = std::make_unique<core::ReplayEngine>(proxy, options_, hooks);
   for (const auto& assertion : fixture_->assertions) assertion->on_run_start();
 }
 
@@ -42,7 +43,7 @@ std::shared_ptr<WorkerContext::Fixture> WorkerContext::build_fixture() const {
   }
   fixture->proxy = std::make_unique<proxy::RdlProxy>(*fixture->subject);
   if (assertion_factory_) fixture->assertions = assertion_factory_(*fixture->subject);
-  fixture->engine = std::make_unique<core::ReplayEngine>(*fixture->proxy, options_);
+  fixture->engine = std::make_unique<core::ReplayEngine>(*fixture->proxy, options_, hooks_);
 
   for (const auto& assertion : fixture->assertions) assertion->on_run_start();
   return fixture;

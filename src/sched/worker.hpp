@@ -34,14 +34,16 @@ namespace erpi::sched {
 
 class WorkerContext {
  public:
-  /// `base` carries the run-wide replay options.
+  /// `base` carries the run-wide replay options, `hooks` the segment's
+  /// engine hooks (reinstalled on every rebuilt fixture).
   WorkerContext(const core::SubjectFactory& subject_factory,
-                const core::AssertionFactory& assertion_factory, core::ReplayOptions base);
+                const core::AssertionFactory& assertion_factory, core::ReplayOptions base,
+                core::ReplayHooks hooks);
 
   /// Replays on `proxy` and `assertions`, which must outlive the context.
   /// Throws std::invalid_argument when `base` sets a watchdog.
   WorkerContext(proxy::RdlProxy& proxy, const core::AssertionList& assertions,
-                core::ReplayOptions base);
+                core::ReplayOptions base, const core::ReplayHooks& hooks);
 
   WorkerContext(const WorkerContext&) = delete;
   WorkerContext& operator=(const WorkerContext&) = delete;
@@ -73,6 +75,7 @@ class WorkerContext {
   core::SubjectFactory subject_factory_;
   core::AssertionFactory assertion_factory_;
   core::ReplayOptions options_;
+  core::ReplayHooks hooks_;
   std::shared_ptr<Fixture> fixture_;
 };
 

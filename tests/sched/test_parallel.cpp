@@ -13,6 +13,7 @@
 #include <fstream>
 #include <thread>
 
+#include "core/persist.hpp"
 #include "core/profile.hpp"
 #include "core/session.hpp"
 #include "faults/explorer.hpp"
@@ -207,6 +208,28 @@ TEST(ParallelExplorer, HonorsInterleavingCap) {
   EXPECT_EQ(report.explored, 17u);
   EXPECT_TRUE(report.hit_cap);
   EXPECT_FALSE(report.exhausted);
+
+  // A stop-on-violation run whose violation is its cap-th pair stopped at
+  // the violation: it neither hit its cap nor ran dry, as a plain run and as
+  // a baseline-only fault sweep alike.
+  Session::Config stopping = stress_config(1);
+  stopping.replay.stop_on_violation = true;
+  const ReplayReport uncapped = run_stress(1, stopping);
+  ASSERT_TRUE(uncapped.reproduced);
+  for (const int parallelism : {1, 4}) {
+    Session::Config capped = stress_config(parallelism);
+    capped.replay.stop_on_violation = true;
+    capped.replay.max_interleavings = uncapped.first_violation_index;
+    const ReplayReport plain = run_stress(parallelism, capped);
+    const ReplayReport sweep = run_stress_faults(capped, baseline_only());
+    for (const ReplayReport* capped_report : {&plain, &sweep}) {
+      const char* entry = capped_report == &plain ? "end()" : "fault sweep";
+      EXPECT_EQ(capped_report->explored, uncapped.first_violation_index) << entry;
+      EXPECT_TRUE(capped_report->reproduced) << entry;
+      EXPECT_FALSE(capped_report->hit_cap) << entry << " p=" << parallelism;
+      EXPECT_FALSE(capped_report->exhausted) << entry << " p=" << parallelism;
+    }
+  }
 }
 
 TEST(ParallelExplorer, SharedBudgetCrashesDeterministically) {
@@ -381,7 +404,8 @@ void cut_journal(const std::filesystem::path& path, size_t records) {
 /// resume it from the journal cut after 0, 1 and half its records, and rerun
 /// it warm from the corpus the first run filled. Each run must reach
 /// `reference`, serve the kept records from the journal and, warm, every
-/// pair from the corpus.
+/// pair from the corpus. A resume whose static pruners changed since the
+/// journal was written must reach the changed run's own verdict.
 void expect_resumed_and_warm_runs_agree(Session::Config config,
                                         const core::RunVerdict& reference,
                                         const std::string& cell) {
@@ -405,6 +429,36 @@ void expect_resumed_and_warm_runs_agree(Session::Config config,
     const ReplayReport resumed = parity_report(resumed_config, false);
     EXPECT_EQ(resumed.verdict(), reference) << cell << " resumed after " << kept;
     EXPECT_EQ(resumed.pairs_skipped_from_journal, kept) << cell;
+  }
+
+  // The journal fingerprint does not pin the static pruners, so this resume
+  // regenerates another stream: journaled records are served only while
+  // their keys match its pulls. Resuming again from the journal it leaves
+  // (stale records past the divergence, then the re-journaled pairs) serves
+  // the same prefix.
+  Session::Config pruned = resumed_config;
+  pruned.independence = {{{6, 9}, {10}}};
+  Session::Config uninterrupted = pruned;
+  uninterrupted.resume_journal.clear();
+  std::vector<std::string> pruned_keys;
+  uninterrupted.replay.on_outcome = [&](uint64_t, const core::Interleaving& il,
+                                        const core::InterleavingOutcome&) {
+    pruned_keys.push_back(il.key());
+  };
+  const core::RunVerdict pruned_reference = parity_verdict(uninterrupted, false);
+  const auto journaled = core::RunJournal::load(full.string());
+  ASSERT_TRUE(journaled.has_value()) << cell;
+  size_t common = 0;
+  while (common < pruned_keys.size() && common < journaled->records.size() &&
+         pruned_keys[common] == journaled->records[common].key) {
+    ++common;
+  }
+  EXPECT_LT(common, journaled->records.size()) << cell << " streams must diverge";
+  std::filesystem::copy_file(full, journal, std::filesystem::copy_options::overwrite_existing);
+  for (const char* pass : {"resumed", "resumed again"}) {
+    const ReplayReport diverged = parity_report(pruned, false);
+    EXPECT_EQ(diverged.verdict(), pruned_reference) << cell << " pruned " << pass;
+    EXPECT_EQ(diverged.pairs_skipped_from_journal, common) << cell << " pruned " << pass;
   }
 
   Session::Config warm_config = config;
