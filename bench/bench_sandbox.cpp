@@ -1,9 +1,12 @@
 // Fork-server overhead sweep: the same crash-free exploration replayed
 // in-process (Isolation::None) and through the sandbox fork server
 // (Isolation::Process), across parallelism. The long-lived
-// child amortizes fixture construction, so the per-pair cost is one request
-// frame + one response frame over a socketpair; the ISSUE target is < 25%
-// pairs/sec overhead on this workload. Both modes must reach the same
+// child amortizes fixture construction, and the wire is pipelined: a window
+// of up to 32 items leaves as one request frame, the child answers each
+// pass with a 5-byte frame and wakes the supervisor once per window, so the
+// per-pair cost is a few bytes of socket traffic and a share of two context
+// switches (DESIGN.md §9); the target is < 25% pairs/sec overhead on this
+// workload. Both modes must reach the same
 // verdict, and the crash-free sandboxed run must leave its anomaly counters
 // at zero, or the binary exits non-zero.
 //

@@ -284,16 +284,21 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
   });
 
   // ---- crash-safe journal: resume what a killed run already explored ------
-  // Each plan's journaled records: an ascending 1..m prefix of its sweep,
-  // because the committer journals in commit order.
-  std::map<std::string, std::vector<RunJournal::Record>> journaled;
+  // The loaded records in file order, and each plan's: an ascending 1..m
+  // prefix of its sweep (indices into `prefix`), because the committer
+  // journals in commit order. `served[plan]` counts the records served so
+  // far; `unserved` those still waiting, in every plan.
+  std::vector<RunJournal::Record> prefix;
+  std::map<std::string, std::vector<size_t>> journaled;
+  std::map<std::string, size_t> served;
+  size_t unserved = 0;
+  uint64_t journal_fingerprint = 0;
   std::optional<RunJournal> journal;
   if (!config_.resume_journal.empty()) {
-    const uint64_t fingerprint =
+    journal_fingerprint =
         run_fingerprint(*this, config_.replay, FingerprintPurpose::Journal, sweep.hash_catalog);
-    std::vector<RunJournal::Record> prefix;
     if (auto loaded = RunJournal::load(config_.resume_journal)) {
-      if (loaded->fingerprint == fingerprint) {
+      if (loaded->fingerprint == journal_fingerprint) {
         prefix = std::move(loaded->records);
       } else {
         ERPI_INFO("session") << "resume journal fingerprint mismatch, starting fresh: "
@@ -302,10 +307,26 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
     }
     // The fresh journal starts with the resumed prefix, so a second kill
     // resumes from at least this far.
-    journal = RunJournal::create(config_.resume_journal, fingerprint, prefix,
+    journal = RunJournal::create(config_.resume_journal, journal_fingerprint, prefix,
                                  journal_stream_factory_);
-    for (auto& record : prefix) journaled[record.plan].push_back(std::move(record));
+    for (size_t i = 0; i < prefix.size(); ++i) journaled[prefix[i].plan].push_back(i);
+    unserved = prefix.size();
   }
+  // Before the first new record, a journal some of whose records will never
+  // be served (the regenerated stream left the journaled one) is rewritten
+  // once to the records served so far, and the rest are dropped: the new
+  // records then continue a journal an uninterrupted run would have written,
+  // and a later resume serves all of them.
+  const auto prune_unserved = [&] {
+    std::vector<RunJournal::Record> kept;
+    for (const auto& record : prefix) {
+      if (record.interleaving <= served[record.plan]) kept.push_back(record);
+    }
+    journal = RunJournal::create(config_.resume_journal, journal_fingerprint, kept,
+                                 journal_stream_factory_);
+    for (auto& [plan, records] : journaled) records.resize(served[plan]);
+    unserved = 0;
+  };
 
   // ---- cross-run outcome corpus (DESIGN.md §11) ---------------------------
   corpus_stats_ = {};
@@ -395,8 +416,8 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
     // agree: the fingerprint does not pin the static pruners or constraint
     // files, and a stream that left the journaled one replays from the first
     // pair that differs.
-    std::vector<RunJournal::Record>& resumed = journaled[plan_key];
-    size_t served = 0;
+    std::vector<size_t>& resumed = journaled[plan_key];
+    size_t& served_here = served[plan_key];
 
     std::unique_ptr<Enumerator> enumerator = make_enumerator();
     auto* pruned = dynamic_cast<PrunedEnumerator*>(enumerator.get());
@@ -423,13 +444,17 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
                                     uint64_t index, const Interleaving& il,
                                     const InterleavingOutcome& outcome) {
       const uint64_t ordinal = index - base;
-      // Pull `ordinal` came before its commit, so `served` already decided it.
-      const bool from_journal = ordinal <= served;
+      // Pull `ordinal` came before its commit, so `served_here` already
+      // decided it.
+      const bool from_journal = ordinal <= served_here;
       if (from_journal) ++skipped;
       if (journal || corpus) {
         std::string il_key;
         il.append_key(il_key);
-        if (journal && !from_journal) journal->append({plan_key, ordinal, il_key, outcome});
+        if (journal && !from_journal) {
+          if (unserved > 0) prune_unserved();
+          journal->append({plan_key, ordinal, il_key, outcome});
+        }
         if (corpus) offer_to_corpus(plan_key, il_key, outcome);
       }
       if (config_.persist) store_.persist(il);
@@ -459,20 +484,27 @@ ReplayReport Session::drive(const FaultSweep& sweep, const AssertionFactory& ass
     options.violation_priors = priors;
     options.coverage = coverage;
     options.plan = segment.plan;
+    options.pull_after_commit = pruned != nullptr && !config_.constraints_dir.empty();
     if (!resumed.empty() || reuse) {
       // The source resolves journaled pairs first — a journaled crash is
       // quarantined again without re-executing it — then already-proven
       // classes straight from the corpus; misses replay normally and are
       // appended via offer_to_corpus.
       options.outcome_cache = [&](const Interleaving& il) -> std::optional<InterleavingOutcome> {
-        if (served == resumed.size() && !reuse) return std::nullopt;
+        const bool journal_left = served_here < resumed.size();
+        if (!journal_left && !reuse) return std::nullopt;
         std::string il_key;
         il.append_key(il_key);
-        if (served < resumed.size()) {
-          if (resumed[served].key == il_key) return std::move(resumed[served++].outcome);
-          ERPI_INFO("session") << "journaled stream of plan " << plan_key
-                               << " differs at pair " << served + 1 << ", replaying from there";
-          resumed.resize(served);
+        if (journal_left) {
+          const RunJournal::Record& record = prefix[resumed[served_here]];
+          if (record.key == il_key) {
+            ++served_here;
+            --unserved;
+            return record.outcome;
+          }
+          ERPI_INFO("session") << "journaled stream of plan " << plan_key << " differs at pair "
+                               << served_here + 1 << ", replaying from there";
+          resumed.resize(served_here);
         }
         if (!reuse) return std::nullopt;
         if (const corpus::Record* record = corpus->lookup(corpus_fp, plan_key, il_key)) {

@@ -30,6 +30,10 @@ std::optional<WorkResponse::Status> parse_status(const std::string& name) {
 }  // namespace
 
 std::string encode_response(const WorkResponse& response) {
+  if (response.status == WorkResponse::Status::Ok && response.error.empty() &&
+      response.outcome == core::InterleavingOutcome{}) {
+    return std::string(kPassPayload);
+  }
   util::Json j = util::Json::object();
   j["status"] = status_name(response.status);
   if (!response.error.empty()) j["message"] = response.error;
@@ -37,7 +41,8 @@ std::string encode_response(const WorkResponse& response) {
   return j.dump();
 }
 
-std::optional<WorkResponse> decode_response(const std::string& payload) {
+std::optional<WorkResponse> decode_response(std::string_view payload) {
+  if (payload == kPassPayload) return WorkResponse{};
   const auto parsed = util::Json::parse(payload);
   if (!parsed) return std::nullopt;
   const util::Json& j = parsed.value();

@@ -1,7 +1,9 @@
 #include "sandbox/supervisor.hpp"
 
 #include <errno.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -10,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -74,21 +77,40 @@ struct RunnerConfig {
   core::EventSet events;
 };
 
-std::string ready_payload() {
-  util::Json j = util::Json::object();
-  j["ready"] = true;
-  return j.dump();
+/// Wake the supervisor (the wake-up eventfd).
+void wake_supervisor(int wake_fd) {
+  const uint64_t one = 1;
+  ssize_t n;
+  do {
+    n = ::write(wake_fd, &one, sizeof(one));
+  } while (n < 0 && errno == EINTR);
 }
 
-bool is_ready_payload(const std::string& payload) {
-  const auto parsed = util::Json::parse(payload);
-  return parsed && parsed.value().is_object() && parsed.value().contains("ready");
+/// Send one response frame whole. The supervisor waits on the wake-up
+/// eventfd, not on the data socket, so whenever the socket is full the
+/// runner wakes it and waits for room: a response of any size gets through
+/// without either side waiting on the other.
+bool send_response(int data_fd, int wake_fd, std::string_view frame) {
+  if (frame.size() > 4 + util::kMaxFrameBytes) return false;  // as write_frame refuses it
+  while (!frame.empty()) {
+    const ssize_t n = ::send(data_fd, frame.data(), frame.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      frame.remove_prefix(static_cast<size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return false;
+    wake_supervisor(wake_fd);
+    struct pollfd room = {data_fd, POLLOUT, 0};
+    if (::poll(&room, 1, -1) < 0 && errno != EINTR) return false;
+  }
+  return true;
 }
 
 /// The per-worker sandbox child: builds a private subject fixture exactly
-/// like sched::WorkerContext does in-process, then serves work items until
-/// the supervisor goes away. Never returns.
-[[noreturn]] void run_runner_loop(int data_fd, const RunnerConfig& config) {
+/// like sched::WorkerContext does in-process, then serves windows of work
+/// items until the supervisor goes away. Never returns.
+[[noreturn]] void run_runner_loop(int data_fd, int wake_fd, const RunnerConfig& config) {
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);  // never outlive the exploration
   if (config.memory_limit_bytes > 0) {
     struct rlimit limit;
@@ -101,7 +123,8 @@ bool is_ready_payload(const std::string& payload) {
   // failing.
   WorkResponse oom_template;
   oom_template.status = WorkResponse::Status::Oom;
-  const std::string oom_payload = encode_response(oom_template);
+  std::string oom_frame;
+  append_frame(oom_frame, encode_response(oom_template));
 
   std::unique_ptr<proxy::Rdl> subject;
   std::unique_ptr<proxy::RdlProxy> rdl_proxy;
@@ -117,7 +140,7 @@ bool is_ready_payload(const std::string& payload) {
     engine = std::make_unique<core::ReplayEngine>(*rdl_proxy, config.options, config.hooks);
     for (const auto& assertion : assertions) assertion->on_run_start();
   } catch (const std::bad_alloc&) {
-    write_frame(data_fd, oom_payload);
+    send_response(data_fd, wake_fd, oom_frame);
     ::_exit(kOomExitCode);
   } catch (const std::exception& e) {
     WorkResponse response;
@@ -127,36 +150,63 @@ bool is_ready_payload(const std::string& payload) {
     ::_exit(1);
   }
 
-  // Handshake: the supervisor only ships work to a runner that reached here,
-  // so a consumed request always produces either a response or a death — no
-  // stale request can linger in the socket for the next runner.
-  if (!write_frame(data_fd, ready_payload())) ::_exit(0);
+  // Handshake. A dead predecessor may have left part of its window unread;
+  // the supervisor sends nothing until it has read the ready frame, so every
+  // byte queued now is stale and is discarded first.
+  drain_nonblocking(data_fd);
+  if (!write_frame(data_fd, kReadyPayload)) ::_exit(0);
 
+  FrameReader requests;
+  std::string frame;      // one response frame
+  bool answered = false;  // windows answered since the last wake-up
   for (;;) {
-    const auto frame = read_frame(data_fd);
-    if (!frame) ::_exit(0);  // supervisor gone
-    const auto il = core::Interleaving::parse_key(*frame);
-    if (!il) ::_exit(1);
-
-    WorkResponse response;
-    try {
-      response.outcome = engine->replay_one(*il, config.events, assertions);
-    } catch (const std::bad_alloc&) {
-      write_frame(data_fd, oom_payload);
-      ::_exit(kOomExitCode);
-    } catch (const std::exception& e) {
-      response = WorkResponse{};
-      response.status = WorkResponse::Status::Error;
-      response.error = e.what();
+    const auto window = requests.next();
+    if (!window) {
+      if (requests.bad()) ::_exit(1);
+      auto fill = requests.fill(data_fd, /*block=*/false);
+      if (fill == FrameReader::Fill::Empty) {
+        // Input ran dry: wake the supervisor once for everything answered
+        // since the last wake-up, then wait for the next window.
+        if (answered) wake_supervisor(wake_fd);
+        answered = false;
+        fill = requests.fill(data_fd, /*block=*/true);
+      }
+      if (fill != FrameReader::Fill::Data) ::_exit(0);  // supervisor gone
+      continue;
     }
-    if (!write_frame(data_fd, encode_response(response))) ::_exit(0);
+    // Answer the window's keys in order. Under stop_on_violation a
+    // violation ends the window; the supervisor, applying the same rule,
+    // expects no answer past it.
+    for (std::string_view keys = *window; !keys.empty();) {
+      const size_t cut = std::min(keys.find(kKeySeparator), keys.size());
+      const auto il = core::Interleaving::parse_key(keys.substr(0, cut));
+      if (!il) ::_exit(1);
+      keys.remove_prefix(std::min(cut + 1, keys.size()));
+
+      WorkResponse response;
+      try {
+        response.outcome = engine->replay_one(*il, config.events, assertions);
+      } catch (const std::bad_alloc&) {
+        send_response(data_fd, wake_fd, oom_frame);
+        ::_exit(kOomExitCode);
+      } catch (const std::exception& e) {
+        response = WorkResponse{};
+        response.status = WorkResponse::Status::Error;
+        response.error = e.what();
+      }
+      frame.clear();
+      append_frame(frame, encode_response(response));
+      if (!send_response(data_fd, wake_fd, frame)) ::_exit(0);
+      if (config.options.stop_on_violation && !response.outcome.violations.empty()) break;
+    }
+    answered = true;
   }
 }
 
 /// The fork server: a single-threaded child that forks runners on command
 /// and reports their deaths. All runner forks happen here, so they are safe
 /// no matter how many threads the exploring process runs.
-[[noreturn]] void run_server_loop(int control_fd, int data_fd,
+[[noreturn]] void run_server_loop(int control_fd, int data_fd, int wake_fd,
                                   const RunnerConfig& config) {
   ::prctl(PR_SET_PDEATHSIG, SIGKILL);
   ::signal(SIGPIPE, SIG_IGN);
@@ -179,7 +229,7 @@ bool is_ready_payload(const std::string& payload) {
     }
     if (pid == 0) {
       ::close(control_fd);
-      run_runner_loop(data_fd, config);
+      run_runner_loop(data_fd, wake_fd, config);
     }
     if (!write_frame(control_fd, encode_spawn_notice({pid}))) {
       ::kill(pid, SIGKILL);
@@ -200,11 +250,15 @@ bool is_ready_payload(const std::string& payload) {
 ForkServer::ForkServer(core::SubjectFactory subject_factory,
                        core::AssertionFactory assertion_factory,
                        core::ReplayOptions base, core::ReplayHooks hooks,
-                       const core::EventSet& events)
-    : options_(base) {
+                       const core::EventSet& events) {
   if (!subject_factory) {
     throw std::invalid_argument("process isolation requires a subject factory");
   }
+  if (base.watchdog_timeout_ms > 0) {
+    deadline_ms_ = static_cast<int>(
+        std::min<uint64_t>(base.watchdog_timeout_ms, std::numeric_limits<int>::max()));
+  }
+  stop_on_violation_ = base.stop_on_violation;
 
   RunnerConfig config;
   config.subject_factory = std::move(subject_factory);
@@ -232,32 +286,43 @@ ForkServer::ForkServer(core::SubjectFactory subject_factory,
     ::close(control[1]);
     throw std::runtime_error("sandbox: data socketpair failed");
   }
+  const int wake = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake < 0) {
+    for (const int fd : {control[0], control[1], data[0], data[1]}) ::close(fd);
+    throw std::runtime_error("sandbox: wake-up eventfd failed");
+  }
 
   const std::vector<int> sibling_fds = registry_snapshot();
   const pid_t pid = ::fork();
   if (pid < 0) {
-    ::close(control[0]);
-    ::close(control[1]);
-    ::close(data[0]);
-    ::close(data[1]);
+    for (const int fd : {control[0], control[1], data[0], data[1], wake}) ::close(fd);
     throw std::runtime_error("sandbox: fork server fork failed");
   }
   if (pid == 0) {
     ::close(control[0]);
     ::close(data[0]);
     for (const int fd : sibling_fds) ::close(fd);
-    run_server_loop(control[1], data[1], config);
+    run_server_loop(control[1], data[1], wake, config);
   }
   ::close(control[1]);
   ::close(data[1]);
   control_fd_ = control[0];
   data_fd_ = data[0];
+  wake_fd_ = wake;
   server_pid_ = pid;
   registry_add(control_fd_);
   registry_add(data_fd_);
+  registry_add(wake_fd_);
+
+  int send_buffer = 0;
+  socklen_t len = sizeof(send_buffer);
+  if (::getsockopt(data_fd_, SOL_SOCKET, SO_SNDBUF, &send_buffer, &len) != 0 || send_buffer <= 0) {
+    send_buffer = 64 * 1024;
+  }
+  max_request_bytes_ = static_cast<size_t>(send_buffer) / 4;
 
   // Eager first spawn so every worker's fixture starts building right away;
-  // the ready handshake is consumed by the first replay_one.
+  // the ready handshake is consumed by the first replay().
   spawn_runner();
 }
 
@@ -279,13 +344,10 @@ ForkServer::~ForkServer() {
       reaped = ::waitpid(server_pid_, &status, 0);
     } while (reaped < 0 && errno == EINTR);
   }
-  if (control_fd_ >= 0) {
-    registry_remove(control_fd_);
-    ::close(control_fd_);
-  }
-  if (data_fd_ >= 0) {
-    registry_remove(data_fd_);
-    ::close(data_fd_);
+  for (const int fd : {control_fd_, data_fd_, wake_fd_}) {
+    if (fd < 0) continue;
+    registry_remove(fd);
+    ::close(fd);
   }
 }
 
@@ -337,59 +399,81 @@ int ForkServer::reap_runner() {
   if (!frame) throw_server_lost("exit notice");
   const auto notice = decode_notice(*frame);
   if (!notice || !notice->exited) throw_server_lost("exit notice decode");
-  // Clear any torn response bytes the dead runner left behind so the next
-  // runner starts on a clean socket.
-  drain_nonblocking(data_fd_);
   runner_pid_ = -1;
   ready_pending_ = false;
   return notice->exited->wait_status;
 }
 
-/// waitpid-status → attempt classification for a dead runner.
-ForkServer::AttemptKind ForkServer::classify_exit(int wait_status, int& signal) {
-  if (WIFSIGNALED(wait_status)) {
-    signal = WTERMSIG(wait_status);
-    return AttemptKind::Crashed;
-  }
-  if (WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == kOomExitCode) {
-    return AttemptKind::Oom;
-  }
-  // Unexpected clean exit (e.g. the runner hit a socket error): treat as a
-  // crash with no signal so the retry/quarantine machinery still applies.
-  signal = 0;
-  return AttemptKind::Crashed;
+void ForkServer::clear_data() {
+  reader_.clear();
+  drain_nonblocking(data_fd_);
+  uint64_t wakes = 0;
+  (void)!::read(wake_fd_, &wakes, sizeof(wakes));
 }
 
-std::optional<ForkServer::Attempt> ForkServer::await_ready(int deadline_ms) {
+void ForkServer::read_queued() {
+  for (;;) {
+    switch (reader_.fill(data_fd_, /*block=*/false)) {
+      case FrameReader::Fill::Data: continue;
+      case FrameReader::Fill::Empty: return;
+      case FrameReader::Fill::Eof:
+      case FrameReader::Fill::Error: throw_server_lost("read data socket");
+    }
+  }
+}
+
+/// waitpid-status → failure classification for a dead runner.
+ForkServer::Failure ForkServer::classify_exit(int wait_status) {
+  Failure failure;
+  if (WIFSIGNALED(wait_status)) {
+    failure.signal = WTERMSIG(wait_status);
+  } else if (WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == kOomExitCode) {
+    failure.kind = Failure::Kind::Oom;
+  }
+  // Anything else is an unexpected clean exit (e.g. the runner hit a socket
+  // error): a crash with no signal, so the retry/quarantine machinery still
+  // applies.
+  return failure;
+}
+
+std::optional<ForkServer::Failure> ForkServer::await_ready() {
   for (;;) {
     bool data_ready = false;
     bool control_ready = false;
+    // Fixture building gets its own deadline, mirroring the in-process
+    // watchdog (which times the replay, not WorkerContext::build_fixture).
     const int rc =
-        wait_readable2(data_fd_, control_fd_, deadline_ms, data_ready, control_ready);
+        wait_readable2(data_fd_, control_fd_, deadline_ms_, data_ready, control_ready);
     if (rc < 0) throw_server_lost("await ready");
     if (rc == 0) {
       ::kill(runner_pid_, SIGKILL);
       reap_runner();
-      Attempt attempt;
-      attempt.kind = AttemptKind::TimedOut;
-      return attempt;
+      clear_data();
+      return Failure{Failure::Kind::TimedOut};
     }
     if (data_ready) {
-      const auto frame = read_frame(data_fd_);
-      if (!frame) throw_server_lost("read ready");
-      if (is_ready_payload(*frame)) {
+      read_queued();
+      const auto frame = reader_.next();
+      if (reader_.bad()) throw_server_lost("read ready");
+      if (frame && *frame == kReadyPayload) {
         ready_pending_ = false;
         spawn_failure_streak_ = 0;  // a healthy runner ends the streak
-        return std::nullopt;  // runner is live and idle
+        return std::nullopt;        // runner is live and idle
       }
-      const auto response = decode_response(*frame);
-      if (!response) throw_server_lost("decode ready");
-      if (response->status == WorkResponse::Status::Error) {
-        // Fixture build failed and the runner is exiting. Transient factory
-        // failures (resource spikes, dependency warm-up) heal under the same
-        // backoff-and-respawn policy as fork failures; a deterministic one
-        // exhausts the retries and surfaces as the original error.
+      if (frame) {
+        const auto response = decode_response(*frame);
+        if (!response || response->status == WorkResponse::Status::Ok) {
+          throw_server_lost("decode ready");
+        }
+        // The fixture build failed or blew the memory cap: the runner is
+        // exiting.
         reap_runner();
+        clear_data();
+        if (response->status == WorkResponse::Status::Oom) return Failure{Failure::Kind::Oom};
+        // Transient factory failures (resource spikes, dependency warm-up)
+        // heal under the same backoff-and-respawn policy as fork failures; a
+        // deterministic one exhausts the retries and surfaces as the
+        // original error.
         ++stats_.respawn_failures;
         if (++spawn_failure_streak_ > kSpawnMaxRetries) {
           throw std::runtime_error("sandbox child error: " + response->error);
@@ -398,116 +482,180 @@ std::optional<ForkServer::Attempt> ForkServer::await_ready(int deadline_ms) {
         spawn_runner();
         continue;
       }
-      // Fixture build blew the memory cap: the runner is exiting.
-      reap_runner();
-      Attempt attempt;
-      attempt.kind = AttemptKind::Oom;
-      return attempt;
     }
     if (control_ready) {
       const int status = reap_runner();
-      Attempt attempt;
-      attempt.kind = classify_exit(status, attempt.signal);
-      return attempt;
+      clear_data();
+      return classify_exit(status);
     }
   }
 }
 
-ForkServer::Attempt ForkServer::attempt_once(const core::Interleaving& il) {
-  const int deadline_ms =
-      options_.watchdog_timeout_ms > 0 ? static_cast<int>(options_.watchdog_timeout_ms) : -1;
-
-  if (runner_pid_ < 0) spawn_runner();
-  if (ready_pending_) {
-    // Fixture building gets its own deadline, mirroring the in-process
-    // watchdog (which times the replay, not WorkerContext::build_fixture).
-    if (auto failed = await_ready(deadline_ms)) return *failed;
-  }
-
-  if (!write_frame(data_fd_, il.key())) throw_server_lost("send work item");
-
-  for (;;) {
-    bool data_ready = false;
-    bool control_ready = false;
-    const int rc =
-        wait_readable2(data_fd_, control_fd_, deadline_ms, data_ready, control_ready);
-    if (rc < 0) throw_server_lost("await outcome");
-    if (rc == 0) {
-      // Deadline blown: escalate to SIGKILL. Unlike the in-process watchdog's
-      // cooperative cancel, this reclaims a replay stuck inside subject code.
-      ::kill(runner_pid_, SIGKILL);
-      reap_runner();
-      Attempt attempt;
-      attempt.kind = AttemptKind::TimedOut;
-      return attempt;
-    }
-    if (data_ready) {
-      const auto frame = read_frame(data_fd_);
-      if (!frame) throw_server_lost("read outcome");
-      const auto response = decode_response(*frame);
-      if (!response) throw_server_lost("decode outcome");
-      switch (response->status) {
-        case WorkResponse::Status::Ok: {
-          Attempt attempt;
-          attempt.kind = AttemptKind::Ok;
-          attempt.response = std::move(*response);
-          return attempt;
-        }
-        case WorkResponse::Status::Oom: {
-          reap_runner();  // the runner exits right after reporting
-          Attempt attempt;
-          attempt.kind = AttemptKind::Oom;
-          return attempt;
-        }
-        case WorkResponse::Status::Error:
-          throw std::runtime_error("sandbox child error: " + response->error);
-      }
-    }
-    if (control_ready) {
-      const int status = reap_runner();
-      Attempt attempt;
-      attempt.kind = classify_exit(status, attempt.signal);
-      return attempt;
-    }
-  }
+bool ForkServer::open(const Outcomes& outcomes, size_t head, size_t end) const {
+  return head < end &&
+         !(stop_on_violation_ && head > 0 && !outcomes[head - 1].violations.empty());
 }
 
-core::InterleavingOutcome ForkServer::replay_one(const core::Interleaving& il) {
-  Attempt last;
-  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
-    if (attempt > 0) ++stats_.retries;
-    last = attempt_once(il);
-    switch (last.kind) {
-      case AttemptKind::Ok: {
-        if (attempt > 0) ++stats_.retry_successes;  // collateral, not deterministic
-        return std::move(last.response.outcome);
-      }
-      case AttemptKind::TimedOut: {
-        // No retry: watchdog timeouts quarantine immediately, matching the
-        // in-process watchdog semantics.
-        ++stats_.timeouts;
-        core::InterleavingOutcome outcome;
-        outcome.timed_out = true;
-        return outcome;
-      }
-      case AttemptKind::Crashed:
-        ++stats_.crashes;
-        break;  // respawn happens lazily on the next attempt
-      case AttemptKind::Oom:
-        ++stats_.oom_kills;
+bool ForkServer::collect(Outcomes& outcomes, size_t& head, size_t end) {
+  read_queued();
+  while (open(outcomes, head, end)) {
+    const auto frame = reader_.next();
+    if (!frame) {
+      if (reader_.bad()) throw_server_lost("read outcome");
+      return false;
+    }
+    auto response = decode_response(*frame);
+    if (!response) throw_server_lost("decode outcome");
+    switch (response->status) {
+      case WorkResponse::Status::Ok:
+        outcomes[head++] = std::move(response->outcome);
         break;
+      case WorkResponse::Status::Oom:
+        return true;
+      case WorkResponse::Status::Error:
+        throw std::runtime_error("sandbox child error: " + response->error);
     }
+  }
+  return false;
+}
+
+std::optional<ForkServer::Failure> ForkServer::run(
+    std::span<const core::Interleaving* const> window, Outcomes& outcomes, size_t& head,
+    size_t end) {
+  using Clock = std::chrono::steady_clock;
+  while (open(outcomes, head, end)) {
+    if (runner_pid_ < 0) spawn_runner();
+    if (ready_pending_) {
+      if (auto failed = await_ready()) return failed;
+    }
+
+    // One request frame carries the keys of as many items as fit
+    // max_request_bytes_ (always at least one). The runner's queue is empty
+    // here: it read the last window whole before answering it, or it is
+    // fresh and discarded what a dead runner left.
+    keys_.clear();
+    size_t sent = head;
+    while (sent < end) {
+      const size_t mark = keys_.size();
+      if (sent > head) keys_ += kKeySeparator;
+      window[sent]->append_key(keys_);
+      if (sent > head && keys_.size() > max_request_bytes_) {
+        keys_.resize(mark);
+        break;
+      }
+      ++sent;
+    }
+    if (!write_frame(data_fd_, keys_)) throw_server_lost("send work items");
+
+    // The watchdog times the head of the window: the clock restarts whenever
+    // the head has advanced, so a hung item dies within two deadlines of its
+    // start, and never before one.
+    auto head_since = Clock::now();
+    while (open(outcomes, head, sent)) {
+      int timeout_ms = -1;
+      if (deadline_ms_ > 0) {
+        const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                 Clock::now() - head_since)
+                                 .count();
+        timeout_ms = static_cast<int>(std::max<int64_t>(0, deadline_ms_ - elapsed));
+      }
+      bool control_ready = false;
+      bool wake_ready = false;
+      const int rc =
+          wait_readable2(control_fd_, wake_fd_, timeout_ms, control_ready, wake_ready);
+      if (rc < 0) throw_server_lost("await outcomes");
+      if (wake_ready) {
+        uint64_t wakes = 0;
+        (void)!::read(wake_fd_, &wakes, sizeof(wakes));
+      }
+      const size_t before = head;
+      if (collect(outcomes, head, sent)) {
+        reap_runner();  // the runner exits right after reporting
+        clear_data();
+        return Failure{Failure::Kind::Oom};
+      }
+      if (!open(outcomes, head, sent)) break;
+      if (!control_ready) {
+        // Progress restarts the clock for the new head; a wake-up without
+        // progress waits on.
+        if (head != before) {
+          head_since = Clock::now();
+          continue;
+        }
+        if (rc != 0) continue;
+      }
+
+      // The runner died, or the head blew its deadline and is SIGKILLed
+      // (unlike the in-process watchdog's cooperative cancel, this reclaims
+      // a replay stuck inside subject code). Either way the frames it wrote
+      // first stay queued: commit their items before clearing the socket,
+      // then charge the first unanswered item.
+      const bool killed = !control_ready;
+      if (killed) ::kill(runner_pid_, SIGKILL);
+      const size_t unanswered = head;
+      const int status = reap_runner();
+      const bool oom = collect(outcomes, head, sent);
+      clear_data();
+      if (oom) return Failure{Failure::Kind::Oom};
+      // A runner that answered the head in its race with the kill, or every
+      // item before dying, leaves nothing to charge: the rest go to a fresh
+      // runner.
+      if (!open(outcomes, head, sent) || (killed && head != unanswered)) break;
+      if (killed) return Failure{Failure::Kind::TimedOut};
+      return classify_exit(status);
+    }
+  }
+  return std::nullopt;
+}
+
+core::InterleavingOutcome ForkServer::settle(std::span<const core::Interleaving* const> window,
+                                             Outcomes& outcomes, size_t head,
+                                             Failure failure) {
+  for (int attempt = 0;; ++attempt) {
+    if (failure.kind == Failure::Kind::TimedOut) {
+      // No retry: watchdog timeouts quarantine immediately, matching the
+      // in-process watchdog semantics.
+      ++stats_.timeouts;
+      core::InterleavingOutcome outcome;
+      outcome.timed_out = true;
+      return outcome;
+    }
+    ++(failure.kind == Failure::Kind::Crashed ? stats_.crashes : stats_.oom_kills);
+    if (attempt == kMaxRetries) break;
+    // The retry runs alone in a fresh child (the failed runner is gone).
+    ++stats_.retries;
+    size_t retried = head;
+    const auto again = run(window, outcomes, retried, head + 1);
+    if (!again) {
+      ++stats_.retry_successes;  // collateral, not deterministic
+      return std::move(outcomes[head]);
+    }
+    failure = *again;
   }
   // Every attempt ran in a fresh child and failed the same way: the failure
   // is deterministic for this (plan, interleaving); quarantine it.
   core::InterleavingOutcome outcome;
-  if (last.kind == AttemptKind::Crashed) {
+  if (failure.kind == Failure::Kind::Crashed) {
     outcome.crashed = true;
-    outcome.term_signal = last.signal;
+    outcome.term_signal = failure.signal;
   } else {
     outcome.oom = true;
   }
   return outcome;
+}
+
+std::vector<core::InterleavingOutcome> ForkServer::replay(
+    std::span<const core::Interleaving* const> window) {
+  Outcomes outcomes(window.size());
+  size_t head = 0;
+  while (open(outcomes, head, window.size())) {
+    if (const auto failure = run(window, outcomes, head, window.size())) {
+      outcomes[head] = settle(window, outcomes, head, *failure);
+      ++head;
+    }
+  }
+  outcomes.resize(head);
+  return outcomes;
 }
 
 }  // namespace erpi::sandbox

@@ -4,10 +4,11 @@
 // Process layout (one ForkServer per worker):
 //
 //   explorer process ──control socket──> fork server S (single-threaded)
-//          │                                  │ fork-per-respawn
+//          │    ▲                             │ fork-per-respawn
+//          │    └──────wake-up eventfd─────── │
 //          └───────data socket───────> runner R (builds the subject fixture,
-//                                      loops: read work item → replay →
-//                                      write outcome)
+//                                      loops: read a window of work items →
+//                                      replay each → write its outcome)
 //
 // Why two levels: fork() from a multi-threaded process is only safe for
 // async-signal-safe code, and respawns happen while the worker pool is
@@ -17,30 +18,45 @@
 // therefore always a fork from a single-threaded process, no matter how many
 // worker threads the parent runs.
 //
-// Outcome taxonomy (ISSUE 4):
+// The wire is pipelined: replay() sends a window of items as one frame, R
+// writes each outcome to the data socket as its item finishes and signals
+// the wake-up eventfd once, when its input runs dry (and whenever a response
+// finds the socket full). The supervisor waits on control + wake-up, so it
+// wakes once per window, not once per item; it reads the data socket only
+// without blocking and parses whole frames, so a runner that dies mid-frame
+// can never wedge it. Under stop_on_violation a violation ends the window on
+// both sides, so nothing past it is replayed.
+//
+// Outcome taxonomy, charged to the first unanswered item of the window (the
+// items answered before it are committed first):
 //   * crashed   — R died on a signal (SIGSEGV, SIGABRT, SIGKILL...). The item
-//                 is retried once in a fresh child; a second death means the
-//                 crash is deterministic and the item is quarantined with the
-//                 signal number. A retry that comes back clean is collateral
-//                 damage from an earlier item and is only counted.
+//                 is retried once, alone, in a fresh child; a second death
+//                 means the crash is deterministic and the item is
+//                 quarantined with the signal number. A retry that comes back
+//                 clean is collateral damage from an earlier item and is only
+//                 counted.
 //   * oom       — R tripped RLIMIT_AS: the child catches std::bad_alloc,
 //                 best-effort writes a structured "oom" response, and exits
 //                 with kOomExitCode so the reason survives even if the write
 //                 loses the race. Same retry-once policy as crashes.
-//   * timed_out — R blew the watchdog deadline; the supervisor SIGKILLs it.
-//                 Matches the in-process watchdog semantics (PR 3): no retry,
-//                 quarantined immediately.
+//   * timed_out — the head of the window made no progress for the watchdog
+//                 deadline; the supervisor SIGKILLs R. Matches the in-process
+//                 watchdog semantics (DESIGN.md §8): no retry, quarantined
+//                 immediately.
+// The rest of the window goes to a fresh runner.
 //
 // The supervisor never reads the data socket for liveness: S keeps the runner
 // end open for future runners, so runner death is detected via S's framed
 // {"exited", status} notice on the control socket (S sits in waitpid while a
-// runner lives). replay_one polls data + control together.
+// runner lives).
 #pragma once
 
 #include <sys/types.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/replay.hpp"
 #include "sandbox/protocol.hpp"
@@ -71,43 +87,69 @@ class ForkServer {
   ForkServer(const ForkServer&) = delete;
   ForkServer& operator=(const ForkServer&) = delete;
 
-  /// Ship one interleaving to the runner and wait for its outcome, enforcing
-  /// the watchdog deadline and the crash/oom respawn-and-retry-once policy.
-  /// Throws on supervisor-level failures (fork server died, child reported a
-  /// structured error) — mirroring how an in-process replay exception aborts
-  /// the run.
-  core::InterleavingOutcome replay_one(const core::Interleaving& il);
+  /// Replay `window` in order and return the outcomes of its answered
+  /// prefix, in order: every item, or under stop_on_violation the items up
+  /// to the first violation, which ends the window. Enforces the watchdog
+  /// deadline on the head of the window and the crash/oom
+  /// respawn-and-retry-once policy. Throws on supervisor-level failures
+  /// (fork server died, child reported a structured error) — mirroring how
+  /// an in-process replay exception aborts the run.
+  std::vector<core::InterleavingOutcome> replay(
+      std::span<const core::Interleaving* const> window);
 
   /// Anomaly counters for this worker's sandbox (read after the pool joins).
   const core::SandboxStats& stats() const noexcept { return stats_; }
 
  private:
-  enum class AttemptKind { Ok, Crashed, Oom, TimedOut };
-
-  struct Attempt {
-    AttemptKind kind = AttemptKind::Ok;
+  struct Failure {
+    enum class Kind { Crashed, Oom, TimedOut };
+    Kind kind = Kind::Crashed;
     int signal = 0;  // Crashed only
-    WorkResponse response;  // Ok only
   };
+  using Outcomes = std::vector<core::InterleavingOutcome>;
 
   void spawn_runner();
   /// Exponential-backoff sleep for the current spawn-failure streak: 10 ms
   /// doubled per consecutive failure, capped at 1 s (supervisor.cpp). Keeps
   /// fork-EAGAIN storms from hot-looping.
   void spawn_backoff_sleep(int streak) const;
-  Attempt attempt_once(const core::Interleaving& il);
+  /// Whether window[head, end) still has items to answer: under
+  /// stop_on_violation an answered violation ends the window, as it ends
+  /// the runner's.
+  bool open(const Outcomes& outcomes, size_t head, size_t end) const;
+  /// Answer window[head, end) on the current runner (spawning one first when
+  /// there is none), advancing `head` past every answered item. Returns
+  /// nullopt once all are answered, or the failure charged to window[head].
+  std::optional<Failure> run(std::span<const core::Interleaving* const> window,
+                             Outcomes& outcomes, size_t& head, size_t end);
+  /// The outcome of window[head] after `failure`: the timeout, the clean
+  /// retry or the quarantine.
+  core::InterleavingOutcome settle(std::span<const core::Interleaving* const> window,
+                                   Outcomes& outcomes, size_t head, Failure failure);
+  /// Read what the data socket holds and decode every whole response into
+  /// outcomes[head, end), advancing `head`. True when the head's answer is
+  /// the oom response (the runner is exiting).
+  bool collect(Outcomes& outcomes, size_t& head, size_t end);
+  /// Move every queued data-socket byte into reader_, without blocking.
+  void read_queued();
   /// Consume the runner's ready handshake (nullopt) or its build-time
-  /// failure (the classified attempt).
-  std::optional<Attempt> await_ready(int deadline_ms);
-  /// Consume the server's {"exited"} notice for the current runner and clear
-  /// the data socket. Returns the waitpid status.
+  /// failure.
+  std::optional<Failure> await_ready();
+  /// Consume the server's {"exited"} notice for the current runner. Returns
+  /// the waitpid status. The dead runner's frames stay queued until
+  /// clear_data().
   int reap_runner();
-  static AttemptKind classify_exit(int wait_status, int& signal);
+  /// Drop what a dead runner left behind: buffered and queued bytes, and a
+  /// pending wake-up.
+  void clear_data();
+  static Failure classify_exit(int wait_status);
   [[noreturn]] void throw_server_lost(const char* where) const;
 
-  core::ReplayOptions options_;  // supervisor's view (the watchdog deadline)
-  int control_fd_ = -1;  // to the fork server
-  int data_fd_ = -1;     // to the current runner
+  int deadline_ms_ = -1;  // the watchdog deadline, -1 for none
+  bool stop_on_violation_ = false;
+  int control_fd_ = -1;   // to the fork server
+  int data_fd_ = -1;      // to the current runner
+  int wake_fd_ = -1;      // eventfd the runner signals
   pid_t server_pid_ = -1;
   pid_t runner_pid_ = -1;
   bool spawned_once_ = false;  // distinguishes first spawn from respawns
@@ -116,6 +158,12 @@ class ForkServer {
   /// since the last healthy runner; drives the exponential backoff and the
   /// give-up threshold (4 retries, supervisor.cpp).
   int spawn_failure_streak_ = 0;
+  /// Request bytes one send may carry: a quarter of the data socket's send
+  /// buffer, so a window's send never blocks, even on a runner that died
+  /// without reading it.
+  size_t max_request_bytes_ = 0;
+  util::FrameReader reader_;  // responses read so far
+  std::string keys_;          // the request frame's payload
 
   core::SandboxStats stats_;
 };

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -19,9 +20,6 @@ namespace {
 
 constexpr uint64_t kNoFloor = std::numeric_limits<uint64_t>::max();
 
-/// One worker's replay: an in-process WorkerContext or a sandbox.
-using Replayer = std::function<core::InterleavingOutcome(const core::Interleaving&)>;
-
 /// One unit of work: an interleaving at its commit ordinal, and its outcome
 /// once known. A cached outcome leaves the source resolved and a replay
 /// resolves the rest; an item early-cancelled past the violation floor (or on
@@ -32,6 +30,13 @@ struct Item {
   core::InterleavingOutcome outcome;
   bool resolved = false;
 };
+
+/// One worker's replays of a window of items, in order, each setting its
+/// item's outcome and marking it resolved: an in-process WorkerContext
+/// replays them one by one, a sandbox ships the whole window to its runner
+/// (DESIGN.md §9), which under stop_on_violation replays nothing past a
+/// violation and leaves those items unresolved.
+using Replayer = std::function<void(std::span<Item* const>)>;
 
 /// Monotone atomic min.
 void lower_floor(std::atomic<uint64_t>& floor, uint64_t ordinal) {
@@ -53,6 +58,24 @@ bool flipped(const std::shared_ptr<std::atomic<bool>>& token) {
   return token && token->load(std::memory_order_relaxed);
 }
 
+/// An in-process worker's replayer: one item after another on `context`.
+Replayer one_at_a_time(WorkerContext& context, const core::EventSet& events) {
+  return [&context, &events](std::span<Item* const> items) {
+    for (Item* item : items) {
+      item->outcome = context.replay_one(item->interleaving, events);
+      item->resolved = true;
+    }
+  };
+}
+
+/// Replay `pending` in one call to `replayer`; returns the seconds it took.
+double replay_all(const Replayer& replayer, std::span<Item* const> pending) {
+  if (pending.empty()) return 0;
+  util::Stopwatch watch;
+  replayer(pending);
+  return watch.elapsed_seconds();
+}
+
 /// The one place interleavings enter a run. Not thread-safe: the inline loop
 /// or the dispatcher (under the enumerator mutex) is its only caller.
 class Source {
@@ -71,7 +94,7 @@ class Source {
     const uint64_t ordinal = served_ + 1;
     if (options_.replay.stop_on_violation && ordinal > floor) return std::nullopt;
     if (flipped(options_.replay.cancel)) {
-      cancelled = true;
+      flags.cancelled = true;
       return std::nullopt;
     }
     const size_t index = order_[served_++];
@@ -81,9 +104,23 @@ class Source {
     return item;
   }
 
-  bool crashed = false;
-  bool exhausted = false;
-  bool cancelled = false;
+  /// Whether a pull after the item at `ordinal` would get as far as the
+  /// cancel check; the cap, or the end of a ranked order, stops it first.
+  bool pulls_after(uint64_t ordinal) const {
+    if (options_.search.strategy == core::SearchStrategy::LexOrder) {
+      return ordinal < options_.replay.max_interleavings;
+    }
+    return ordinal < order_.size();
+  }
+
+  /// Why the source stopped handing out items. A ranked source's drain may
+  /// set crashed or exhausted before it serves its first item.
+  struct Flags {
+    bool crashed = false;
+    bool exhausted = false;
+    bool cancelled = false;
+  };
+  Flags flags;
   size_t subtrees = 0;  // ranked subtree spans (ranked searchers only)
 
  private:
@@ -101,17 +138,17 @@ class Source {
     // Cooperative cancel sits where the budget check does: between pulls,
     // so the committed stream stays a deterministic prefix.
     if (flipped(replay.cancel)) {
-      cancelled = true;
+      flags.cancelled = true;
       return std::nullopt;
     }
     const uint64_t extra = options_.extra_cache_bytes ? options_.extra_cache_bytes() : 0;
     if (budget_.crash_if_exceeded(extra)) {
-      crashed = true;
+      flags.crashed = true;
       return std::nullopt;
     }
     auto il = enumerator_.next();
     if (!il) {
-      exhausted = true;
+      flags.exhausted = true;
       return std::nullopt;
     }
     budget_.charge(core::explored_log_entry_bytes(*il));
@@ -179,6 +216,7 @@ void explore(const ExplorerOptions& options, core::Enumerator& enumerator,
              core::ReplayReport& report) {
   const core::ReplayOptions& replay = options.replay;
   const bool stop_on_violation = replay.stop_on_violation;
+  const bool sandboxed = options.isolation == core::Isolation::Process;
   core::BudgetAccount local_budget(replay.resource_budget_bytes);
   Source source(enumerator, events, options,
                 replay.budget != nullptr ? *replay.budget : local_budget);
@@ -201,22 +239,73 @@ void explore(const ExplorerOptions& options, core::Enumerator& enumerator,
   std::vector<double> busy(workers.size(), 0.0);  // replay time per worker
   std::vector<double> wait(workers.size(), 0.0);  // queue wait per worker
   util::Stopwatch section;
-  if (workers.size() == 1) {
+  const size_t window_size = sandboxed && !options.pull_after_commit
+                                 ? auto_batch_size(replay.max_interleavings, 1)
+                                 : 1;
+  if (workers.size() == 1 && window_size == 1) {
     // ---- inline: pull, replay and commit one item at a time on this
     // thread, so a runtime constraint a callback delivers applies to the
     // very next pull ----
     stats.batch_size = 1;
     while (auto item = source.next(kNoFloor)) {
       if (!item->resolved) {
-        util::Stopwatch replay_watch;
-        item->outcome = workers[0](item->interleaving);
-        busy[0] += replay_watch.elapsed_seconds();
+        Item* const one[] = {&*item};
+        busy[0] += replay_all(workers[0], one);
       }
       if (commit(*item)) break;
+    }
+  } else if (workers.size() == 1) {
+    // ---- inline, sandboxed: pull a window, replay it in one round trip to
+    // the runner, then commit it in ordinal order, stopping where the loop
+    // above would stop ----
+    stats.batch_size = window_size;
+    std::vector<Item> window;
+    std::vector<Item*> pending;  // the window's items still to replay
+    // The source's flags after the window's last successful pull. Only a
+    // failed pull (or a ranked drain, on the first pull) changes them, so
+    // every successful pull of a window leaves the same flags.
+    Source::Flags served;
+    bool more = true;
+    while (more) {
+      window.clear();
+      while (window.size() < window_size) {
+        auto item = source.next(kNoFloor);
+        if (!item) {
+          more = false;
+          break;
+        }
+        window.push_back(std::move(*item));
+        served = source.flags;
+        // One item at a time, nothing is pulled past a cached violation
+        // that stops the run.
+        const Item& last = window.back();
+        if (stop_on_violation && last.resolved && !last.outcome.violations.empty()) break;
+      }
+      pending.clear();
+      for (Item& item : window) {
+        if (!item.resolved) pending.push_back(&item);
+      }
+      busy[0] += replay_all(workers[0], pending);
+      for (size_t i = 0; i < window.size(); ++i) {
+        if (commit(window[i])) {
+          more = false;
+          break;
+        }
+        // One item at a time, the pull after this commit would meet a token
+        // the commit flipped before it pulled anything: the pulls that ran
+        // ahead never happened.
+        if (flipped(replay.cancel)) {
+          source.flags = served;
+          source.flags.cancelled = source.pulls_after(window[i].ordinal);
+          more = false;
+          break;
+        }
+      }
     }
   } else {
     // ---- pool: dispatcher → workers → in-order committer ----
     const size_t batch_size = auto_batch_size(replay.max_interleavings, workers.size());
+    const size_t pool_window = sandboxed ? batch_size : 1;
     stats.batch_size = batch_size;
     BoundedQueue<std::vector<Item>> work(workers.size() * 2);
     BoundedQueue<Item> done(std::numeric_limits<size_t>::max());
@@ -273,24 +362,31 @@ void explore(const ExplorerOptions& options, core::Enumerator& enumerator,
     // Workers replay in isolation, sharing only thread-safe state.
     const auto worker_fn = [&](size_t w) {
       try {
+        std::vector<Item*> window;
         while (true) {
           util::Stopwatch pop_watch;
           auto batch = work.pop();
           wait[w] += pop_watch.elapsed_seconds();
           if (!batch) break;
-          for (Item& item : *batch) {
-            const bool skip = abort.load() || flipped(replay.cancel) ||
-                              (stop_on_violation && item.ordinal > floor.load());
-            if (!skip) {
-              util::Stopwatch replay_watch;
-              item.outcome = workers[w](item.interleaving);
-              item.resolved = true;
-              busy[w] += replay_watch.elapsed_seconds();
+          // Replay the batch a window at a time — one item in process, the
+          // whole batch in a sandbox — skipping items past the floor or after
+          // an abort or cancel; skipped items stay unresolved.
+          for (size_t begin = 0, end = 0; begin < batch->size(); begin = end) {
+            window.clear();
+            for (; end < batch->size() && window.size() < pool_window; ++end) {
+              Item& item = (*batch)[end];
+              const bool skip = abort.load() || flipped(replay.cancel) ||
+                                (stop_on_violation && item.ordinal > floor.load());
+              if (!skip) window.push_back(&item);
+            }
+            busy[w] += replay_all(workers[w], window);
+            for (size_t i = begin; i < end; ++i) {
+              Item& item = (*batch)[i];
               if (stop_on_violation && !item.outcome.violations.empty()) {
                 lower_floor(floor, item.ordinal);
               }
+              (void)done.push(std::move(item));
             }
-            (void)done.push(std::move(item));
           }
         }
       } catch (...) {
@@ -335,20 +431,20 @@ void explore(const ExplorerOptions& options, core::Enumerator& enumerator,
     if (first_error) std::rethrow_exception(first_error);
     // A token that flipped after dispatch ended still marks the run: workers
     // may have skipped the tail, so the report is a cancelled prefix.
-    if (flipped(replay.cancel)) source.cancelled = true;
+    if (flipped(replay.cancel)) source.flags.cancelled = true;
   }
   const double section_seconds = section.elapsed_seconds();
 
   // A stop_on_violation run that reproduced never reaches the crash,
   // exhaustion or cancel the source may have overrun into.
   const bool stopped_at_violation = stop_on_violation && violated;
-  report.crashed = source.crashed && !stopped_at_violation;
+  report.crashed = source.flags.crashed && !stopped_at_violation;
   // Budget overrun never throws out of a worker: the source latches it on
   // the shared account, workers drain, and the report carries partial
   // results with the structured flag set.
   report.budget_exhausted = report.crashed;
-  report.exhausted = source.exhausted && !stopped_at_violation;
-  report.cancelled = source.cancelled && !stopped_at_violation;
+  report.exhausted = source.flags.exhausted && !stopped_at_violation;
+  report.cancelled = source.flags.cancelled && !stopped_at_violation;
   report.hit_cap = committed >= replay.max_interleavings;
 
   stats.subtrees = source.subtrees;
@@ -393,8 +489,15 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
                   options_.subject_factory, options_.assertion_factory, options_.replay,
                   options_.hooks, events))
               .get();
-      replayers.emplace_back([server](const core::Interleaving& il) {
-        return server->replay_one(il);
+      replayers.emplace_back([server](std::span<Item* const> items) {
+        std::vector<const core::Interleaving*> window;
+        window.reserve(items.size());
+        for (const Item* item : items) window.push_back(&item->interleaving);
+        std::vector<core::InterleavingOutcome> outcomes = server->replay(window);
+        for (size_t i = 0; i < outcomes.size(); ++i) {
+          items[i]->outcome = std::move(outcomes[i]);
+          items[i]->resolved = true;
+        }
       });
     } else {
       WorkerContext* context =
@@ -403,9 +506,7 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
                   options_.subject_factory, options_.assertion_factory, options_.replay,
                   options_.hooks))
               .get();
-      replayers.emplace_back([context, &events](const core::Interleaving& il) {
-        return context->replay_one(il, events);
-      });
+      replayers.emplace_back(one_at_a_time(*context, events));
     }
   }
 
@@ -434,9 +535,7 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
   }
   util::Stopwatch watch;
   WorkerContext context(fixture, assertions, options_.replay, options_.hooks);
-  explore(options_, enumerator, events,
-          {[&](const core::Interleaving& il) { return context.replay_one(il, events); }},
-          report);
+  explore(options_, enumerator, events, {one_at_a_time(context, events)}, report);
   worker_assertions_ = {context.assertions()};
   report.elapsed_seconds += watch.elapsed_seconds();
   return report;

@@ -9,9 +9,16 @@
 // subtrees, ranks them (DESIGN.md §12) and serves ordinals in rank order.
 // Two consumers, chosen by the worker count:
 //
-//   * one worker — the calling thread pulls, replays and commits one item at
-//     a time, with no threads of its own (in-process, sandboxed or under the
-//     watchdog alike);
+//   * one worker — the calling thread pulls a window of items, replays it and
+//     commits it in ordinal order, with no threads of its own. In process
+//     (and under the watchdog) the window is one item. A sandboxed worker
+//     pulls the pool's batch size (at most 32) and its runner replays the
+//     window in one round trip (DESIGN.md §9); it stops committing where the
+//     one-item loop would stop (a stop_on_violation violation, a cancel
+//     token flipped by a commit) and discards the rest of the window. The
+//     runner replays nothing past a violation that stops the run; past a
+//     cancel it has already replayed the window, whose overrun the sandbox
+//     counters include;
 //   * N workers —
 //
 //       dispatcher thread ──batches──▶ BoundedQueue ──▶ N worker threads
@@ -20,6 +27,9 @@
 //       control thread ◀──(ordinal, outcome)── results channel ◀────┘
 //            commits outcomes in ascending ordinal order and delivers
 //            on_outcome callbacks serialized, in order.
+//
+//     An in-process worker replays its batch one item at a time; a sandboxed
+//     worker sends the whole batch to its runner as one window.
 //
 // Both commit through core::commit_outcome, in ordinal order, so the report
 // is a pure function of (stream, SearchOptions): identical for every worker
@@ -105,6 +115,11 @@ struct ExplorerOptions {
   /// The fault plan (FaultPlan::key(); "" outside fault sweeps): tags each
   /// committed pair (core::PlanTag) and is mixed into coverage features.
   std::string plan;
+  /// A commit may change what the next pull returns (a runtime constraint
+  /// polled in on_outcome extends the pruning pipeline). A sandboxed
+  /// one-worker run then keeps one item in flight instead of a window, so
+  /// the change applies to the very next pull, as it does in process.
+  bool pull_after_commit = false;
 };
 
 class ParallelExplorer {

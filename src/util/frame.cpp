@@ -4,24 +4,27 @@
 #include <poll.h>
 #include <sys/socket.h>
 
-#include <cstdint>
+#include <algorithm>
+#include <cstring>
 
 namespace erpi::util {
 
 namespace {
 
-bool send_all(int fd, const void* data, size_t len) {
-  const char* p = static_cast<const char*>(data);
-  while (len > 0) {
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    len -= static_cast<size_t>(n);
-  }
-  return true;
+/// Free space a fill() guarantees before its recv: room for a window of
+/// small frames in one call. Larger frames grow the buffer by doubling.
+constexpr size_t kMinReadBytes = 4096;
+
+void put_length(unsigned char (&header)[4], uint32_t len) {
+  header[0] = static_cast<unsigned char>(len & 0xff);
+  header[1] = static_cast<unsigned char>((len >> 8) & 0xff);
+  header[2] = static_cast<unsigned char>((len >> 16) & 0xff);
+  header[3] = static_cast<unsigned char>((len >> 24) & 0xff);
+}
+
+uint32_t get_length(const unsigned char* header) {
+  return static_cast<uint32_t>(header[0]) | (static_cast<uint32_t>(header[1]) << 8) |
+         (static_cast<uint32_t>(header[2]) << 16) | (static_cast<uint32_t>(header[3]) << 24);
 }
 
 bool recv_all(int fd, void* data, size_t len) {
@@ -41,30 +44,84 @@ bool recv_all(int fd, void* data, size_t len) {
 
 }  // namespace
 
-bool write_frame(int fd, const std::string& payload) {
+void append_frame(std::string& out, std::string_view payload) {
+  unsigned char header[4];
+  put_length(header, static_cast<uint32_t>(payload.size()));
+  out.append(reinterpret_cast<const char*>(header), sizeof(header));
+  out.append(payload);
+}
+
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+  return true;
+}
+
+bool write_frame(int fd, std::string_view payload) {
   if (payload.size() > kMaxFrameBytes) return false;
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  unsigned char header[4] = {
-      static_cast<unsigned char>(len & 0xff),
-      static_cast<unsigned char>((len >> 8) & 0xff),
-      static_cast<unsigned char>((len >> 16) & 0xff),
-      static_cast<unsigned char>((len >> 24) & 0xff),
-  };
-  return send_all(fd, header, sizeof(header)) &&
-         send_all(fd, payload.data(), payload.size());
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  append_frame(frame, payload);
+  return write_all(fd, frame);
 }
 
 std::optional<std::string> read_frame(int fd) {
   unsigned char header[4];
   if (!recv_all(fd, header, sizeof(header))) return std::nullopt;
-  const uint32_t len = static_cast<uint32_t>(header[0]) |
-                       (static_cast<uint32_t>(header[1]) << 8) |
-                       (static_cast<uint32_t>(header[2]) << 16) |
-                       (static_cast<uint32_t>(header[3]) << 24);
+  const uint32_t len = get_length(header);
   if (len > kMaxFrameBytes) return std::nullopt;
   std::string payload(len, '\0');
   if (len > 0 && !recv_all(fd, payload.data(), len)) return std::nullopt;
   return payload;
+}
+
+FrameReader::Fill FrameReader::fill(int fd, bool block) {
+  if (begin_ == end_) begin_ = end_ = 0;
+  if (buf_.size() - end_ < kMinReadBytes) {
+    // Slide the unparsed tail to the front, then grow if that is not enough.
+    if (begin_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    if (buf_.size() - end_ < kMinReadBytes) {
+      buf_.resize(std::max(buf_.size() * 2, end_ + kMinReadBytes));
+    }
+  }
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf_.data() + end_, buf_.size() - end_, block ? 0 : MSG_DONTWAIT);
+    if (n > 0) {
+      end_ += static_cast<size_t>(n);
+      return Fill::Data;
+    }
+    if (n == 0) return Fill::Eof;
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? Fill::Empty : Fill::Error;
+  }
+}
+
+std::optional<std::string_view> FrameReader::next() {
+  if (bad_ || end_ - begin_ < 4) return std::nullopt;
+  const uint32_t len = get_length(reinterpret_cast<const unsigned char*>(buf_.data() + begin_));
+  if (len > kMaxFrameBytes) {
+    bad_ = true;
+    return std::nullopt;
+  }
+  if (end_ - begin_ - 4 < len) return std::nullopt;
+  const std::string_view payload(buf_.data() + begin_ + 4, len);
+  begin_ += 4 + len;
+  return payload;
+}
+
+void FrameReader::clear() noexcept {
+  begin_ = end_ = 0;
+  bad_ = false;
 }
 
 int wait_readable(int fd, int timeout_ms) {

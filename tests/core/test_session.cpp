@@ -267,7 +267,10 @@ TEST(ConstraintWatcher, LastErrorsReportsSkippedFilesStructured) {
   fs::remove_all(dir);
 }
 
-TEST(Session, RuntimeConstraintsExtendThePipeline) {
+/// Interleavings the town workload explores at one worker when a constraint
+/// declaring `independent` events lands after the 5th interleaving, in
+/// process or sandboxed.
+uint64_t explored_with_runtime_constraint(Isolation isolation, const std::string& independent) {
   const auto dir = fs::temp_directory_path() / "erpi-session-constraints";
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -279,17 +282,27 @@ TEST(Session, RuntimeConstraintsExtendThePipeline) {
   config.constraints_dir = dir.string();
   config.replay.stop_on_violation = false;
   config.replay.max_interleavings = 100'000;
+  config.isolation = isolation;
+  if (isolation == Isolation::Process) {
+    config.subject_factory = [] { return std::make_unique<subjects::TownApp>(2); };
+  }
   // drop a constraint file after the 5th interleaving
   config.replay.on_outcome = [&](uint64_t index, const Interleaving&, const InterleavingOutcome&) {
     if (index == 5) {
-      // events 0 and 3 are the two reports — declaring them independent is a
-      // developer-provided §3.4 constraint
-      std::ofstream(dir / "indep.json") << R"({"independent_events": [0, 3]})";
+      std::ofstream(dir / "indep.json") << R"({"independent_events": )" << independent << "}";
     }
   };
   Session session(proxy, config);
   session.start();
   town_workload(proxy);
+  const uint64_t explored = isolation == Isolation::Process
+                                ? session.end(AssertionFactory{}).explored
+                                : session.end(AssertionList{}).explored;
+  fs::remove_all(dir);
+  return explored;
+}
+
+TEST(Session, RuntimeConstraintsExtendThePipeline) {
   const auto without = [] {
     subjects::TownApp t(2);
     proxy::RdlProxy p(t);
@@ -302,9 +315,19 @@ TEST(Session, RuntimeConstraintsExtendThePipeline) {
     town_workload(p);
     return s.end({}).explored;
   }();
-  const auto with = session.end({}).explored;
+  // events 0 and 3 are the two reports — declaring them independent is a
+  // developer-provided §3.4 constraint
+  const uint64_t with = explored_with_runtime_constraint(Isolation::None, "[0, 3]");
   EXPECT_LT(with, without);  // the runtime constraint pruned something
-  fs::remove_all(dir);
+  // A sandboxed one-worker run that polls constraints keeps one item in
+  // flight, so the constraint applies to the same pull as in process. The
+  // resolve and the query (events 6 and 9) swap within the first 32 pulls,
+  // so a constraint on them would miss pulls made a window ahead.
+  for (const std::string independent : {"[0, 3]", "[6, 9]"}) {
+    EXPECT_EQ(explored_with_runtime_constraint(Isolation::Process, independent),
+              explored_with_runtime_constraint(Isolation::None, independent))
+        << independent;
+  }
 }
 
 }  // namespace

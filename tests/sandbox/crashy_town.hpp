@@ -1,14 +1,16 @@
 // Misbehaving TownApp variants for the crash-isolation tests: subjects that
-// segfault, exit mid-replay, exhaust memory, hang, or crash only
-// transiently. All of them are only ever replayed under Isolation::Process —
-// in-process replay of any of these would take the test binary down, which
-// is exactly the failure mode the sandbox exists to contain.
+// segfault, exit mid-replay, exhaust memory, hang, crash only transiently, or
+// fail on one chosen interleaving. All of them are only ever replayed under
+// Isolation::Process — in-process replay of any of these would take the test
+// binary down, which is exactly the failure mode the sandbox exists to
+// contain.
 #pragma once
 
 #include <unistd.h>
 
 #include <csignal>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "subjects/town.hpp"
@@ -152,6 +154,58 @@ class SleepyTown : public subjects::TownApp {
 
  private:
   volatile bool armed_ = false;
+};
+
+/// Fails on one chosen interleaving, and only there: every "report" records
+/// its problem name, and the report that completes `sequence` segfaults,
+/// blows any sane RLIMIT_AS cap or busy-hangs. The window tests place that
+/// interleaving at each position of a sandbox window.
+class TrapTown : public subjects::TownApp {
+ public:
+  enum class Trap { Crash, Oom, Hang };
+
+  TrapTown(int replica_count, Trap trap, std::vector<std::string> sequence)
+      : TownApp(replica_count), trap_(trap), sequence_(std::move(sequence)) {}
+
+ protected:
+  util::Result<util::Json> do_invoke(net::ReplicaId replica, const std::string& op,
+                                     const util::Json& args) override {
+    if (op == "report") {
+      seen_.push_back(args["problem"].as_string());
+      if (seen_ == sequence_) spring();
+    }
+    return TownApp::do_invoke(replica, op, args);
+  }
+
+  void do_reset() override {
+    TownApp::do_reset();
+    seen_.clear();
+  }
+
+ private:
+  void spring() {
+    switch (trap_) {
+      case Trap::Crash:
+        std::raise(SIGSEGV);
+        break;
+      case Trap::Oom: {
+        std::vector<char> hoard;
+        hoard.resize(8ull << 30, 1);  // the reservation alone trips the cap
+        break;
+      }
+      case Trap::Hang: {
+        volatile bool forever = true;
+        while (forever) {
+          // Only SIGKILL gets a replay out of here.
+        }
+        break;
+      }
+    }
+  }
+
+  Trap trap_;
+  std::vector<std::string> sequence_;
+  std::vector<std::string> seen_;
 };
 
 }  // namespace erpi::sandbox::testing

@@ -1,6 +1,7 @@
 // Crash-isolation smoke binary for CI: drives a deliberately segfaulting
-// subject (CrashyTown) through a full exploration under Isolation::Process
-// and asserts the run completes with the crashing interleaving quarantined.
+// subject (CrashyTown) through a full exploration under Isolation::Process,
+// at one worker (the crash lands mid-window on the inline path) and at two,
+// and asserts each run completes with the crashing interleaving quarantined.
 // Exits 0 on success, 1 with a diagnostic on any mismatch — no gtest
 // dependency, so CI can run it standalone (see .github/workflows/ci.yml).
 #include <csignal>
@@ -27,15 +28,14 @@ erpi::util::Json problem(const char* name) {
     }                                                                  \
   } while (0)
 
-}  // namespace
-
-int main() {
+/// One sandboxed exploration of the crashing workload; 0 when it checks out.
+int smoke(int parallelism) {
   using erpi::sandbox::testing::CrashyTown;
 
   erpi::core::Session::Config config;
   config.generation_order = erpi::core::GroupedEnumerator::Order::Lexicographic;
   config.replay.stop_on_violation = false;
-  config.parallelism = 2;
+  config.parallelism = parallelism;
   config.isolation = erpi::core::Isolation::Process;
   config.subject_factory = [] { return std::make_unique<CrashyTown>(2); };
 
@@ -64,11 +64,20 @@ int main() {
   SMOKE_CHECK(report.sandbox.retries == 1);
 
   std::printf(
-      "sandbox smoke OK: explored=%llu quarantined=%s signal=%d "
+      "sandbox smoke OK at p=%d: explored=%llu quarantined=%s signal=%d "
       "crashes=%llu respawns=%llu\n",
-      static_cast<unsigned long long>(report.explored),
+      parallelism, static_cast<unsigned long long>(report.explored),
       report.quarantined[0].c_str(), report.quarantine_records[0].signal,
       static_cast<unsigned long long>(report.sandbox.crashes),
       static_cast<unsigned long long>(report.sandbox.respawns));
+  return 0;
+}
+
+}  // namespace
+
+int main() {
+  for (const int parallelism : {1, 2}) {
+    if (smoke(parallelism) != 0) return 1;
+  }
   return 0;
 }

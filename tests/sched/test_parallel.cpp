@@ -390,6 +390,11 @@ core::RunVerdict parity_verdict(Session::Config config, bool borrowed) {
   return parity_report(std::move(config), borrowed).verdict();
 }
 
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 /// Keep the journal's header and its first `records` records.
 void cut_journal(const std::filesystem::path& path, size_t records) {
   std::ifstream in(path);
@@ -433,19 +438,21 @@ void expect_resumed_and_warm_runs_agree(Session::Config config,
 
   // The journal fingerprint does not pin the static pruners, so this resume
   // regenerates another stream: journaled records are served only while
-  // their keys match its pulls. Resuming again from the journal it leaves
-  // (stale records past the divergence, then the re-journaled pairs) serves
-  // the same prefix.
+  // their keys match its pulls. Before its first new record it rewrites the
+  // journal to the records it served, so the journal it leaves is the one an
+  // uninterrupted run of the changed stream writes, and resuming again
+  // serves every pair.
   Session::Config pruned = resumed_config;
   pruned.independence = {{{6, 9}, {10}}};
   Session::Config uninterrupted = pruned;
-  uninterrupted.resume_journal.clear();
+  const auto uninterrupted_journal = dir / "pruned.jsonl";
+  uninterrupted.resume_journal = uninterrupted_journal.string();
   std::vector<std::string> pruned_keys;
   uninterrupted.replay.on_outcome = [&](uint64_t, const core::Interleaving& il,
                                         const core::InterleavingOutcome&) {
     pruned_keys.push_back(il.key());
   };
-  const core::RunVerdict pruned_reference = parity_verdict(uninterrupted, false);
+  const ReplayReport pruned_reference = parity_report(uninterrupted, false);
   const auto journaled = core::RunJournal::load(full.string());
   ASSERT_TRUE(journaled.has_value()) << cell;
   size_t common = 0;
@@ -457,8 +464,10 @@ void expect_resumed_and_warm_runs_agree(Session::Config config,
   std::filesystem::copy_file(full, journal, std::filesystem::copy_options::overwrite_existing);
   for (const char* pass : {"resumed", "resumed again"}) {
     const ReplayReport diverged = parity_report(pruned, false);
-    EXPECT_EQ(diverged.verdict(), pruned_reference) << cell << " pruned " << pass;
-    EXPECT_EQ(diverged.pairs_skipped_from_journal, common) << cell << " pruned " << pass;
+    EXPECT_EQ(diverged.verdict(), pruned_reference.verdict()) << cell << " pruned " << pass;
+    const uint64_t skipped = std::string(pass) == "resumed" ? common : pruned_reference.explored;
+    EXPECT_EQ(diverged.pairs_skipped_from_journal, skipped) << cell << " pruned " << pass;
+    EXPECT_EQ(file_bytes(journal), file_bytes(uninterrupted_journal)) << cell << " pruned " << pass;
   }
 
   Session::Config warm_config = config;

@@ -1,7 +1,8 @@
 // Shared 4-byte length-prefixed framing (util/frame.hpp) — the wire format
 // under both the sandbox control/data protocol and the exploration service.
 // Malformed-input coverage: oversized length headers, truncated payloads,
-// zero-length frames, and payloads dribbled across many read() boundaries.
+// zero-length frames, and payloads dribbled across many read() boundaries,
+// for the one-frame reader and the buffered FrameReader alike.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "util/frame.hpp"
 
@@ -139,6 +141,108 @@ TEST(Frame, WriteToClosedPeerFails) {
     failed = !write_frame(pair.a, std::string(4096, 'x'));
   }
   EXPECT_TRUE(failed);
+}
+
+TEST(Frame, WriteFrameIsOneSegmentOnTheWire) {
+  // Header and payload leave in one send: the reader's first recv sees the
+  // whole frame, never the header alone.
+  SocketPair pair;
+  ASSERT_TRUE(write_frame(pair.a, "abc"));
+  char buf[64];
+  const ssize_t n = ::recv(pair.b, buf, sizeof(buf), 0);
+  ASSERT_EQ(n, 7);
+  EXPECT_EQ(std::string(buf + 4, 3), "abc");
+}
+
+/// Every whole frame `reader` holds, in order.
+std::vector<std::string> frames_of(FrameReader& reader) {
+  std::vector<std::string> out;
+  while (const auto frame = reader.next()) out.emplace_back(*frame);
+  return out;
+}
+
+TEST(Frame, ReaderParsesManyFramesFromOneRead) {
+  SocketPair pair;
+  std::string wire;
+  const std::vector<std::string> payloads = {"p", "", R"({"status":"ok","o":"pass"})", "p"};
+  for (const auto& payload : payloads) append_frame(wire, payload);
+  ASSERT_TRUE(write_all(pair.a, wire));
+  FrameReader reader;
+  ASSERT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Data);
+  EXPECT_EQ(frames_of(reader), payloads);
+  EXPECT_FALSE(reader.bad());
+  EXPECT_EQ(reader.fill(pair.b, /*block=*/false), FrameReader::Fill::Empty);
+}
+
+TEST(Frame, ReaderReassemblesBytesDribbledOneAtATime) {
+  SocketPair pair;
+  std::string wire;
+  append_frame(wire, "first");
+  append_frame(wire, std::string(300, 'x'));
+  FrameReader reader;
+  std::vector<std::string> got;
+  for (const char byte : wire) {
+    send_all_raw(pair.a, &byte, 1);
+    ASSERT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Data);
+    for (auto& frame : frames_of(reader)) got.push_back(std::move(frame));
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"first", std::string(300, 'x')}));
+}
+
+TEST(Frame, ReaderKeepsATornTailForTheNextRead) {
+  SocketPair pair;
+  std::string wire;
+  append_frame(wire, "whole");
+  append_frame(wire, "torn-payload");
+  const size_t cut = wire.size() - 5;  // mid-payload of the second frame
+  send_all_raw(pair.a, wire.data(), cut);
+  FrameReader reader;
+  ASSERT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Data);
+  EXPECT_EQ(frames_of(reader), (std::vector<std::string>{"whole"}));
+  send_all_raw(pair.a, wire.data() + cut, wire.size() - cut);
+  ASSERT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Data);
+  EXPECT_EQ(frames_of(reader), (std::vector<std::string>{"torn-payload"}));
+  // A torn tail a dead peer left behind is dropped by clear().
+  send_all_raw(pair.a, wire.data(), 6);
+  ASSERT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Data);
+  reader.clear();
+  ASSERT_TRUE(write_frame(pair.a, "fresh"));
+  ASSERT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Data);
+  EXPECT_EQ(frames_of(reader), (std::vector<std::string>{"fresh"}));
+}
+
+TEST(Frame, ReaderRejectsAnOversizedLength) {
+  SocketPair pair;
+  const uint32_t huge = kMaxFrameBytes + 1;
+  send_all_raw(pair.a, &huge, sizeof(huge));
+  send_all_raw(pair.a, "junk", 4);
+  FrameReader reader;
+  ASSERT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Data);
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_TRUE(reader.bad());
+  EXPECT_FALSE(reader.next().has_value());  // stays bad
+}
+
+TEST(Frame, ReaderGrowsForAFrameLargerThanOneRead) {
+  SocketPair pair;
+  const std::string big(300'000, 'q');
+  std::thread writer([&] { EXPECT_TRUE(write_frame(pair.a, big)); });
+  FrameReader reader;
+  std::optional<std::string> got;
+  while (!got) {
+    ASSERT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Data);
+    if (const auto frame = reader.next()) got = std::string(*frame);
+  }
+  writer.join();
+  EXPECT_EQ(*got, big);
+}
+
+TEST(Frame, ReaderReportsPeerCloseAsEof) {
+  SocketPair pair;
+  FrameReader reader;
+  EXPECT_EQ(reader.fill(pair.b, /*block=*/false), FrameReader::Fill::Empty);
+  pair.close_a();
+  EXPECT_EQ(reader.fill(pair.b, /*block=*/true), FrameReader::Fill::Eof);
 }
 
 }  // namespace
